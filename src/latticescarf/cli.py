@@ -26,7 +26,7 @@ from .lattice_core import (
     lattice_from_semigroup,
     positive_functional,
 )
-from .linalg import solve_combination
+from .linalg import is_prime, solve_combination
 from .scarf import (
     algebraic_scarf_subcomplex,
     basic_components,
@@ -341,7 +341,7 @@ def run_command(spec, command, options):
             u = _parse_degree(spec, options["degree"])
             comps = basic_components(L, u)
             result = {
-                "degree": spec.degree_view(enumerate_fiber(L, u).degree),
+                "degree": spec.degree_view(class_of(L, u)),
                 "components": [
                     {
                         "monomials": spec.monomials_view(c.monomials),
@@ -609,8 +609,8 @@ def _parse_field(text):
             p = int(text[3:])
         except ValueError:
             raise ParseError("--field fp:P needs an integer P") from None
-        if p < 2:
-            raise ParseError("--field fp:P needs a prime P >= 2")
+        if not is_prime(p):
+            raise ParseError("--field fp:P needs a prime P, not %d" % p)
         return p
     raise ParseError("--field must be 'q' or 'fp:P'")
 

@@ -7,8 +7,6 @@ lexicographic, first coordinate most significant) so that every structure
 built on fibers is deterministic.
 """
 
-import itertools
-
 from .lattice_core import class_of
 from .linalg import integer_points
 
@@ -56,14 +54,11 @@ class Fiber:
 def enumerate_fiber(L, u0):
     """All monomials congruent to u0 mod L, as a Fiber.
 
-    u0 may have negative entries (any class representative).  Results are
-    cached on the lattice, keyed by the canonical coset representative.
+    u0 may have negative entries (any class representative).  Each call
+    runs a Fourier-Motzkin enumeration; a degree scan builds its fibers
+    without one (see homology.scan_degree_classes).
     """
     u0 = tuple(u0)
-    key = L.canonical_key(u0)
-    cached = L._fiber_cache.get(key)
-    if cached is not None:
-        return cached
     n, r = L.n, L.r
     if r == 0:
         members = [u0] if all(x >= 0 for x in u0) else []
@@ -80,21 +75,17 @@ def enumerate_fiber(L, u0):
     fib = Fiber(class_of(L, u0), members)
     for m in fib.members:
         assert all(x >= 0 for x in m)
-    L._fiber_cache[key] = fib
     return fib
 
 
-def enumerate_fiber_box_oracle(L, u0, box_bound):
-    """Brute-force oracle: scan the integer box [0, box_bound]^n for
-    vectors congruent to u0.  Exponential; for cross-checks only."""
-    u0 = tuple(u0)
-    key = L.canonical_key(u0)
-    members = [
-        u
-        for u in itertools.product(range(box_bound + 1), repeat=L.n)
-        if L.canonical_key(u) == key
-    ]
-    return Fiber(class_of(L, u0), members)
+def fiber_of(L, b):
+    """b itself when it is a Fiber, else the fiber of the class that b (a
+    representative or a DegreeClass) names."""
+    if isinstance(b, Fiber):
+        return b
+    if not isinstance(b, (tuple, list)):
+        b = b.representative
+    return enumerate_fiber(L, b)
 
 
 def gcd_of(monomials):

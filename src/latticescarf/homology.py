@@ -13,9 +13,9 @@ Multigraded Betti numbers follow the convention
     beta_{i,b} = dim H~_{i-1}(gcd complex of the fiber of b),   i >= 1.
 """
 
-from .fibers import enumerate_fiber
-from .lattice_core import class_leq, class_of, positive_functional
-from .linalg import rank_mod_p, rank_rational
+from .fibers import Fiber, fiber_of
+from .lattice_core import class_of, positive_functional
+from .linalg import is_prime, rank_mod_p, rank_rational
 
 
 def _maximal_sets(sets):
@@ -183,10 +183,7 @@ def reduced_homology_dims(K, field="q"):
     reports {-1: 1} and any nonempty complex reports {-1: 0, ...}.
     field is "q" for the rationals or an int prime p for GF(p).
     """
-    if isinstance(field, str):
-        if field not in ("q", "Q"):
-            raise ValueError("field must be 'q' or a prime integer")
-    elif not isinstance(field, int) or field < 2:
+    if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
         raise ValueError("field must be 'q' or a prime integer")
     core = SimplicialComplex(K.vertex_labels, _collapse(K.facets))
     fs = core.faces()
@@ -233,9 +230,7 @@ def betti_at(L, i, b, field="q"):
     """beta_{i,b} = dim H~_{i-1} of the gcd complex of the fiber of b."""
     if i < 1:
         raise ValueError("betti_at is defined for homological degree i >= 1")
-    if not isinstance(b, (tuple, list)):
-        b = b.representative
-    fib = enumerate_fiber(L, b)
+    fib = fiber_of(L, b)
     if len(fib) <= 1:
         return 0
     dims = reduced_homology_dims(gcd_complex(fib), field)
@@ -244,41 +239,73 @@ def betti_at(L, i, b, field="q"):
 
 def scan_degree_classes(L, bound, functional=None):
     """All degree classes with a nonnegative representative of functional
-    value <= bound, as a list of (DegreeClass, value) sorted by value.
+    value <= bound, each with its whole fiber: a list of
+    (DegreeClass, value, Fiber) sorted by (value, class key).
 
-    The functional must be strictly positive and constant on fibers
-    (orthogonal to L); by default one is computed from the lattice.
+    The functional must be strictly positive and orthogonal to L, so that
+    it is constant on fibers; by default one is computed from the lattice.
+    A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
+    fiber of b - e_j, a class the scan reached one step earlier, so the
+    fibers are built from fiber(0) = {0} up, without Fourier-Motzkin:
+    fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j).
     """
     w = tuple(functional) if functional is not None else positive_functional(L)
     if len(w) != L.n or any(x < 1 for x in w):
         raise ValueError("functional must be strictly positive of length n")
+    if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
+        raise ValueError("functional must vanish on the lattice")
     zero = (0,) * L.n
     start = class_of(L, zero)
     seen = {start.key: (start, 0)}
-    queue = [(zero, 0)]
+    # key -> flat [key of b - e_j, j, ...] over the steps into the class
+    steps = {start.key: []}
+    queue = [(zero, start.key, 0)]
     while queue:
-        rep, s = queue.pop()
+        rep, key, s = queue.pop()
         for j in range(L.n):
             s2 = s + w[j]
             if s2 > bound:
                 continue
             rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
             b2 = class_of(L, rep2)
-            if b2.key not in seen:
-                seen[b2.key] = (b2, s2)
-                queue.append((rep2, s2))
-    return sorted(seen.values(), key=lambda t: (t[1], t[0].key))
+            key2 = b2.key
+            if key2 not in seen:
+                seen[key2] = (b2, s2)
+                steps[key2] = []
+                queue.append((rep2, key2, s2))
+            steps[key2] += (key, j)
+    fibers = {}
+    out = []
+    for b, s in sorted(seen.values(), key=lambda t: (t[1], t[0].key)):
+        into = steps.pop(b.key)
+        members = {zero} if not into else set()
+        for k in range(0, len(into), 2):
+            j = into[k + 1]
+            for m in fibers[into[k]].members:
+                members.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
+        fib = fibers[b.key] = Fiber(b, members)
+        out.append((b, s, fib))
+    return out
 
 
 class BettiTable:
-    """Nonzero multigraded Betti numbers found by a bounded scan."""
+    """Nonzero multigraded Betti numbers found by a bounded scan, and the
+    keys of every class that scan visited."""
 
-    def __init__(self, lattice, entries, bound, field, functional):
+    def __init__(self, lattice, entries, bound, field, functional, scanned):
         self.lattice = lattice
         self.entries = dict(entries)  # (i, DegreeClass) -> positive int
         self.bound = bound
         self.field = field
         self.functional = functional
+        self.scanned = frozenset(scanned)
+
+    def leq(self, d, b):
+        """Divisibility d <= b for scanned classes.  A monomial in the class
+        of b - d has functional value sigma(b) - sigma(d) <= bound, so it
+        exists iff that class was scanned."""
+        diff = tuple(x - y for x, y in zip(b.representative, d.representative))
+        return self.lattice.canonical_key(diff) in self.scanned
 
     def get(self, i, b):
         return self.entries.get((i, b), 0)
@@ -310,25 +337,22 @@ def betti_scan(L, bound, field="q", functional=None):
     """
     w = tuple(functional) if functional is not None else positive_functional(L)
     entries = {}
-    for b, _s in scan_degree_classes(L, bound, w):
-        fib = enumerate_fiber(L, b.representative)
+    scanned = []
+    for b, _s, fib in scan_degree_classes(L, bound, w):
+        scanned.append(b.key)
         if len(fib) < 2:
             continue
         dims = reduced_homology_dims(gcd_complex(fib), field)
         for j, dim in dims.items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim
-    return BettiTable(L, entries, bound, field, w)
+    return BettiTable(L, entries, bound, field, w, scanned)
 
 
 def minimal_betti_degrees(T, i):
     """Degrees minimal in the divisibility order among {b : beta_{i,b} > 0}."""
     degs = T.degrees(i)
-    out = []
-    for b in degs:
-        if not any(d is not b and d != b and class_leq(d, b) for d in degs):
-            out.append(b)
-    return out
+    return [b for b in degs if not any(d != b and T.leq(d, b) for d in degs)]
 
 
 def euler_characteristic_checks(K, field="q"):

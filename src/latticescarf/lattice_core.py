@@ -11,7 +11,7 @@ from math import gcd
 
 from .linalg import (
     canonical_rep,
-    fm_eliminate,
+    fm_feasible,
     integer_kernel,
     rational_point,
     row_hermite,
@@ -63,8 +63,7 @@ class LatticeBasis:
     """A pointed lattice L in Z^n, stored as an independent row basis.
 
     Construction verifies independence over Q and (unless check=False)
-    pointedness; a Hermite form of the basis is kept for coset reduction,
-    and enumerated fibers are cached per congruence class.
+    pointedness; a Hermite form of the basis is kept for coset reduction.
     """
 
     def __init__(self, rows, n=None, check=True):
@@ -88,8 +87,6 @@ class LatticeBasis:
         self.r = len(rows)
         self._hnf = H
         self._pivots = pivots
-        self._fiber_cache = {}
-        self._functional = None
         if check and not _cone_trivial(rows, n):
             raise NotPointedError("lattice contains a nonzero nonnegative vector")
 
@@ -110,33 +107,13 @@ def _cone_trivial(rows, n):
     admits a rational solution of z*rows >= 0.
     """
     r = len(rows)
-    if r == 0:
-        return True
-    base = []
-    for j in range(n):
-        a = tuple(rows[i][j] for i in range(r))
-        base.append((a, 0))
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
     for i in range(r):
         for s in (1, -1):
-            # substitute z_i = s
-            rows2 = []
-            feas = True
-            for a, c in base:
-                c2 = c + a[i] * s
-                a2 = a[:i] + (0,) + a[i + 1 :]
-                rows2.append((a2, c2))
-            if _fm_feasible_rows(rows2, r):
+            # substitute z_i = s: column a gives a . z + a_i * s >= 0
+            if fm_feasible([(a[:i] + (0,) + a[i + 1 :], a[i] * s) for a in cols], r):
                 return False
     return True
-
-
-def _fm_feasible_rows(rows, nvars):
-    cur = rows
-    for v in range(nvars - 1, -1, -1):
-        if any(not any(a) and c < 0 for a, c in cur):
-            return False
-        cur = fm_eliminate(cur, v)
-    return all(c >= 0 for a, c in cur)
 
 
 def is_pointed(L):
@@ -221,13 +198,9 @@ def positive_functional(L):
     sigma(u) = w . u, constant on fibers and >= 1 on every unit vector, so
     degree scans bounded by sigma terminate.
     """
-    if L._functional is not None:
-        return L._functional
     n = L.n
     if L.r == 0:
-        w = (1,) * n
-        L._functional = w
-        return w
+        return (1,) * n
     K = integer_kernel(L.rows, n)  # rows span {w : L w = 0 componentwise}
     k = len(K)
     rows = []
@@ -247,5 +220,4 @@ def positive_functional(L):
         g = gcd(g, x)
     w = tuple(x // g for x in w)
     assert all(x >= 1 for x in w)
-    L._functional = w
     return w

@@ -9,7 +9,8 @@ The pieces:
   integer linear solves),
 * Fourier-Motzkin elimination over the integers/rationals (bounded lattice
   point enumeration, cone feasibility, positive functionals),
-* fraction-free (Bareiss) and mod-p rank for homology.
+* fraction-free (Bareiss) and mod-p rank for homology, with the
+  primality check that guards the latter.
 """
 
 from fractions import Fraction
@@ -324,6 +325,33 @@ def rank_rational(rows):
         if rank == nr:
             break
     return rank
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin with the first 13 prime bases, exact for
+    n below 3.3e24 (the least strong pseudoprime to all of them).  Larger
+    n are reported not prime, so they are never taken for a field."""
+    if n < 2 or n >= 3317044064679887385961981:
+        return False
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def rank_mod_p(rows, p):

@@ -17,8 +17,9 @@ lexicographic order (first coordinate most significant); the boundary map
 signs are read off positions in that order.
 """
 
-from .fibers import canonical_order, enumerate_fiber, gcd_of, reduce_by_gcd
+from .fibers import canonical_order, enumerate_fiber, fiber_of, gcd_of, reduce_by_gcd
 from .homology import (
+    BettiTable,
     connected_components,
     gcd_complex,
     minimal_betti_degrees,
@@ -100,9 +101,14 @@ def in_generalized_scarf(J):
     """
     if not isinstance(J, LatticeSubset):
         raise TypeError("in_generalized_scarf expects a LatticeSubset")
-    ms = J.members
-    if not ms:
+    if not J.members:
         return True
+    return _in_generalized_scarf(J, enumerate_fiber(J.lattice, bmax(J)))
+
+
+def _in_generalized_scarf(J, fib):
+    """in_generalized_scarf for a nonempty J, given the fiber of bmax(J)."""
+    ms = J.members
     top = bmax(ms)
     # dropping any single element must strictly lower the maximum
     for k in range(len(ms)):
@@ -110,8 +116,6 @@ def in_generalized_scarf(J):
         if rest and bmax(rest) == top:
             return False
     # other lattice elements a <= top correspond to extra fiber monomials
-    L = J.lattice
-    fib = enumerate_fiber(L, top)
     cj = set(monomials_of(J))
     extra = [u for u in fib if u not in cj]
     if len(ms) <= 2:
@@ -161,7 +165,8 @@ def _recover_witness(L, degree, monomials):
 
 
 def basic_components(L, b):
-    """All basic components of the fiber of b.
+    """All basic components of the fiber of b, or of b itself when it is
+    a Fiber (then nothing is enumerated).
 
     A subset G of the fiber qualifies when gcd(G) = 1, every proper
     puncture G minus a monomial has a nontrivial gcd, and -- whenever the
@@ -170,10 +175,8 @@ def basic_components(L, b):
     {1}.  Every returned component is cross-checked through the scarf
     membership test of its recovered witness.
     """
-    if not isinstance(b, (tuple, list)):
-        b = b.representative
-    degree = class_of(L, b)
-    fib = enumerate_fiber(L, b)
+    fib = fiber_of(L, b)
+    degree = fib.degree
     if len(fib) == 0:
         return []
     if len(fib) == 1:
@@ -200,17 +203,16 @@ def basic_components(L, b):
     out = []
     for G in candidates:
         c = _recover_witness(L, degree, G)
-        assert in_generalized_scarf(c.witness), "recovered witness failed membership"
+        # bmax(witness) = G[0], a member of fib
+        assert _in_generalized_scarf(c.witness, fib), "recovered witness failed membership"
         out.append(c)
     return out
 
 
 def is_basic_fiber(L, b):
-    """Is the whole fiber of b a single basic component?"""
-    if not isinstance(b, (tuple, list)):
-        b = b.representative
-    fib = enumerate_fiber(L, b)
-    comps = basic_components(L, b)
+    """Is the whole fiber of b (or the Fiber b) a single basic component?"""
+    fib = fiber_of(L, b)
+    comps = basic_components(L, fib)
     return len(comps) == 1 and comps[0].monomials == fib.members
 
 
@@ -256,8 +258,8 @@ def enumerate_scarf_poset(L, bound, functional=None):
     ordered deterministically, together with the translation order."""
     w = tuple(functional) if functional is not None else positive_functional(L)
     elements = []
-    for b, s in scan_degree_classes(L, bound, w):
-        for c in basic_components(L, b.representative):
+    for _b, s, fib in scan_degree_classes(L, bound, w):
+        for c in basic_components(L, fib):
             elements.append((s, c))
     elements.sort(key=lambda t: (t[0], t[1].degree.key, t[1].monomials))
     comps = [c for _, c in elements]
@@ -428,16 +430,8 @@ def strongly_algebraic_subcomplex(X, T, mode="strict"):
     """
     if mode not in ("strict", "paper-example"):
         raise ValueError("mode must be 'strict' or 'paper-example'")
-    from .lattice_core import class_leq
-
-    minimal = {}
-
-    def minimal_at(i):
-        if i not in minimal:
-            minimal[i] = set(minimal_betti_degrees(T, i))
-        return minimal[i]
-
     indices = T.homological_degrees()
+    minimal = {j: set(minimal_betti_degrees(T, j)) for j in indices}
     keep = [list(range(len(X.basis[0]))) if X.basis else []]
     for i in range(1, len(X.basis)):
         kept = []
@@ -446,13 +440,13 @@ def strongly_algebraic_subcomplex(X, T, mode="strict"):
             if T.get(i, b) != 1:
                 continue
             if mode == "strict":
-                if any(T.get(j, b) and b not in minimal_at(j) for j in indices):
+                if any(T.get(j, b) and b not in minimal[j] for j in indices):
                     continue
             else:
                 below = [
                     d
                     for d in T.degrees(i)
-                    if d != b and class_leq(d, b) and T.get(i, d) != 1
+                    if d != b and T.leq(d, b) and T.get(i, d) != 1
                 ]
                 if below:
                     continue
@@ -465,17 +459,11 @@ def indispensable_binomials(L, bound, functional=None):
     """Binomials whose degree is a minimal 1-Betti degree with a two-
     monomial gcd-free fiber: x^m1 - x^m2 written as the ordered pair
     (m1, m2), m1 the lexicographically larger exponent."""
-    degs = _one_betti_classes(L, bound, functional)
-    minimal = _minimal_classes([b for b, _ in degs])
-    out = []
-    for b, comps in degs:
-        if b not in minimal:
-            continue
-        fib = enumerate_fiber(L, b.representative)
-        if len(fib) == 2:
-            m1, m2 = fib.members
-            out.append((b, (m1, m2)))
-    return out
+    found, T = _one_betti_classes(L, bound, functional)
+    minimal = set(minimal_betti_degrees(T, 1))
+    return [
+        (b, fib.members) for b, fib, _comps in found if b in minimal and len(fib) == 2
+    ]
 
 
 def minimal_generators(L, bound, functional=None):
@@ -485,9 +473,9 @@ def minimal_generators(L, bound, functional=None):
     k >= 2 connected components; one representative monomial per
     component, connected to the first component's representative, gives
     k - 1 binomials, and all of them together generate minimally."""
-    degs = _one_betti_classes(L, bound, functional)
+    found, _T = _one_betti_classes(L, bound, functional)
     out = []
-    for b, comps in degs:
+    for b, _fib, comps in found:
         base = comps[0][0]
         for comp in comps[1:]:
             m = comp[0]
@@ -497,24 +485,19 @@ def minimal_generators(L, bound, functional=None):
 
 
 def _one_betti_classes(L, bound, functional=None):
-    """Scanned classes with disconnected gcd complex, with components."""
+    """Scanned classes with disconnected gcd complex, as (class, fiber,
+    components) triples, and the Betti table of their beta_1 =
+    components - 1."""
     w = tuple(functional) if functional is not None else positive_functional(L)
-    out = []
-    for b, _s in scan_degree_classes(L, bound, w):
-        fib = enumerate_fiber(L, b.representative)
+    found = []
+    entries = {}
+    scanned = []
+    for b, _s, fib in scan_degree_classes(L, bound, w):
+        scanned.append(b.key)
         if len(fib) < 2:
             continue
         comps = connected_components(gcd_complex(fib))
         if len(comps) >= 2:
-            out.append((b, comps))
-    return out
-
-
-def _minimal_classes(classes):
-    from .lattice_core import class_leq
-
-    out = set()
-    for b in classes:
-        if not any(d != b and class_leq(d, b) for d in classes):
-            out.add(b)
-    return out
+            found.append((b, fib, comps))
+            entries[(1, b)] = len(comps) - 1
+    return found, BettiTable(L, entries, bound, "q", w, scanned)

@@ -8,7 +8,7 @@ block by the acceptance gate.
 
 import itertools
 
-from latticescarf.fibers import enumerate_fiber, gcd_of, reduce_by_gcd
+from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of, reduce_by_gcd
 from latticescarf.homology import (
     betti_scan,
     gcd_complex,
@@ -16,14 +16,14 @@ from latticescarf.homology import (
     scan_degree_classes,
     support_complex,
 )
-from latticescarf.lattice_core import LatticeBasis, positive_functional
+from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
 from latticescarf.scarf import (
     LatticeSubset,
+    _in_generalized_scarf,
     algebraic_scarf_subcomplex,
     basic_components,
     build_generalized_scarf_complex,
     enumerate_scarf_poset,
-    in_generalized_scarf,
     indispensable_binomials,
     minimal_generators,
     monomials_of,
@@ -40,6 +40,28 @@ def random_pointed_lattice(rng, r, n, lo=-3, hi=3):
             return LatticeBasis(rows)
         except ValueError:
             continue
+
+
+def enumerate_fiber_box_oracle(L, u0, box_bound):
+    """Brute-force oracle: scan the integer box [0, box_bound]^n for
+    vectors congruent to u0.  Exponential; for cross-checks only."""
+    u0 = tuple(u0)
+    key = L.canonical_key(u0)
+    members = [
+        u
+        for u in itertools.product(range(box_bound + 1), repeat=L.n)
+        if L.canonical_key(u) == key
+    ]
+    return Fiber(class_of(L, u0), members)
+
+
+def assert_scan_fibers_exact(L, scan, where):
+    """Every fiber a scan built equals the Fourier-Motzkin fiber."""
+    for b, _s, fib in scan:
+        assert fib == enumerate_fiber(L, b.representative), (
+            "scanned fiber differs from enumerate_fiber on %s at %r"
+            % (where, b.representative)
+        )
 
 
 def small_scan_bound(L):
@@ -82,15 +104,17 @@ def complexes_equal(X, Y):
 
 
 # ---------------------------------------------------------------------------
-# (a) gcd complex and support complex have the same homology.
+# (a) gcd complex and support complex have the same homology, and every
+# scanned fiber is the Fourier-Motzkin fiber.
 
 
 def check_gcd_support_homology(suite):
     checked = 0
     for data in suite.values():
         L = data.lattice
-        for b, _s in scan_degree_classes(L, data.bound, data.functional):
-            fib = enumerate_fiber(L, b.representative)
+        scan = scan_degree_classes(L, data.bound, data.functional)
+        assert_scan_fibers_exact(L, scan, data.name)
+        for b, _s, fib in scan:
             if not fib.members:
                 continue
             d1 = reduced_homology_dims(gcd_complex(fib))
@@ -106,7 +130,8 @@ def check_gcd_support_homology(suite):
 
 
 # ---------------------------------------------------------------------------
-# (b) theta composed with theta vanishes, fixtures and random lattices.
+# (b) theta composed with theta vanishes, fixtures and random lattices; the
+# first ten random lattices also check their scanned fibers.
 
 
 def check_theta_squared(suite, rng, count=50):
@@ -124,6 +149,10 @@ def check_theta_squared(suite, rng, count=50):
     for k, (r, n) in enumerate(shapes):
         L = random_pointed_lattice(rng, r, n)
         bound = small_scan_bound(L)
+        if k < 10:
+            assert_scan_fibers_exact(
+                L, scan_degree_classes(L, bound), "random lattice #%d" % k
+            )
         P = enumerate_scarf_poset(L, bound)
         X = build_generalized_scarf_complex(P)
         assert verify_zero_composition(X), (
@@ -202,11 +231,11 @@ def check_component_lemmas(suite):
             for size in range(1, len(ms)):
                 for rest in itertools.combinations(ms, size):
                     red = reduce_by_gcd(rest)
-                    rep = red[0]
-                    assert enumerate_fiber(L, rep).members == red, (
+                    fib = enumerate_fiber(L, red[0])
+                    assert fib.members == red, (
                         "[C \\ I] is not a whole fiber on %s: %r" % (data.name, red)
                     )
-                    assert is_basic_fiber(L, rep), (
+                    assert is_basic_fiber(L, fib), (
                         "[C \\ I] is not basic on %s: %r" % (data.name, red)
                     )
             # a component of cardinality s carries one dimension of reduced
@@ -234,10 +263,12 @@ def check_component_lemmas(suite):
 # (e) the c-basic test and in_generalized_scarf accept the same sets.
 
 
-def _anchored_membership(L, G):
+def _anchored_membership(L, G, fib):
+    """in_generalized_scarf of the anchored J for a gcd-free G inside fib;
+    bmax(J) = G[0], so fib is the fiber the test enumerates."""
     u0 = G[0]
     J = LatticeSubset(L, (tuple(a - b for a, b in zip(u0, u)) for u in G))
-    return in_generalized_scarf(J)
+    return _in_generalized_scarf(J, fib)
 
 
 def _subset_family(rng, ms, comps, cap):
@@ -273,12 +304,11 @@ def check_characterization(suite, rng, cap=12):
     for data in suite.values():
         L = data.lattice
         zero = (0,) * L.n
-        for b, _s in scan_degree_classes(L, data.bound, data.functional):
-            fib = enumerate_fiber(L, b.representative)
+        for b, _s, fib in scan_degree_classes(L, data.bound, data.functional):
             ms = fib.members
             if not ms:
                 continue
-            accepted = {c.monomials for c in basic_components(L, b.representative)}
+            accepted = {c.monomials for c in basic_components(L, fib)}
             if len(ms) == 1:
                 # a singleton is gcd-free only when it is the unit monomial
                 assert (accepted == {ms}) == (ms[0] == zero), (
@@ -297,7 +327,7 @@ def check_characterization(suite, rng, cap=12):
                 seen.add(G)
                 if gcd_of(G) != zero:
                     continue  # not expressible at this degree (Lemma 4.3)
-                got = _anchored_membership(L, G)
+                got = _anchored_membership(L, G, fib)
                 want = G in accepted
                 assert got == want, (
                     "characterization mismatch on %s degree %r subset %r: "

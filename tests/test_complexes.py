@@ -217,3 +217,33 @@ def test_generators_zero_lattice():
     assert X.ranks() == (1,)
     assert verify_zero_composition(X)
     assert minimal_generators(LatticeBasis([], n=2), 10) == []
+
+
+def test_scans_never_enumerate_fibers(monkeypatch):
+    """Scan-level functions read every fiber from the degree scan: with
+    Fourier-Motzkin enumeration disabled they still run, and they leave
+    nothing behind on the lattice."""
+    import sys
+
+    from latticescarf.fixtures import fixture_problem
+    from latticescarf.homology import betti_scan, minimal_betti_degrees
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate_fiber called from a scan")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latticescarf") and "enumerate_fiber" in vars(module):
+            monkeypatch.setattr(module, "enumerate_fiber", forbidden)
+    spec = fixture_problem("ex63")
+    L, w = spec.lattice, spec.functional()
+    before = dict(vars(L))
+    T = betti_scan(L, 40, functional=w)
+    assert {i: T.total(i) for i in T.homological_degrees()} == {1: 4, 2: 5, 3: 2}
+    assert len(minimal_betti_degrees(T, 1)) == 3
+    X = build_generalized_scarf_complex(enumerate_scarf_poset(L, 40, w))
+    assert X.ranks() == (1, 3, 2)
+    for mode in ("strict", "paper-example"):
+        strongly_algebraic_subcomplex(X, T, mode=mode)
+    assert len(minimal_generators(L, 40, w)) == 4
+    assert len(indispensable_binomials(L, 40, w)) == 3
+    assert vars(L) == before

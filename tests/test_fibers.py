@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from helpers import catalog_fibers, random_pointed_lattice
+from helpers import catalog_fibers, enumerate_fiber_box_oracle, random_pointed_lattice
 from latticescarf.fibers import (
     canonical_order,
     enumerate_fiber,
-    enumerate_fiber_box_oracle,
     gcd_of,
     monomial_str,
     reduce_by_gcd,
@@ -51,7 +50,8 @@ def test_fiber_182(ex64):
 def test_fiber_is_cached(ex63):
     f1 = enumerate_fiber(ex63.lattice, ABD)
     f2 = enumerate_fiber(ex63.lattice, E2)  # same class, other representative
-    assert f1 is f2
+    assert f1 == f2 and f1.members == f2.members
+    assert f1.degree.representative == ABD and f2.degree.representative == E2
 
 
 def test_fiber_container_protocol(ex63):

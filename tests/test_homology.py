@@ -153,11 +153,16 @@ def test_homology_field_dependence_rp2():
 
 def test_field_validation():
     K = SimplicialComplex(("x",), [(0,)])
-    for bad in ("x", 1, 0, -7):
+    for bad in ("x", 1, 0, -7, 4, 32001, True):
         with pytest.raises(ValueError):
             reduced_homology_dims(K, bad)
     reduced_homology_dims(K, "Q")
     reduced_homology_dims(K, 32003)
+
+
+def test_betti_scan_composite_field(ex63):
+    with pytest.raises(ValueError):
+        betti_scan(ex63.lattice, 40, field=4, functional=ex63.functional)
 
 
 def test_betti_at(ex63, ex64):
@@ -211,10 +216,11 @@ def test_scan_degree_classes_oracle(ex61):
     A = ex61.spec.semigroup
     got = scan_degree_classes(L, 20, ex61.functional)
     # sigma values are the functional applied to the representative
-    for b, s in got:
+    for b, s, fib in got:
         assert s == sum(w * x for w, x in zip(ex61.functional, b.representative))
-    assert [s for _b, s in got] == sorted(s for _b, s in got)
-    keys = {b.key for b, _s in got}
+        assert fib.degree is b and b.representative in fib
+    assert [s for _b, s, _f in got] == sorted(s for _b, s, _f in got)
+    keys = {b.key for b, _s, _f in got}
     brute = set()
     for u in itertools.product(range(6), repeat=4):
         if sum(w * x for w, x in zip(ex61.functional, u)) <= 20:
@@ -227,6 +233,8 @@ def test_scan_degree_classes_bad_functional(ex61):
         scan_degree_classes(ex61.lattice, 10, (0, 1, 1, 1))
     with pytest.raises(ValueError):
         scan_degree_classes(ex61.lattice, 10, (1, 1))
+    with pytest.raises(ValueError):  # positive, but not orthogonal to L
+        scan_degree_classes(ex61.lattice, 10, (1, 1, 1, 2))
 
 
 def test_euler_characteristic(suite):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from latticescarf.fibers import enumerate_fiber
-from latticescarf.homology import scan_degree_classes
+from latticescarf.homology import betti_scan, scan_degree_classes
 from latticescarf.lattice_core import (
     DegreeClass,
     LatticeBasis,
@@ -122,11 +122,14 @@ def test_class_leq_different_lattices():
 
 def test_class_leq_is_partial_order(ex61):
     L = ex61.lattice
-    classes = [b for b, _s in scan_degree_classes(L, 20, ex61.functional)]
+    classes = [b for b, _s, _f in scan_degree_classes(L, 20, ex61.functional)]
+    T = betti_scan(L, 20, functional=ex61.functional)
     leq = {}
     for x in classes:
         for y in classes:
             leq[(x.key, y.key)] = class_leq(x, y)
+            # the table's scanned-key lookup agrees with the FM test
+            assert T.leq(x, y) == leq[(x.key, y.key)]
     for x in classes:
         assert leq[(x.key, x.key)]
     for x in classes:

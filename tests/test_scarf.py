@@ -131,9 +131,8 @@ def test_is_basic_fiber(ex63):
 def test_three_element_basic_fibers_ex64(ex64):
     L = ex64.lattice
     found = set()
-    for b, _s in scan_degree_classes(L, ex64.bound, ex64.functional):
-        fib = enumerate_fiber(L, b.representative)
-        if len(fib) == 3 and is_basic_fiber(L, b.representative):
+    for b, _s, fib in scan_degree_classes(L, ex64.bound, ex64.functional):
+        if len(fib) == 3 and is_basic_fiber(L, fib):
             found.add(ex64.semigroup_degree(b))
     assert found == {(169,), (196,)}
 
