@@ -74,7 +74,8 @@ def enumerate_fiber(L, u0):
             members.append(u)
     fib = Fiber(class_of(L, u0), members)
     for m in fib.members:
-        assert all(x >= 0 for x in m)
+        if any(x < 0 for x in m):
+            raise RuntimeError("fiber member %r has a negative entry" % (m,))
     return fib
 
 

@@ -219,5 +219,6 @@ def positive_functional(L):
     for x in w:
         g = gcd(g, x)
     w = tuple(x // g for x in w)
-    assert all(x >= 1 for x in w)
+    if any(x < 1 for x in w):
+        raise RuntimeError("functional %r is not strictly positive" % (w,))
     return w

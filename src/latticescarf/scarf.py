@@ -204,7 +204,8 @@ def basic_components(L, b):
     for G in candidates:
         c = _recover_witness(L, degree, G)
         # bmax(witness) = G[0], a member of fib
-        assert _in_generalized_scarf(c.witness, fib), "recovered witness failed membership"
+        if not _in_generalized_scarf(c.witness, fib):
+            raise RuntimeError("recovered witness failed membership")
         out.append(c)
     return out
 
@@ -273,7 +274,8 @@ def enumerate_scarf_poset(L, bound, functional=None):
             if _translate_into(ci.monomials, cj.monomials):
                 leq.add((i, j))
     for i, j in leq:
-        assert (j, i) not in leq, "translation order is not antisymmetric"
+        if (j, i) in leq:
+            raise RuntimeError("translation order is not antisymmetric")
     return ScarfPoset(L, comps, leq, bound, w)
 
 

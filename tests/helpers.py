@@ -64,6 +64,18 @@ def assert_scan_fibers_exact(L, scan, where):
         )
 
 
+def euler_characteristic_checks(K, field="q"):
+    """Reduced Euler characteristic from the faces of K, and the
+    alternating sum of its reduced homology dimensions; they must agree."""
+    fs = K.faces()
+    chi_f = -1 + sum(
+        (-1) ** d * len(faces) for d, faces in fs.items() if d >= 0
+    )
+    dims = reduced_homology_dims(K, field)
+    chi_h = sum((-1) ** j * v for j, v in dims.items())
+    return chi_f, chi_h
+
+
 def small_scan_bound(L):
     """A bound that certifies at least every basis row's own fiber."""
     w = positive_functional(L)

@@ -1,13 +1,16 @@
 """Acceptance gate: one pass/fail line per criterion.
 
-Each criterion rebuilds its own objects from the bundled problem data so
-the stated runtime limits measure real work, then prints
+Each criterion rebuilds its own objects from the bundled problem data (or
+an inline spec) so the stated runtime limits measure real work, then prints
 
     ACCEPTANCE <n>: PASS|FAIL - <detail>
 
 on the terminal (capture suspended) before asserting.
 """
 
+import importlib.util
+import json
+import pathlib
 import random
 import sys
 import time
@@ -23,6 +26,7 @@ from helpers import (
     check_theta_squared,
     complexes_equal,
 )
+from latticescarf import cli
 from latticescarf.fixtures import fixture_bound, fixture_problem
 from latticescarf.homology import betti_scan
 from latticescarf.scarf import (
@@ -257,3 +261,42 @@ def test_acceptance_6_property_suites(suite, announce):
             failures.append("%s: %s" % (letter, e))
     announce(6, not failures, "property suites " + ", ".join(results))
     assert not failures, "; ".join(failures)
+
+
+def _euler_hilbert_oracle():
+    """perfbench/oracle.py, loaded by path; it imports nothing from the package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("euler_hilbert_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_acceptance_7_semigroup_7_13(announce, tmp_path, capsys):
+    rows = [[7, 8, 9, 10, 11, 12, 13]]
+    path = tmp_path / "sg7_13.json"
+    path.write_text(json.dumps({"name": "sg7_13", "semigroup": rows}))
+    oracle = _euler_hilbert_oracle()
+    t0 = time.monotonic()
+    reports = {}
+    for field in ("q", "fp:32003"):
+        code = cli.main(["betti", "--spec", str(path), "--bound", "50", "--field", field])
+        out, _err = capsys.readouterr()
+        assert code == 0
+        reports[field] = json.loads(out)
+    elapsed = time.monotonic() - t0
+    totals = reports["q"]["result"]["totals"]
+    want_totals = {"1": 21, "2": 70, "3": 105, "4": 21}
+    same = reports["q"]["result"]["entries"] == reports["fp:32003"]["result"]["entries"]
+    mismatches = oracle.euler_hilbert_mismatches(rows, 50, reports["q"])
+    ok = totals == want_totals and same and not mismatches and elapsed < 30
+    announce(
+        7,
+        ok,
+        "<7,...,13> bound 50 Betti totals %s, Q = GF(32003) %s, %d Euler-Hilbert "
+        "mismatches, %.2fs (limit 30s)" % (totals, same, len(mismatches), elapsed),
+    )
+    assert totals == want_totals
+    assert same
+    assert mismatches == []
+    assert elapsed < 30

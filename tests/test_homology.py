@@ -1,13 +1,12 @@
 import pytest
 
-from helpers import catalog_fibers
+from helpers import catalog_fibers, euler_characteristic_checks
 from latticescarf.fibers import enumerate_fiber
 from latticescarf.homology import (
     SimplicialComplex,
     betti_at,
     betti_scan,
     connected_components,
-    euler_characteristic_checks,
     gcd_complex,
     minimal_betti_degrees,
     reduced_homology_dims,
@@ -140,6 +139,11 @@ def test_reduced_homology_small_cases():
     dims = reduced_homology_dims(solid_plus_point)
     assert dims[0] == 1
     assert all(v == 0 for j, v in dims.items() if j != 0)
+    # 6 vertices, 3 facets: homology goes through the nerve, a hollow triangle
+    ring = SimplicialComplex(tuple(range(6)), [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    dims = reduced_homology_dims(ring)
+    assert dims[1] == 1
+    assert all(v == 0 for j, v in dims.items() if j != 1)
 
 
 def test_homology_field_dependence_rp2():

@@ -1,6 +1,12 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import latticescarf
 
 from latticescarf.fibers import enumerate_fiber
 from latticescarf.homology import scan_degree_classes
@@ -194,3 +200,30 @@ def test_distinct_components_never_merge(ex64):
     ]
     assert len(at182) == 2
     assert at182[0].monomials != at182[1].monomials
+
+
+def test_witness_check_survives_optimize():
+    # python -O strips assert statements; the witness re-check must still run
+    code = "\n".join(
+        [
+            "from latticescarf import scarf",
+            "from latticescarf.fixtures import fixture_problem",
+            "scarf._in_generalized_scarf = lambda J, fib: False",
+            "L = fixture_problem('ex63').lattice",
+            "fib = scarf.enumerate_fiber(L, %r)" % (ABD,),
+            "if len(fib) <= 2:",
+            "    raise SystemExit('fiber too small: %d' % len(fib))",
+            "try:",
+            "    scarf.basic_components(L, fib)",
+            "except RuntimeError as e:",
+            "    print('raised: %s' % e)",
+        ]
+    )
+    src = str(pathlib.Path(latticescarf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: recovered witness failed membership"
