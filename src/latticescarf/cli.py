@@ -12,11 +12,12 @@ mismatch, 2 malformed input / unsolvable degree / non-pointed lattice.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import __version__
-from .fibers import enumerate_fiber, gcd_of, monomial_str
+from .fibers import enumerate_fiber, monomial_str, support_mask
 from .homology import betti_scan, minimal_betti_degrees
 from .lattice_core import (
     LatticeBasis,
@@ -275,13 +276,13 @@ def _binomials_payload(spec, pairs):
     return out
 
 
-def export_dot(fiber, variables, kind="gcd"):
-    """DOT source for the 1-skeleton of a fiber's complex.
+def _dot_label(text):
+    """text as the body of a quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
-    kind="gcd": vertices are the fiber monomials, edges join pairs with a
-    common divisor.  kind="support": vertices are the variables that
-    occur, edges join variables appearing in a common monomial support.
-    """
+
+def _render_dot(fiber, variables, kind):
+    """export_dot's DOT source, with its node and edge counts."""
     if not fiber.members:
         raise ValueError("empty fiber")
     lines = ["graph fiber {"]
@@ -289,30 +290,37 @@ def export_dot(fiber, variables, kind="gcd"):
     if kind == "gcd":
         ms = fiber.members
         for k, m in enumerate(ms):
-            lines.append('  n%d [label="%s"];' % (k, monomial_str(m, variables)))
-        for a in range(len(ms)):
-            for b in range(a + 1, len(ms)):
-                if any(x > 0 for x in gcd_of([ms[a], ms[b]])):
+            label = _dot_label(monomial_str(m, variables))
+            lines.append('  n%d [label="%s"];' % (k, label))
+        masks = [support_mask(m) for m in ms]
+        for a, mask in enumerate(masks):
+            for b in range(a + 1, len(masks)):
+                if mask & masks[b]:
                     edges.append("  n%d -- n%d;" % (a, b))
     elif kind == "support":
-        sups = [frozenset(i for i, x in enumerate(m) if x > 0) for m in fiber.members]
-        used = sorted(set().union(*sups) if sups else ())
-        for i in used:
-            lines.append('  v%d [label="%s"];' % (i, variables[i]))
-        seen = set()
-        for s in sups:
-            ss = sorted(s)
-            for a in range(len(ss)):
-                for b in range(a + 1, len(ss)):
-                    if (ss[a], ss[b]) not in seen:
-                        seen.add((ss[a], ss[b]))
-                        edges.append("  v%d -- v%d;" % (ss[a], ss[b]))
-        edges.sort()
+        sups = [[i for i, x in enumerate(m) if x > 0] for m in fiber.members]
+        for i in sorted(set().union(*sups)):
+            lines.append('  v%d [label="%s"];' % (i, _dot_label(variables[i])))
+        pairs = {p for s in sups for p in itertools.combinations(s, 2)}
+        edges = sorted("  v%d -- v%d;" % p for p in pairs)
     else:
         raise ParseError("--kind must be 'gcd' or 'support'")
+    nodes = len(lines) - 1
     lines.extend(edges)
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", nodes, len(edges)
+
+
+def export_dot(fiber, variables, kind="gcd"):
+    """DOT source for the 1-skeleton of a fiber's complex.
+
+    kind="gcd": vertices are the fiber monomials, edges join pairs with a
+    common divisor, that is pairs whose support masks (fibers.support_mask)
+    meet.  kind="support": vertices are the variables that occur, edges
+    join variables appearing in a common monomial support.  Labels escape
+    '"' and '\\'.
+    """
+    return _render_dot(fiber, variables, kind)[0]
 
 
 def run_command(spec, command, options):
@@ -337,6 +345,8 @@ def run_command(spec, command, options):
         result = _betti_payload(spec, T)
         prov = {"bound": bound, "field": str(field), "functional": list(w)}
     elif command == "components":
+        if options.get("degree") is not None and options.get("bound") is not None:
+            raise ParseError("components takes one of --degree or --bound, not both")
         if options.get("degree") is not None:
             u = _parse_degree(spec, options["degree"])
             comps = basic_components(L, u)
@@ -410,13 +420,14 @@ def run_command(spec, command, options):
         if not fib.members:
             raise ParseError("empty fiber: no monomials in this degree class")
         kind = options.get("kind", "gcd")
-        dot = export_dot(fib, spec.variables, kind=kind)
+        dot, nodes, edgecount = _render_dot(fib, spec.variables, kind)
         out = options.get("out")
         if out and out != "-":
-            with open(out, "w") as fh:
-                fh.write(dot)
-        nodes = sum(1 for line in dot.splitlines() if "[label=" in line)
-        edgecount = sum(1 for line in dot.splitlines() if " -- " in line)
+            try:
+                with open(out, "w") as fh:
+                    fh.write(dot)
+            except OSError as e:
+                raise ParseError("cannot write %s: %s" % (out, e)) from e
         view = class_of(L, fib.members[0]) if fib.members else fib.degree
         result = {
             "degree": spec.degree_view(view),

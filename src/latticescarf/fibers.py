@@ -89,6 +89,17 @@ def fiber_of(L, b):
     return enumerate_fiber(L, b)
 
 
+def support_mask(u):
+    """The support of u as an int: bit i is set iff u_i > 0.  Monomials
+    share a nontrivial common divisor iff the AND of their masks is
+    nonzero."""
+    mask = 0
+    for i, x in enumerate(u):
+        if x > 0:
+            mask |= 1 << i
+    return mask
+
+
 def gcd_of(monomials):
     """Componentwise min -- the gcd of the monomials as an exponent vector."""
     ms = list(monomials)

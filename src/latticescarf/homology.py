@@ -8,14 +8,16 @@ V_i = {m : x_i divides m}, and the support complex is the nerve of that
 cover, so the two have the same reduced homology (property suite (a)
 checks this on every fixture degree).  Homology is computed on the nerve
 of a complex's facets whenever that has fewer vertices, so a gcd complex
-costs at most 2^n faces however large its fiber.
+costs at most 2^n faces however large its fiber.  The connected
+components of a gcd complex need no complex at all: gcd_components
+merges the variables of each monomial's support.
 
 Multigraded Betti numbers follow the convention
 
     beta_{i,b} = dim H~_{i-1}(gcd complex of the fiber of b),   i >= 1.
 """
 
-from .fibers import Fiber, fiber_of
+from .fibers import Fiber, fiber_of, support_mask
 from .lattice_core import class_of, positive_functional
 from .linalg import is_prime, rank_mod_p, rank_rational
 
@@ -194,6 +196,35 @@ def gcd_complex(F):
         if vi:
             vs.append(vi)
     return SimplicialComplex(ms, vs)
+
+
+def gcd_components(F):
+    """connected_components(gcd_complex(F)), without building the complex.
+
+    Two monomials are joined when their supports meet, so the components
+    follow from a union-find over the variables that merges the variables
+    of each monomial's support.  The monomial 1 lies in no component.
+    """
+    ms = F.members
+    n = len(ms[0]) if ms else 0
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    masks = [support_mask(m) for m in ms]
+    for mask in set(masks):
+        vs = [i for i in range(n) if mask >> i & 1]
+        for v in vs[1:]:
+            parent[find(v)] = find(vs[0])
+    groups = {}
+    for m, mask in zip(ms, masks):
+        if mask:
+            groups.setdefault(find(mask.bit_length() - 1), []).append(m)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def support_complex(F):

@@ -17,11 +17,17 @@ lexicographic order (first coordinate most significant); the boundary map
 signs are read off positions in that order.
 """
 
-from .fibers import canonical_order, enumerate_fiber, fiber_of, gcd_of, reduce_by_gcd
+from .fibers import (
+    canonical_order,
+    enumerate_fiber,
+    fiber_of,
+    gcd_of,
+    reduce_by_gcd,
+    support_mask,
+)
 from .homology import (
     BettiTable,
-    connected_components,
-    gcd_complex,
+    gcd_components,
     minimal_betti_degrees,
     scan_degree_classes,
 )
@@ -171,9 +177,14 @@ def basic_components(L, b):
     A subset G of the fiber qualifies when gcd(G) = 1, every proper
     puncture G minus a monomial has a nontrivial gcd, and -- whenever the
     fiber has more than two monomials -- G is a connected component of
-    the gcd complex.  The zero class contributes the single component
-    {1}.  Every returned component is cross-checked through the scarf
-    membership test of its recovered witness.
+    the gcd complex.  Monomials have a nontrivial common divisor iff
+    their supports share a variable, so both gcd tests are ANDs of
+    support masks (fibers.support_mask): gcd(G) = 1 iff the AND over G is
+    0, and the AND over each puncture is the AND of a prefix and a suffix
+    of G's masks, so all punctures cost O(|G|) together.  The zero class
+    contributes the single component {1}.  Every returned component is
+    cross-checked through the scarf membership test of its recovered
+    witness.
     """
     fib = fiber_of(L, b)
     degree = fib.degree
@@ -184,22 +195,29 @@ def basic_components(L, b):
         if any(m):
             return []  # single monomial != 1: gcd is never 1
         return [BasicComponent(degree, fib.members, LatticeSubset(L, ((0,) * L.n,)))]
-    zero = (0,) * L.n
     candidates = []
     if len(fib) == 2:
-        if gcd_of(fib.members) == zero:
+        m1, m2 = fib.members
+        if not support_mask(m1) & support_mask(m2):
             candidates.append(fib.members)
     else:
-        for comp in connected_components(gcd_complex(fib)):
+        for comp in gcd_components(fib):
             if len(comp) < 2:
                 continue
-            if gcd_of(comp) != zero:
-                continue
-            if any(
-                gcd_of(comp[:k] + comp[k + 1 :]) == zero for k in range(len(comp))
-            ):
-                continue
-            candidates.append(comp)
+            masks = [support_mask(m) for m in comp]
+            # suffix[k] is the AND of masks[k:], prefix the AND of masks[:k]
+            suffix = [-1] * (len(masks) + 1)
+            for k in range(len(masks) - 1, -1, -1):
+                suffix[k] = suffix[k + 1] & masks[k]
+            if suffix[0]:
+                continue  # a common divisor
+            prefix = -1
+            for k, mask in enumerate(masks):
+                if not prefix & suffix[k + 1]:
+                    break  # dropping comp[k] leaves a gcd-free set
+                prefix &= mask
+            else:
+                candidates.append(comp)
     out = []
     for G in candidates:
         c = _recover_witness(L, degree, G)
@@ -498,7 +516,7 @@ def _one_betti_classes(L, bound, functional=None):
         scanned.append(b.key)
         if len(fib) < 2:
             continue
-        comps = connected_components(gcd_complex(fib))
+        comps = gcd_components(fib)
         if len(comps) >= 2:
             found.append((b, fib, comps))
             entries[(1, b)] = len(comps) - 1

@@ -8,10 +8,18 @@ block by the acceptance gate.
 
 import itertools
 
-from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of, reduce_by_gcd
+from latticescarf.fibers import (
+    Fiber,
+    enumerate_fiber,
+    gcd_of,
+    monomial_str,
+    reduce_by_gcd,
+)
 from latticescarf.homology import (
     betti_scan,
+    connected_components,
     gcd_complex,
+    gcd_components,
     reduced_homology_dims,
     scan_degree_classes,
     support_complex,
@@ -40,6 +48,14 @@ def random_pointed_lattice(rng, r, n, lo=-3, hi=3):
             return LatticeBasis(rows)
         except ValueError:
             continue
+
+
+def suite_b_lattices(rng, count=50):
+    """Suite (b)'s random lattices, (k, L) for k < count: half 2 x 4, then
+    2 x 5."""
+    shapes = [(2, 4)] * (count // 2) + [(2, 5)] * (count - count // 2)
+    for k, (r, n) in enumerate(shapes):
+        yield k, random_pointed_lattice(rng, r, n)
 
 
 def enumerate_fiber_box_oracle(L, u0, box_bound):
@@ -105,6 +121,41 @@ def catalog_fibers(data, max_size=6):
     return out
 
 
+def check_gcd_components(suite, rng, random_count=10):
+    """gcd_components equals the components of the gcd complex itself on
+    every scanned fiber of the fixtures at their bounds and of suite (b)'s
+    first random lattices."""
+    scans = [
+        (data.name, data.lattice, data.bound, data.functional)
+        for data in suite.values()
+    ]
+    for k, L in suite_b_lattices(rng, random_count):
+        scans.append(("random lattice #%d" % k, L, small_scan_bound(L), None))
+    checked = 0
+    for where, L, bound, w in scans:
+        for b, _s, fib in scan_degree_classes(L, bound, w):
+            assert gcd_components(fib) == connected_components(gcd_complex(fib)), (
+                "gcd_components differs on %s at %r" % (where, b.representative)
+            )
+            checked += 1
+    return "%d fibers" % checked
+
+
+def export_dot_gcd_oracle(fiber, variables):
+    """export_dot(fiber, variables, "gcd") for plain variable names, with
+    an edge wherever the pairwise gcd is not 1."""
+    ms = fiber.members
+    lines = ["graph fiber {"]
+    for k, m in enumerate(ms):
+        lines.append('  n%d [label="%s"];' % (k, monomial_str(m, variables)))
+    for a in range(len(ms)):
+        for b in range(a + 1, len(ms)):
+            if any(gcd_of([ms[a], ms[b]])):
+                lines.append("  n%d -- n%d;" % (a, b))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def complexes_equal(X, Y):
     if X.ranks() != Y.ranks():
         return False
@@ -157,9 +208,7 @@ def check_theta_squared(suite, rng, count=50):
             assert verify_zero_composition(SS), (
                 "theta^2 != 0 on %s strongly (%s)" % (data.name, mode)
             )
-    shapes = [(2, 4)] * (count // 2) + [(2, 5)] * (count - count // 2)
-    for k, (r, n) in enumerate(shapes):
-        L = random_pointed_lattice(rng, r, n)
+    for k, L in suite_b_lattices(rng, count):
         bound = small_scan_bound(L)
         if k < 10:
             assert_scan_fibers_exact(

@@ -1,9 +1,12 @@
 import json
+import re
 
 import pytest
 
+from helpers import export_dot_gcd_oracle
 from latticescarf.cli import (
     ParseError,
+    _parse_degree,
     export_dot,
     main,
     parse_spec,
@@ -187,6 +190,21 @@ def test_cli_components_needs_argument(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_cli_components_degree_and_bound(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "components",
+        "--fixture",
+        "ex63",
+        "--degree",
+        "10,8",
+        "--bound",
+        "40",
+    )
+    assert code == 2 and out == ""
+    assert "error:" in err and "not both" in err
+
+
 def test_cli_complex_kinds(capsys):
     code, out, _ = run_cli(
         capsys, "complex", "--fixture", "ex64", "--bound", "600"
@@ -343,6 +361,65 @@ def test_cli_export_dot_empty_fiber(capsys, tmp_path):
         capsys, "export-dot", "--spec", str(path), "--degree=-1,0"
     )
     assert code == 2 and "error:" in err
+
+
+def test_cli_export_dot_unwritable_out(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "fiber.dot"
+    code, out, err = run_cli(
+        capsys,
+        "export-dot",
+        "--fixture",
+        "ex63",
+        "--degree",
+        "10,8",
+        "--out",
+        str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write %s" % out_path)
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "name, degree, size",
+    [("ex63", "10,8", 4), ("ex64", "182", 6), ("ex64", "800", 308)],
+)
+def test_export_dot_gcd_matches_pairwise_gcd(name, degree, size):
+    spec = fixture_problem(name)
+    fib = enumerate_fiber(spec.lattice, _parse_degree(spec, degree))
+    assert len(fib) == size
+    assert export_dot(fib, spec.variables, "gcd") == export_dot_gcd_oracle(
+        fib, spec.variables
+    )
+
+
+# a DOT node line whose label is a quoted string with only \" and \\ escapes
+DOT_NODE = re.compile(r'^  [nv]\d+ \[label="(?:[^"\\]|\\["\\])*"\];$')
+
+
+def test_cli_export_dot_escapes_labels(capsys, tmp_path):
+    path = tmp_path / "names.json"
+    names = {"lattice": [[1, -1]], "variables": ["a -- b", 'c"d']}
+    path.write_text(json.dumps(names))
+    for kind, nodes, edges in (("gcd", 3, 2), ("support", 2, 1)):
+        code, out, _ = run_cli(
+            capsys, "export-dot", "--spec", str(path), "--degree=1,1", "--kind", kind
+        )
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert (res["nodes"], res["edges"]) == (nodes, edges)
+        node_lines = [line for line in res["dot"].splitlines() if "[label=" in line]
+        assert len(node_lines) == nodes
+        assert all(DOT_NODE.match(line) for line in node_lines), node_lines
+    spec = problem_from_dict(names)
+    fib = enumerate_fiber(spec.lattice, (1, 1))
+    assert export_dot(fib, spec.variables).splitlines()[1:4] == [
+        '  n0 [label="a -- b^2"];',
+        '  n1 [label="a -- b*c\\"d"];',
+        '  n2 [label="c\\"d^2"];',
+    ]
+    slash = problem_from_dict({"lattice": [[1, -1]], "variables": ["p\\", "q"]})
+    assert '  v0 [label="p\\\\"];' in export_dot(fib, slash.variables, "support")
 
 
 def test_export_dot_api_rejects_empty_fiber(ex63):

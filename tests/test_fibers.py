@@ -10,6 +10,7 @@ from latticescarf.fibers import (
     gcd_of,
     monomial_str,
     reduce_by_gcd,
+    support_mask,
 )
 from latticescarf.lattice_core import class_of
 
@@ -110,6 +111,15 @@ def test_gcd_of():
     assert gcd_of([ABD, AC2]) == (1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         gcd_of([])
+
+
+def test_support_mask():
+    assert support_mask(ABD) == 0b01011
+    assert support_mask(E2) == 0b10000
+    assert support_mask((0, 0, 0, 0, 0)) == 0
+    # a pair shares a divisor iff its masks meet
+    for u, v in itertools.combinations([ABD, AC2, B2C, E2], 2):
+        assert bool(support_mask(u) & support_mask(v)) == any(gcd_of([u, v]))
 
 
 def test_reduce_by_gcd():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from helpers import catalog_fibers, euler_characteristic_checks
+from helpers import catalog_fibers, check_gcd_components, euler_characteristic_checks
 from latticescarf.fibers import enumerate_fiber
 from latticescarf.homology import (
     SimplicialComplex,
@@ -8,6 +10,7 @@ from latticescarf.homology import (
     betti_scan,
     connected_components,
     gcd_complex,
+    gcd_components,
     minimal_betti_degrees,
     reduced_homology_dims,
     scan_degree_classes,
@@ -127,6 +130,15 @@ def test_connected_components(ex63):
     assert as_sets[1] == {(1, 1, 0, 1, 0), (1, 0, 2, 0, 0), (0, 2, 1, 0, 0)}
     single = gcd_complex(enumerate_fiber(ex63.lattice, (1, 0, 0, 0, 0)))
     assert connected_components(single) == (((1, 0, 0, 0, 0),),)
+    assert gcd_components(fib) == comps
+    # the unit is no vertex of its gcd complex, and an empty fiber has none
+    for u in ((0, 0, 0, 0, 0), (-1, 1, 0, 0, 0)):
+        other = enumerate_fiber(ex63.lattice, u)
+        assert gcd_components(other) == connected_components(gcd_complex(other)) == ()
+
+
+def test_gcd_components_equal_complex_components(suite):
+    check_gcd_components(suite, random.Random(101))
 
 
 def test_reduced_homology_small_cases():

@@ -8,8 +8,8 @@ import pytest
 
 import latticescarf
 
-from latticescarf.fibers import enumerate_fiber
-from latticescarf.homology import scan_degree_classes
+from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of
+from latticescarf.homology import connected_components, gcd_complex, scan_degree_classes
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
     LatticeSubset,
@@ -126,6 +126,28 @@ def test_basic_components_degenerate(ex63):
     assert zero[0].monomials == (ZERO5,)
     assert zero[0].witness.members == (ZERO5,)
     assert basic_components(L, (1, 0, 0, 0, 0)) == []
+
+
+@pytest.mark.parametrize(
+    "members, free_puncture",
+    [
+        # a*d^3, b*c*d^2, c^4: only dropping b*c*d^2 leaves gcd 1
+        (((1, 0, 0, 3), (0, 1, 1, 2), (0, 0, 4, 0)), 1),
+        # a*b*d^3, a*c^3*d, b^2*c*d^2, b*c^4: only dropping b^2*c*d^2
+        (((1, 1, 0, 3), (1, 0, 3, 1), (0, 2, 1, 2), (0, 1, 4, 0)), 2),
+    ],
+)
+def test_basic_components_rejects_a_gcd_free_puncture(ex61, members, free_puncture):
+    L = ex61.lattice
+    fib = Fiber(class_of(L, members[0]), members)
+    assert fib == enumerate_fiber(L, members[0])
+    (comp,) = connected_components(gcd_complex(fib))
+    assert comp == fib.members and not any(gcd_of(comp))
+    free = [
+        k for k in range(len(comp)) if not any(gcd_of(comp[:k] + comp[k + 1 :]))
+    ]
+    assert free == [free_puncture]
+    assert basic_components(L, fib) == []
 
 
 def test_is_basic_fiber(ex63):
