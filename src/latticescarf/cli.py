@@ -384,23 +384,23 @@ def run_command(spec, command, options):
     elif command == "complex":
         bound = options["bound"]
         kind = options.get("kind", "generalized")
-        if kind == "strongly":
-            kind = "strong"
+        kind = {"strongly": "strong"}.get(kind, kind)
+        if kind not in ("generalized", "scarf", "strong"):
+            raise ParseError("--kind must be generalized, scarf, or strong")
+        mode = options.get("mode", "strict")
+        mode = {"paper": "paper-example"}.get(mode, mode)
+        if mode not in ("strict", "paper-example"):
+            raise ParseError("--mode must be strict or paper (paper-example)")
         P = enumerate_scarf_poset(L, bound, w)
         X = build_generalized_scarf_complex(P)
         prov = {"bound": bound, "functional": list(w), "kind": kind}
         if kind == "scarf":
             X = algebraic_scarf_subcomplex(X)
         elif kind == "strong":
-            mode = options.get("mode", "strict")
-            if mode == "paper":
-                mode = "paper-example"
             T = betti_scan(L, bound, field=field, functional=w)
             X = strongly_algebraic_subcomplex(X, T, mode=mode)
             prov["mode"] = mode
             prov["field"] = str(field)
-        elif kind != "generalized":
-            raise ParseError("--kind must be generalized, scarf, or strong")
         result = _complex_payload(spec, X)
     elif command == "indispensable":
         bound = options["bound"]
@@ -638,6 +638,8 @@ def _load_problem(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "bound", None) is not None and args.bound < 0:
+            raise ParseError("--bound must be nonnegative, not %d" % args.bound)
         if args.command == "verify":
             report, ok = _verify_fixture(args.fixture, args.bound)
             print(report.to_json())

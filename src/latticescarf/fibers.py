@@ -60,18 +60,15 @@ def enumerate_fiber(L, u0):
     """
     u0 = tuple(u0)
     n, r = L.n, L.r
-    if r == 0:
-        members = [u0] if all(x >= 0 for x in u0) else []
-    else:
-        # u = u0 + z * B >= 0, coordinatewise, over z in Z^r
-        rows = []
-        for j in range(n):
-            a = tuple(L.rows[i][j] for i in range(r))
-            rows.append((a, u0[j]))
-        members = []
-        for z in integer_points(rows, r):
-            u = tuple(u0[j] + sum(z[i] * L.rows[i][j] for i in range(r)) for j in range(n))
-            members.append(u)
+    # u = u0 + z * B >= 0, coordinatewise, over z in Z^r
+    rows = []
+    for j in range(n):
+        a = tuple(L.rows[i][j] for i in range(r))
+        rows.append((a, u0[j]))
+    members = []
+    for z in integer_points(rows, r):
+        u = tuple(u0[j] + sum(z[i] * L.rows[i][j] for i in range(r)) for j in range(n))
+        members.append(u)
     fib = Fiber(class_of(L, u0), members)
     for m in fib.members:
         if any(x < 0 for x in m):

@@ -254,13 +254,16 @@ def scan_degree_classes(L, bound, functional=None):
     value <= bound, each with its whole fiber: a list of
     (DegreeClass, value, Fiber) sorted by (value, class key).
 
-    The functional must be strictly positive and orthogonal to L, so that
-    it is constant on fibers; by default one is computed from the lattice.
+    The bound must be nonnegative (the zero class has value 0).  The
+    functional must be strictly positive and orthogonal to L, so that it
+    is constant on fibers; by default one is computed from the lattice.
     A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
     fiber of b - e_j, a class the scan reached one step earlier, so the
     fibers are built from fiber(0) = {0} up, without Fourier-Motzkin:
     fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j).
     """
+    if bound < 0:
+        raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
     w = tuple(functional) if functional is not None else positive_functional(L)
     if len(w) != L.n or any(x < 1 for x in w):
         raise ValueError("functional must be strictly positive of length n")

@@ -4,7 +4,10 @@ A lattice here is a subgroup L of Z^n given by a basis of independent
 integer rows.  Pointed means L meets the nonnegative orthant only in 0;
 exactly then every congruence class b in Z^n/L contains finitely many
 nonnegative vectors (the fiber of b), and everything downstream -- Betti
-scans, Scarf posets -- makes sense.
+scans, Scarf posets -- makes sense.  By Stiemke's lemma L is pointed iff
+some strictly positive functional vanishes on L, so one linear system
+both decides pointedness (is_pointed) and yields the grading functional
+(positive_functional).
 """
 
 from math import gcd
@@ -87,7 +90,7 @@ class LatticeBasis:
         self.r = len(rows)
         self._hnf = H
         self._pivots = pivots
-        if check and not _cone_trivial(rows, n):
+        if check and not is_pointed(self):
             raise NotPointedError("lattice contains a nonzero nonnegative vector")
 
     def canonical_key(self, v):
@@ -100,25 +103,20 @@ class LatticeBasis:
         return "LatticeBasis(%r, n=%d)" % (self.rows, self.n)
 
 
-def _cone_trivial(rows, n):
-    """True iff {z : z*rows >= 0} = {0}, i.e. span(rows) meets N^n in 0 only.
-
-    The cone is a union of rays; it is nontrivial iff some slice z_i = +-1
-    admits a rational solution of z*rows >= 0.
-    """
-    r = len(rows)
-    cols = [tuple(row[j] for row in rows) for j in range(n)]
-    for i in range(r):
-        for s in (1, -1):
-            # substitute z_i = s: column a gives a . z + a_i * s >= 0
-            if fm_feasible([(a[:i] + (0,) + a[i + 1 :], a[i] * s) for a in cols], r):
-                return False
-    return True
+def _functional_system(L):
+    """A basis K of {w : w . v = 0 for v in L} and the system
+    sum_i c_i K[i][j] >= 1, one row per variable j, over c in Q^len(K):
+    its solutions are the functionals w = c K that are >= 1 everywhere."""
+    K = integer_kernel(L.rows, L.n)
+    return K, [(tuple(row[j] for row in K), -1) for j in range(L.n)]
 
 
 def is_pointed(L):
-    """Does L meet the nonnegative orthant only in the origin?"""
-    return _cone_trivial(L.rows, L.n)
+    """Does L meet the nonnegative orthant only in the origin?  Decided by
+    Fourier-Motzkin feasibility of the system positive_functional solves
+    (Stiemke's lemma)."""
+    K, rows = _functional_system(L)
+    return fm_feasible(rows, len(K))
 
 
 def lattice_from_semigroup(A):
@@ -143,18 +141,12 @@ class DegreeClass:
     two classes compare equal iff their representatives are congruent.
     """
 
-    __slots__ = ("lattice", "representative", "_key")
+    __slots__ = ("lattice", "representative", "key")
 
     def __init__(self, lattice, representative):
         self.lattice = lattice
         self.representative = tuple(representative)
-        self._key = None
-
-    @property
-    def key(self):
-        if self._key is None:
-            self._key = self.lattice.canonical_key(self.representative)
-        return self._key
+        self.key = lattice.canonical_key(self.representative)
 
     def __eq__(self, other):
         if not isinstance(other, DegreeClass):
@@ -199,14 +191,8 @@ def positive_functional(L):
     degree scans bounded by sigma terminate.
     """
     n = L.n
-    if L.r == 0:
-        return (1,) * n
-    K = integer_kernel(L.rows, n)  # rows span {w : L w = 0 componentwise}
+    K, rows = _functional_system(L)
     k = len(K)
-    rows = []
-    for j in range(n):
-        a = tuple(K[i][j] for i in range(k))
-        rows.append((a, -1))  # sum_i c_i K[i][j] >= 1
     pt = rational_point(rows, k)
     if pt is None:
         raise NotPointedError("no strictly positive functional exists")

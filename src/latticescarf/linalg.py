@@ -7,8 +7,11 @@ The pieces:
 
 * row-style Hermite normal form with transform (kernels, coset reduction,
   integer linear solves),
-* Fourier-Motzkin elimination over the integers/rationals (bounded lattice
-  point enumeration, cone feasibility, positive functionals),
+* Fourier-Motzkin elimination over the integers/rationals: integer
+  points for single-degree fiber queries (fibers.enumerate_fiber), and
+  feasibility and a rational point of the one system that decides
+  pointedness and gives the positive functional (lattice_core); degree
+  scans run none,
 * fraction-free (Bareiss) and mod-p rank for homology, with the
   primality check that guards the latter.
 """
@@ -86,8 +89,6 @@ def integer_kernel(rows, ncols):
 
 def solve_combination(rows, target):
     """Integer coefficients u with sum(u_i * rows_i) = target, or None."""
-    if not rows:
-        return () if not any(target) else None
     H, U, pivots = row_hermite(rows, len(target))
     t = list(target)
     y = [0] * len(rows)
@@ -255,8 +256,6 @@ def rational_point(rows, nvars):
     for a, c in systems[1] if nvars else systems[0]:
         if not any(a) and c < 0:
             return None
-    if nvars == 0:
-        return ()
     point = []
     for v in range(nvars):
         lo, hi = None, None

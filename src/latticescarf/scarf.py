@@ -92,8 +92,6 @@ def monomials_of(J):
     """C_J = {x^(bmax(J) - a) : a in J}, in canonical order."""
     ms = J.members if isinstance(J, LatticeSubset) else tuple(tuple(m) for m in J)
     top = bmax(ms)
-    if top is None:
-        return ()
     return canonical_order(tuple(x - y for x, y in zip(top, a)) for a in ms)
 
 
@@ -135,14 +133,19 @@ def _in_generalized_scarf(J, fib):
 
 class BasicComponent:
     """A basic component of a fiber: its degree class, its monomials
-    (canonical order), and a witness subset J with C_J equal to it."""
+    (canonical order), and a witness subset J with C_J equal to it.
 
-    __slots__ = ("degree", "monomials", "witness")
+    whole is True when the component is its entire fiber; basic_components
+    sets it as it cuts the component from that fiber, so it is False on a
+    component built by hand.  It takes no part in equality or hashing."""
+
+    __slots__ = ("degree", "monomials", "witness", "whole")
 
     def __init__(self, degree, monomials, witness):
         self.degree = degree
         self.monomials = canonical_order(monomials)
         self.witness = witness
+        self.whole = False
 
     @property
     def cardinality(self):
@@ -175,56 +178,41 @@ def basic_components(L, b):
     a Fiber (then nothing is enumerated).
 
     A subset G of the fiber qualifies when gcd(G) = 1, every proper
-    puncture G minus a monomial has a nontrivial gcd, and -- whenever the
-    fiber has more than two monomials -- G is a connected component of
-    the gcd complex.  Monomials have a nontrivial common divisor iff
+    puncture G minus a monomial has a nontrivial gcd, and G is the whole
+    fiber (at most two monomials) or a connected component of the gcd
+    complex (more than two).  Monomials have a nontrivial common divisor iff
     their supports share a variable, so both gcd tests are ANDs of
     support masks (fibers.support_mask): gcd(G) = 1 iff the AND over G is
-    0, and the AND over each puncture is the AND of a prefix and a suffix
-    of G's masks, so all punctures cost O(|G|) together.  The zero class
-    contributes the single component {1}.  Every returned component is
-    cross-checked through the scarf membership test of its recovered
-    witness.
+    0 (the AND over no masks is -1, all bits), and the AND over each
+    puncture is the AND of a prefix and a suffix of G's masks, so all
+    punctures cost O(|G|) together.  So the zero class contributes the
+    single component {1}, and an empty fiber or a single monomial other
+    than 1 contributes none.  Every returned component is cross-checked
+    through the scarf membership test of its recovered witness, and is
+    marked whole when it is the entire fiber.
     """
     fib = fiber_of(L, b)
-    degree = fib.degree
-    if len(fib) == 0:
-        return []
-    if len(fib) == 1:
-        m = fib.members[0]
-        if any(m):
-            return []  # single monomial != 1: gcd is never 1
-        return [BasicComponent(degree, fib.members, LatticeSubset(L, ((0,) * L.n,)))]
-    candidates = []
-    if len(fib) == 2:
-        m1, m2 = fib.members
-        if not support_mask(m1) & support_mask(m2):
-            candidates.append(fib.members)
-    else:
-        for comp in gcd_components(fib):
-            if len(comp) < 2:
-                continue
-            masks = [support_mask(m) for m in comp]
-            # suffix[k] is the AND of masks[k:], prefix the AND of masks[:k]
-            suffix = [-1] * (len(masks) + 1)
-            for k in range(len(masks) - 1, -1, -1):
-                suffix[k] = suffix[k + 1] & masks[k]
-            if suffix[0]:
-                continue  # a common divisor
-            prefix = -1
-            for k, mask in enumerate(masks):
-                if not prefix & suffix[k + 1]:
-                    break  # dropping comp[k] leaves a gcd-free set
-                prefix &= mask
-            else:
-                candidates.append(comp)
     out = []
-    for G in candidates:
-        c = _recover_witness(L, degree, G)
-        # bmax(witness) = G[0], a member of fib
-        if not _in_generalized_scarf(c.witness, fib):
-            raise RuntimeError("recovered witness failed membership")
-        out.append(c)
+    for G in gcd_components(fib) if len(fib) > 2 else (fib.members,):
+        masks = [support_mask(m) for m in G]
+        # suffix[k] is the AND of masks[k:], prefix the AND of masks[:k]
+        suffix = [-1] * (len(masks) + 1)
+        for k in range(len(masks) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] & masks[k]
+        if suffix[0]:
+            continue  # a common divisor
+        prefix = -1
+        for k, mask in enumerate(masks):
+            if not prefix & suffix[k + 1]:
+                break  # dropping G[k] leaves a gcd-free set
+            prefix &= mask
+        else:
+            c = _recover_witness(L, fib.degree, G)
+            # bmax(witness) = G[0], a member of fib
+            if not _in_generalized_scarf(c.witness, fib):
+                raise RuntimeError("recovered witness failed membership")
+            c.whole = len(G) == len(fib)
+            out.append(c)
     return out
 
 
@@ -232,7 +220,7 @@ def is_basic_fiber(L, b):
     """Is the whole fiber of b (or the Fiber b) a single basic component?"""
     fib = fiber_of(L, b)
     comps = basic_components(L, fib)
-    return len(comps) == 1 and comps[0].monomials == fib.members
+    return len(comps) == 1 and comps[0].whole
 
 
 class ScarfPoset:
@@ -340,8 +328,6 @@ def build_generalized_scarf_complex(poset):
     with [G] the gcd-free reduction of G, positions 1-based in the
     canonical descending order (so the first position gets +)."""
     L = poset.lattice
-    if not poset.elements:
-        return AlgebraicComplex(L, (), ())
     top = poset.max_cardinality() - 1
     basis = [poset.by_cardinality(i + 1) for i in range(top + 1)]
     index = [
@@ -414,17 +400,10 @@ def _restrict(X, keep):
 
 
 def algebraic_scarf_subcomplex(X):
-    """Restrict to the components that are entire fibers."""
-    L = X.lattice
-    keep = []
-    for i, bs in enumerate(X.basis):
-        keep.append(
-            [
-                k
-                for k, c in enumerate(bs)
-                if c.monomials == enumerate_fiber(L, c.degree.representative).members
-            ]
-        )
+    """Restrict to the components that are entire fibers.  Those are the
+    components marked whole by basic_components, which cut them from
+    their complete scanned fibers, so no fiber is enumerated here."""
+    keep = [[k for k, c in enumerate(bs) if c.whole] for bs in X.basis]
     return _restrict(X, keep)
 
 

@@ -251,6 +251,45 @@ def test_cli_complex_kinds(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_cli_bad_kind_or_mode_before_any_scan(capsys, monkeypatch):
+    import latticescarf.cli as cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before checking --kind and --mode")
+
+    monkeypatch.setattr(cli, "enumerate_scarf_poset", no_scan)
+    monkeypatch.setattr(cli, "betti_scan", no_scan)
+    for extra in (
+        ["--kind", "bogus"],
+        ["--kind", "strong", "--mode", "bogus"],
+        ["--kind", "strongly", "--mode", "loose"],
+        ["--kind", "scarf", "--mode", "bogus"],
+    ):
+        code, out, err = run_cli(
+            capsys, "complex", "--fixture", "ex63", "--bound", "40", *extra
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --") and "Traceback" not in err
+
+
+def test_cli_negative_bound(capsys):
+    for argv in (
+        ["betti", "--fixture", "ex63"],
+        ["components", "--fixture", "ex63"],
+        ["complex", "--fixture", "ex63"],
+        ["complex", "--fixture", "ex63", "--kind", "strong"],
+        ["indispensable", "--fixture", "ex63"],
+        ["generators", "--fixture", "ex63"],
+        ["verify", "--fixture", "ex63"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--bound", "-5")
+        assert code == 2 and out == ""
+        assert "error: --bound must be nonnegative" in err
+    # bound 0 holds exactly the unit class
+    code, out, _ = run_cli(capsys, "components", "--fixture", "ex63", "--bound", "0")
+    assert code == 0 and json.loads(out)["result"]["count"] == 1
+
+
 def test_cli_indispensable_and_generators(capsys):
     code, out, _ = run_cli(
         capsys, "indispensable", "--fixture", "ex64", "--bound", "600"

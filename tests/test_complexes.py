@@ -219,14 +219,29 @@ def test_generators_zero_lattice():
     assert minimal_generators(LatticeBasis([], n=2), 10) == []
 
 
-def test_scans_never_enumerate_fibers(monkeypatch):
+def test_empty_poset_complex(ex63):
+    P = ScarfPoset(ex63.lattice, (), (), 40, ex63.functional)
+    X = build_generalized_scarf_complex(P)
+    assert X.ranks() == ()
+    assert X.top_degree() == -1
+    assert verify_zero_composition(X)
+    assert algebraic_scarf_subcomplex(X).ranks() == ()
+
+
+def test_scans_never_enumerate_fibers(monkeypatch, capsys):
     """Scan-level functions read every fiber from the degree scan: with
     Fourier-Motzkin enumeration disabled they still run, and they leave
     nothing behind on the lattice."""
     import sys
 
+    from latticescarf import cli
     from latticescarf.fixtures import fixture_problem
-    from latticescarf.homology import betti_scan, minimal_betti_degrees
+    from latticescarf.homology import (
+        betti_scan,
+        minimal_betti_degrees,
+        scan_degree_classes,
+    )
+    from latticescarf.scarf import is_basic_fiber
 
     def forbidden(*args, **kwargs):
         raise AssertionError("enumerate_fiber called from a scan")
@@ -242,8 +257,15 @@ def test_scans_never_enumerate_fibers(monkeypatch):
     assert len(minimal_betti_degrees(T, 1)) == 3
     X = build_generalized_scarf_complex(enumerate_scarf_poset(L, 40, w))
     assert X.ranks() == (1, 3, 2)
+    assert algebraic_scarf_subcomplex(X).ranks() == (1, 3, 1)
     for mode in ("strict", "paper-example"):
         strongly_algebraic_subcomplex(X, T, mode=mode)
     assert len(minimal_generators(L, 40, w)) == 4
     assert len(indispensable_binomials(L, 40, w)) == 3
+    fibs = [f for _b, _s, f in scan_degree_classes(L, 40, w) if len(f) == 3]
+    assert [is_basic_fiber(L, f) for f in fibs].count(True) == 1
     assert vars(L) == before
+    assert cli.main(["verify", "--fixture", "ex63"]) == 0
+    args = ["complex", "--fixture", "ex63", "--bound", "40", "--kind", "scarf"]
+    assert cli.main(args) == 0
+    capsys.readouterr()

@@ -12,7 +12,7 @@ from latticescarf.fibers import (
     reduce_by_gcd,
     support_mask,
 )
-from latticescarf.lattice_core import class_of
+from latticescarf.lattice_core import LatticeBasis, class_of
 
 ABD = (1, 1, 0, 1, 0)
 AC2 = (1, 0, 2, 0, 0)
@@ -70,6 +70,14 @@ def test_empty_fiber(ex63):
     fib = enumerate_fiber(ex63.lattice, (-1, 1, 0, 0, 0))
     assert len(fib) == 0
     assert fib.members == ()
+
+
+def test_zero_lattice_fibers():
+    L = LatticeBasis([], n=3)
+    fib = enumerate_fiber(L, (2, 0, 1))
+    assert fib.members == ((2, 0, 1),)
+    assert fib.degree == class_of(L, (2, 0, 1))
+    assert enumerate_fiber(L, (2, -1, 1)).members == ()
 
 
 def test_coset_invariance(suite):

@@ -253,6 +253,17 @@ def test_scan_degree_classes_bad_functional(ex61):
         scan_degree_classes(ex61.lattice, 10, (1, 1, 1, 2))
 
 
+def test_scan_degree_classes_negative_bound(ex63):
+    L, w = ex63.lattice, ex63.functional
+    for bound in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            scan_degree_classes(L, bound, w)
+        with pytest.raises(ValueError):
+            betti_scan(L, bound, functional=w)
+    ((b, s, fib),) = scan_degree_classes(L, 0, w)
+    assert s == 0 and fib.members == ((0, 0, 0, 0, 0),)
+
+
 def test_euler_characteristic(suite):
     for data in suite.values():
         for fib in catalog_fibers(data):

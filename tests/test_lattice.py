@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -40,6 +41,44 @@ def test_pointedness_box_oracle(ex63):
         )
         if all(x >= 0 for x in v):
             assert not any(v), "nonzero nonnegative vector %r from %r" % (v, z)
+
+
+def _pointed_oracle(rows):
+    """Exact pointedness of a rank-2 lattice with rows in [-3, 3]^n: L is
+    pointed iff no z != 0 has z * rows >= 0.  That cone, when nonzero,
+    has a boundary ray +-(a_2, -a_1) for some column a, and those rays
+    all lie in [-3, 3]^2, so the box search decides it."""
+    for z in itertools.product(range(-3, 4), repeat=2):
+        if z == (0, 0):
+            continue
+        if all(z[0] * x + z[1] * y >= 0 for x, y in zip(*rows)):
+            return False
+    return True
+
+
+def test_pointedness_matches_box_oracle():
+    rng = random.Random(20261018)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 300:
+        n = rng.choice((3, 4, 5))
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)]
+        try:
+            L = LatticeBasis(rows, check=False)
+        except ValueError:
+            continue  # dependent rows
+        want = _pointed_oracle(rows)
+        assert is_pointed(L) == want, rows
+        seen[want] += 1
+        if not want:
+            with pytest.raises(NotPointedError):
+                LatticeBasis(rows)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_full_rank_lattice_is_not_pointed():
+    assert not is_pointed(LatticeBasis([(1, -1), (0, 1)], check=False))
+    with pytest.raises(NotPointedError, match="nonzero nonnegative vector"):
+        LatticeBasis([(2, 1), (1, 1)])
 
 
 def test_zero_lattice_needs_dimension():

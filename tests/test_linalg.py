@@ -185,6 +185,14 @@ def test_rational_point_infeasible():
     assert rational_point(rows, 1) is None
 
 
+def test_rational_point_without_variables():
+    assert fm_feasible([((), 0), ((), 3)], 0)
+    assert rational_point([((), 0), ((), 3)], 0) == ()
+    assert rational_point([], 0) == ()
+    assert not fm_feasible([((), 2), ((), -1)], 0)
+    assert rational_point([((), 2), ((), -1)], 0) is None
+
+
 def test_rank_rational_against_sympy():
     for _ in range(40):
         r = rng.randint(1, 5)

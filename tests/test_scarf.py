@@ -12,6 +12,7 @@ from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of
 from latticescarf.homology import connected_components, gcd_complex, scan_degree_classes
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
+    BasicComponent,
     LatticeSubset,
     basic_components,
     bmax,
@@ -59,6 +60,8 @@ def test_vsupp(ex63):
 def test_monomials_of(ex63):
     assert monomials_of(j1(ex63.lattice)) == (ABD, AC2, B2C)
     assert monomials_of([ZERO5]) == (ZERO5,)
+    assert monomials_of([]) == ()
+    assert monomials_of(LatticeSubset(ex63.lattice, [])) == ()
     J2 = LatticeSubset(ex63.lattice, J2_VECTORS)
     assert bmax(J2) == (1, 0, 1, 1, 0)
     C2 = monomials_of(J2)
@@ -125,7 +128,26 @@ def test_basic_components_degenerate(ex63):
     assert len(zero) == 1
     assert zero[0].monomials == (ZERO5,)
     assert zero[0].witness.members == (ZERO5,)
+    assert zero[0].whole
     assert basic_components(L, (1, 0, 0, 0, 0)) == []
+    empty = enumerate_fiber(L, (-1, 1, 0, 0, 0))
+    assert len(empty) == 0
+    assert basic_components(L, empty) == []
+    assert not is_basic_fiber(L, empty)
+
+
+def test_whole_marks_entire_fibers(ex63):
+    L = ex63.lattice
+    marked = 0
+    for _b, _s, fib in scan_degree_classes(L, 40, ex63.functional):
+        for c in basic_components(L, fib):
+            assert c.whole == (c.monomials == fib.members)
+            marked += c.whole
+            # whole takes no part in equality or hashing
+            bare = BasicComponent(c.degree, c.monomials, c.witness)
+            assert not bare.whole
+            assert bare == c and hash(bare) == hash(c)
+    assert marked == 5  # ex63's algebraic Scarf subcomplex has ranks (1, 3, 1)
 
 
 @pytest.mark.parametrize(
