@@ -18,7 +18,12 @@ import sys
 
 from . import __version__
 from .fibers import enumerate_fiber, monomial_str, support_mask
-from .homology import betti_scan, minimal_betti_degrees
+from .homology import (
+    _betti_table,
+    betti_scan,
+    minimal_betti_degrees,
+    scan_degree_classes,
+)
 from .lattice_core import (
     LatticeBasis,
     NotPointedError,
@@ -29,6 +34,10 @@ from .lattice_core import (
 )
 from .linalg import is_prime, solve_combination
 from .scarf import (
+    _generators,
+    _indispensables,
+    _one_betti_classes,
+    _scarf_poset,
     algebraic_scarf_subcomplex,
     basic_components,
     build_generalized_scarf_complex,
@@ -391,13 +400,13 @@ def run_command(spec, command, options):
         mode = {"paper": "paper-example"}.get(mode, mode)
         if mode not in ("strict", "paper-example"):
             raise ParseError("--mode must be strict or paper (paper-example)")
-        P = enumerate_scarf_poset(L, bound, w)
-        X = build_generalized_scarf_complex(P)
+        atlas = scan_degree_classes(L, bound, w)
+        X = build_generalized_scarf_complex(_scarf_poset(atlas))
         prov = {"bound": bound, "functional": list(w), "kind": kind}
         if kind == "scarf":
             X = algebraic_scarf_subcomplex(X)
         elif kind == "strong":
-            T = betti_scan(L, bound, field=field, functional=w)
+            T = _betti_table(atlas, field)
             X = strongly_algebraic_subcomplex(X, T, mode=mode)
             prov["mode"] = mode
             prov["field"] = str(field)
@@ -415,11 +424,13 @@ def run_command(spec, command, options):
         }
         prov = {"bound": bound, "functional": list(w)}
     elif command == "export-dot":
+        kind = options.get("kind", "gcd")
+        if kind not in ("gcd", "support"):
+            raise ParseError("--kind must be 'gcd' or 'support'")
         u = _parse_degree(spec, options["degree"])
         fib = enumerate_fiber(L, u)
         if not fib.members:
             raise ParseError("empty fiber: no monomials in this degree class")
-        kind = options.get("kind", "gcd")
         dot, nodes, edgecount = _render_dot(fib, spec.variables, kind)
         out = options.get("out")
         if out and out != "-":
@@ -461,8 +472,10 @@ def _verify_fixture(name, bound=None):
     def sdeg(b):
         return list(A.degree_of(b.representative))
 
-    T = betti_scan(L, bound, functional=w)
-    P = enumerate_scarf_poset(L, bound, w)
+    atlas = scan_degree_classes(L, bound, w)
+    T = _betti_table(atlas)
+    P = _scarf_poset(atlas)
+    found, T1 = _one_betti_classes(atlas)
     X = build_generalized_scarf_complex(P)
     S = algebraic_scarf_subcomplex(X)
     checks = []
@@ -540,10 +553,10 @@ def _verify_fixture(name, bound=None):
     if "max_component_cardinality" in exp:
         check("max_component_cardinality", exp["max_component_cardinality"], P.max_cardinality())
     if "indispensable_degrees" in exp:
-        got = sorted(sdeg(b) for b, _ in indispensable_binomials(L, bound, w))
+        got = sorted(sdeg(b) for b, _ in _indispensables(found, T1))
         check("indispensable_degrees", sorted(exp["indispensable_degrees"]), got)
     if "generator_degrees" in exp or "generator_count" in exp:
-        gens = minimal_generators(L, bound, w)
+        gens = _generators(found)
         if "generator_degrees" in exp:
             got = sorted(sdeg(b) for b, _ in gens)
             check("generator_degrees", sorted(exp["generator_degrees"]), got)

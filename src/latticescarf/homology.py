@@ -12,6 +12,11 @@ costs at most 2^n faces however large its fiber.  The connected
 components of a gcd complex need no complex at all: gcd_components
 merges the variables of each monomial's support.
 
+When the monomials of a fiber share a variable x_k, V_k is the whole
+fiber: the gcd complex is a cone, and so is the support complex (Miller-
+Sturmfels' squarefree divisor complex), so beta_{i,b} = 0 for every i.  A
+degree scan's Atlas carries fibers only for the other classes.
+
 Multigraded Betti numbers follow the convention
 
     beta_{i,b} = dim H~_{i-1}(gcd complex of the fiber of b),   i >= 1.
@@ -249,18 +254,38 @@ def betti_at(L, i, b, field="q"):
     return dims.get(i - 1, 0)
 
 
+class Atlas:
+    """A degree scan.  classes lists (DegreeClass, value) in (value, key)
+    order; cones[k], the AND of the support masks of the fiber of
+    classes[k], is nonzero iff that gcd complex is a cone (no homology, no
+    basic component, connected).  fibers lists (DegreeClass, value, Fiber)
+    for the classes of cone mask 0 only; len() counts every class."""
+
+    def __init__(self, lattice, bound, functional, classes, cones, fibers):
+        self.lattice = lattice
+        self.bound = bound
+        self.functional = functional
+        self.classes = classes
+        self.cones = cones
+        self.fibers = fibers
+
+    def __len__(self):
+        return len(self.classes)
+
+
 def scan_degree_classes(L, bound, functional=None):
-    """All degree classes with a nonnegative representative of functional
-    value <= bound, each with its whole fiber: a list of
-    (DegreeClass, value, Fiber) sorted by (value, class key).
+    """The Atlas of all degree classes with a nonnegative representative
+    of functional value <= bound.
 
     The bound must be nonnegative (the zero class has value 0).  The
     functional must be strictly positive and orthogonal to L, so that it
     is constant on fibers; by default one is computed from the lattice.
     A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
-    fiber of b - e_j, a class the scan reached one step earlier, so the
-    fibers are built from fiber(0) = {0} up, without Fourier-Motzkin:
-    fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j).
+    fiber of b - e_j, a class the scan reached one step earlier, so
+    fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
+    from fiber(0) = {0} up without Fourier-Motzkin, and only where a fiber
+    of cone mask 0 needs it.  The masks need no members: cone(0) = 0 and
+    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -289,18 +314,34 @@ def scan_degree_classes(L, bound, functional=None):
                 steps[key2] = []
                 queue.append((rep2, key2, s2))
             steps[key2] += (key, j)
-    fibers = {}
-    out = []
-    for b, s in sorted(seen.values(), key=lambda t: (t[1], t[0].key)):
-        into = steps.pop(b.key)
-        members = {zero} if not into else set()
+    classes = sorted(seen.values(), key=lambda t: (t[1], t[0].key))
+    cone = {}
+    for b, _s in classes:
+        into = steps[b.key]
+        mask = -1 if into else 0
+        for k in range(0, len(into), 2):
+            mask &= cone[into[k]] | 1 << into[k + 1]
+        cone[b.key] = mask
+    # a step raises the value, so one reverse pass marks every predecessor
+    needed = set()
+    for b, _s in reversed(classes):
+        if b.key in needed or not cone[b.key]:
+            needed.update(steps[b.key][::2])
+    members = {}
+    fibers = []
+    for b, s in classes:
+        if b.key not in needed and cone[b.key]:
+            continue
+        into = steps[b.key]
+        ms = members[b.key] = {zero} if not into else set()
         for k in range(0, len(into), 2):
             j = into[k + 1]
-            for m in fibers[into[k]].members:
-                members.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
-        fib = fibers[b.key] = Fiber(b, members)
-        out.append((b, s, fib))
-    return out
+            for m in members[into[k]]:
+                ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
+        if not cone[b.key]:
+            fibers.append((b, s, Fiber(b, ms)))
+    cones = [cone[b.key] for b, _s in classes]
+    return Atlas(L, bound, w, classes, cones, fibers)
 
 
 class BettiTable:
@@ -347,21 +388,24 @@ class BettiTable:
 def betti_scan(L, bound, field="q", functional=None):
     """Betti numbers of every congruence class within the scan bound.
 
-    Visits each class with a fiber of size >= 2 whose functional value is
-    <= bound and records the nonzero beta_{i,b} for i >= 1.
+    Records the nonzero beta_{i,b}, i >= 1, from the fibers of the classes
+    whose gcd complex is not a cone; every class goes in T.scanned.
     """
-    w = tuple(functional) if functional is not None else positive_functional(L)
+    return _betti_table(scan_degree_classes(L, bound, functional), field)
+
+
+def _betti_table(atlas, field="q"):
+    """betti_scan over the fibers an Atlas carries."""
     entries = {}
-    scanned = []
-    for b, _s, fib in scan_degree_classes(L, bound, w):
-        scanned.append(b.key)
-        if len(fib) < 2:
-            continue
+    for b, _s, fib in atlas.fibers:
         dims = reduced_homology_dims(gcd_complex(fib), field)
         for j, dim in dims.items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim
-    return BettiTable(L, entries, bound, field, w, scanned)
+    scanned = (b.key for b, _s in atlas.classes)
+    return BettiTable(
+        atlas.lattice, entries, atlas.bound, field, atlas.functional, scanned
+    )
 
 
 def minimal_betti_degrees(T, i):

@@ -31,7 +31,7 @@ from .homology import (
     minimal_betti_degrees,
     scan_degree_classes,
 )
-from .lattice_core import class_of, contains, positive_functional
+from .lattice_core import class_of, contains
 
 
 class LatticeSubset:
@@ -263,10 +263,14 @@ def _translate_into(small, big):
 def enumerate_scarf_poset(L, bound, functional=None):
     """All basic components whose degree lies within the scan bound,
     ordered deterministically, together with the translation order."""
-    w = tuple(functional) if functional is not None else positive_functional(L)
+    return _scarf_poset(scan_degree_classes(L, bound, functional))
+
+
+def _scarf_poset(atlas):
+    """enumerate_scarf_poset over an Atlas: a cone has no basic component."""
     elements = []
-    for _b, s, fib in scan_degree_classes(L, bound, w):
-        for c in basic_components(L, fib):
+    for _b, s, fib in atlas.fibers:
+        for c in basic_components(atlas.lattice, fib):
             elements.append((s, c))
     elements.sort(key=lambda t: (t[0], t[1].degree.key, t[1].monomials))
     comps = [c for _, c in elements]
@@ -282,7 +286,7 @@ def enumerate_scarf_poset(L, bound, functional=None):
     for i, j in leq:
         if (j, i) in leq:
             raise RuntimeError("translation order is not antisymmetric")
-    return ScarfPoset(L, comps, leq, bound, w)
+    return ScarfPoset(atlas.lattice, comps, leq, atlas.bound, atlas.functional)
 
 
 class AlgebraicComplex:
@@ -458,7 +462,11 @@ def indispensable_binomials(L, bound, functional=None):
     """Binomials whose degree is a minimal 1-Betti degree with a two-
     monomial gcd-free fiber: x^m1 - x^m2 written as the ordered pair
     (m1, m2), m1 the lexicographically larger exponent."""
-    found, T = _one_betti_classes(L, bound, functional)
+    atlas = scan_degree_classes(L, bound, functional)
+    return _indispensables(*_one_betti_classes(atlas))
+
+
+def _indispensables(found, T):
     minimal = set(minimal_betti_degrees(T, 1))
     return [
         (b, fib.members) for b, fib, _comps in found if b in minimal and len(fib) == 2
@@ -472,7 +480,11 @@ def minimal_generators(L, bound, functional=None):
     k >= 2 connected components; one representative monomial per
     component, connected to the first component's representative, gives
     k - 1 binomials, and all of them together generate minimally."""
-    found, _T = _one_betti_classes(L, bound, functional)
+    atlas = scan_degree_classes(L, bound, functional)
+    return _generators(_one_betti_classes(atlas)[0])
+
+
+def _generators(found):
     out = []
     for b, _fib, comps in found:
         base = comps[0][0]
@@ -483,20 +495,18 @@ def minimal_generators(L, bound, functional=None):
     return out
 
 
-def _one_betti_classes(L, bound, functional=None):
-    """Scanned classes with disconnected gcd complex, as (class, fiber,
-    components) triples, and the Betti table of their beta_1 =
-    components - 1."""
-    w = tuple(functional) if functional is not None else positive_functional(L)
+def _one_betti_classes(atlas):
+    """The classes of an Atlas with disconnected gcd complex (never a cone),
+    as (class, fiber, components) triples, and the Betti table of their
+    beta_1 = components - 1."""
     found = []
     entries = {}
-    scanned = []
-    for b, _s, fib in scan_degree_classes(L, bound, w):
-        scanned.append(b.key)
-        if len(fib) < 2:
-            continue
+    for b, _s, fib in atlas.fibers:
         comps = gcd_components(fib)
         if len(comps) >= 2:
             found.append((b, fib, comps))
             entries[(1, b)] = len(comps) - 1
-    return found, BettiTable(L, entries, bound, "q", w, scanned)
+    scanned = (b.key for b, _s in atlas.classes)
+    return found, BettiTable(
+        atlas.lattice, entries, atlas.bound, "q", atlas.functional, scanned
+    )

@@ -14,6 +14,7 @@ from latticescarf.fibers import (
     gcd_of,
     monomial_str,
     reduce_by_gcd,
+    support_mask,
 )
 from latticescarf.homology import (
     betti_scan,
@@ -71,13 +72,41 @@ def enumerate_fiber_box_oracle(L, u0, box_bound):
     return Fiber(class_of(L, u0), members)
 
 
-def assert_scan_fibers_exact(L, scan, where):
-    """Every fiber a scan built equals the Fourier-Motzkin fiber."""
-    for b, _s, fib in scan:
-        assert fib == enumerate_fiber(L, b.representative), (
-            "scanned fiber differs from enumerate_fiber on %s at %r"
-            % (where, b.representative)
+def full_fibers(L, bound, w):
+    """Every nonempty fiber of functional value <= bound, as (DegreeClass,
+    value, Fiber) in (value, class key) order: the monomials u with
+    w . u <= bound, grouped by class.  Shares no code with the degree
+    scan; for cross-checks only."""
+    groups = {}
+
+    def extend(prefix, budget):
+        if len(prefix) == L.n:
+            groups.setdefault(L.canonical_key(prefix), []).append(prefix)
+            return
+        wj = w[len(prefix)]
+        for x in range(budget // wj + 1):
+            extend(prefix + (x,), budget - x * wj)
+
+    extend((), bound)
+    out = []
+    for ms in groups.values():
+        b = class_of(L, ms[0])
+        out.append((b, sum(x * y for x, y in zip(w, ms[0])), Fiber(b, ms)))
+    return sorted(out, key=lambda t: (t[1], t[0].key))
+
+
+def scan_problems(suite, lattices):
+    """(where, L, bound, functional): the fixtures at their bounds, then
+    the random lattices, (k, L) pairs, at small_scan_bound."""
+    out = [
+        (data.name, data.lattice, data.bound, data.functional)
+        for data in suite.values()
+    ]
+    for k, L in lattices:
+        out.append(
+            ("random lattice #%d" % k, L, small_scan_bound(L), positive_functional(L))
         )
+    return out
 
 
 def euler_characteristic_checks(K, field="q"):
@@ -123,17 +152,12 @@ def catalog_fibers(data, max_size=6):
 
 def check_gcd_components(suite, rng, random_count=10):
     """gcd_components equals the components of the gcd complex itself on
-    every scanned fiber of the fixtures at their bounds and of suite (b)'s
-    first random lattices."""
-    scans = [
-        (data.name, data.lattice, data.bound, data.functional)
-        for data in suite.values()
-    ]
-    for k, L in suite_b_lattices(rng, random_count):
-        scans.append(("random lattice #%d" % k, L, small_scan_bound(L), None))
+    every fiber of the fixtures at their bounds and of random_count lattices
+    drawn as suite (b) draws them (half 2 x 4, then 2 x 5)."""
     checked = 0
-    for where, L, bound, w in scans:
-        for b, _s, fib in scan_degree_classes(L, bound, w):
+    lattices = suite_b_lattices(rng, random_count)
+    for where, L, bound, w in scan_problems(suite, lattices):
+        for b, _s, fib in full_fibers(L, bound, w):
             assert gcd_components(fib) == connected_components(gcd_complex(fib)), (
                 "gcd_components differs on %s at %r" % (where, b.representative)
             )
@@ -167,39 +191,74 @@ def complexes_equal(X, Y):
 
 
 # ---------------------------------------------------------------------------
-# (a) gcd complex and support complex have the same homology, and every
-# scanned fiber is the Fourier-Motzkin fiber.
+# (a) gcd complex and support complex have the same homology, and the
+# degree scan's atlas agrees with full fibers built independently: same
+# classes and values, each cone mask the AND of its fiber's support masks,
+# and a fiber carried exactly for mask 0, equal to the Fourier-Motzkin one.
 
 
-def check_gcd_support_homology(suite):
-    checked = 0
-    for data in suite.values():
-        L = data.lattice
-        scan = scan_degree_classes(L, data.bound, data.functional)
-        assert_scan_fibers_exact(L, scan, data.name)
-        for b, _s, fib in scan:
-            if not fib.members:
-                continue
+def check_gcd_support_homology(suite, rng, random_count=10):
+    checked = carried = 0
+    lattices = itertools.islice(suite_b_lattices(rng), random_count)
+    for where, L, bound, w in scan_problems(suite, lattices):
+        atlas = scan_degree_classes(L, bound, w)
+        full = full_fibers(L, bound, w)
+        assert [(b.key, s) for b, s in atlas.classes] == [
+            (b.key, s) for b, s, _fib in full
+        ], "scanned classes differ from the full fibers on %s" % where
+        fibers = {b.key: fib for b, _s, fib in atlas.fibers}
+        for (b, _s, fib), cone in zip(full, atlas.cones):
+            mask = -1
+            for m in fib:
+                mask &= support_mask(m)
+            assert cone == mask, "cone mask %r, not %r, on %s at %r" % (
+                cone, mask, where, b.representative
+            )
+            if not cone:
+                got = fibers.pop(b.key, None)
+                assert got == fib == enumerate_fiber(L, b.representative), (
+                    "carried fiber differs on %s at %r" % (where, b.representative)
+                )
+                carried += 1
             d1 = reduced_homology_dims(gcd_complex(fib))
             d2 = reduced_homology_dims(support_complex(fib))
             top = max(max(d1), max(d2))
             for j in range(-1, top + 1):
                 assert d1.get(j, 0) == d2.get(j, 0), (
                     "homology mismatch at %s degree %r index %d: gcd %r vs support %r"
-                    % (data.name, b.representative, j, d1, d2)
+                    % (where, b.representative, j, d1, d2)
                 )
             checked += 1
-    return "%d degrees" % checked
+        assert not fibers, "a cone class carries a fiber on %s" % where
+    return "%d degrees, %d fibers carried" % (checked, carried)
 
 
 # ---------------------------------------------------------------------------
-# (b) theta composed with theta vanishes, fixtures and random lattices; the
-# first ten random lattices also check their scanned fibers.
+# (b) theta composed with theta vanishes, fixtures and random lattices, and
+# the generalized Scarf complex fits inside the minimal free resolution:
+# its rank in homological degree i at degree b is at most beta_{i,b}.
+
+
+def scarf_ranks_within_betti(X, T, where):
+    """Assert the bound on every (i, b) cell of X with i >= 1; returns
+    the number of cells."""
+    cells = {}
+    for i in range(1, len(X.basis)):
+        for c in X.basis[i]:
+            cells[i, c.degree] = cells.get((i, c.degree), 0) + 1
+    for (i, b), count in cells.items():
+        assert count <= T.get(i, b), (
+            "%d basis elements in homological degree %d at %r on %s, beta = %d"
+            % (count, i, b.representative, where, T.get(i, b))
+        )
+    return len(cells)
 
 
 def check_theta_squared(suite, rng, count=50):
+    cells = 0
     for data in suite.values():
         X = data.complex
+        cells += scarf_ranks_within_betti(X, data.table, data.name)
         assert verify_zero_composition(X), "theta^2 != 0 on %s" % data.name
         S = algebraic_scarf_subcomplex(X)
         assert verify_zero_composition(S), "theta^2 != 0 on %s scarf" % data.name
@@ -210,10 +269,6 @@ def check_theta_squared(suite, rng, count=50):
             )
     for k, L in suite_b_lattices(rng, count):
         bound = small_scan_bound(L)
-        if k < 10:
-            assert_scan_fibers_exact(
-                L, scan_degree_classes(L, bound), "random lattice #%d" % k
-            )
         P = enumerate_scarf_poset(L, bound)
         X = build_generalized_scarf_complex(P)
         assert verify_zero_composition(X), (
@@ -221,12 +276,13 @@ def check_theta_squared(suite, rng, count=50):
         )
         assert verify_zero_composition(algebraic_scarf_subcomplex(X))
         T = betti_scan(L, bound)
+        cells += scarf_ranks_within_betti(X, T, "random lattice #%d" % k)
         for mode in ("strict", "paper-example"):
             SS = strongly_algebraic_subcomplex(X, T, mode=mode)
             assert verify_zero_composition(SS), (
                 "theta^2 != 0 on random lattice #%d strongly (%s)" % (k, mode)
             )
-    return "3 fixtures + %d random lattices" % count
+    return "3 fixtures + %d random lattices, %d cells within beta" % (count, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +421,7 @@ def check_characterization(suite, rng, cap=12):
     for data in suite.values():
         L = data.lattice
         zero = (0,) * L.n
-        for b, _s, fib in scan_degree_classes(L, data.bound, data.functional):
+        for b, _s, fib in full_fibers(L, data.bound, data.functional):
             ms = fib.members
             if not ms:
                 continue
@@ -425,6 +481,48 @@ def check_box_oracle(rng, count=100, box=8, classes_per_lattice=30):
             )
             checked += 1
     return "%d classes over %d lattices" % (checked, count)
+
+
+# ---------------------------------------------------------------------------
+# (g) Betti tables against the Euler-Hilbert identity of the K-polynomial
+# (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 8-9): for
+# every scanned class b,
+#
+#     [b = 0] + sum_{i>=1} (-1)^i beta_{i,b}
+#         = sum_{F subset [n]} (-1)^|F| [b - e_F has a monomial].
+#
+# The class b - e_F has a value at most b's, so it has a monomial iff the
+# scan visited it; the right side needs no homology.
+
+
+def euler_hilbert_mismatches(T):
+    """The scanned class keys of a Betti table that break the identity."""
+    L = T.lattice
+    lhs = dict.fromkeys(T.scanned, 0)
+    lhs[L.canonical_key((0,) * L.n)] = 1
+    for (i, b), beta in T.entries.items():
+        lhs[b.key] += (-1) ** i * beta
+    bad = []
+    for key in sorted(T.scanned):
+        rhs = 0
+        for F in itertools.product((0, 1), repeat=L.n):
+            shifted = tuple(x - f for x, f in zip(key, F))
+            if L.canonical_key(shifted) in T.scanned:
+                rhs += (-1) ** sum(F)
+        if lhs[key] != rhs:
+            bad.append(key)
+    return bad
+
+
+def check_euler_hilbert(suite, rng, random_count=10):
+    checked = 0
+    lattices = itertools.islice(suite_b_lattices(rng), random_count)
+    for where, L, bound, w in scan_problems(suite, lattices):
+        T = betti_scan(L, bound, functional=w)
+        bad = euler_hilbert_mismatches(T)
+        assert not bad, "Euler-Hilbert identity fails on %s at %r" % (where, bad[:5])
+        checked += len(T.scanned)
+    return "%d classes" % checked
 
 
 # ---------------------------------------------------------------------------

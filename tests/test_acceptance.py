@@ -21,6 +21,7 @@ from helpers import (
     check_box_oracle,
     check_characterization,
     check_component_lemmas,
+    check_euler_hilbert,
     check_gcd_free_characterization,
     check_gcd_support_homology,
     check_theta_squared,
@@ -243,12 +244,13 @@ def test_acceptance_5_minimal_resolution_case(announce):
 
 def test_acceptance_6_property_suites(suite, announce):
     suites = (
-        ("a", lambda: check_gcd_support_homology(suite)),
+        ("a", lambda: check_gcd_support_homology(suite, random.Random(201))),
         ("b", lambda: check_theta_squared(suite, random.Random(201))),
         ("c", lambda: check_gcd_free_characterization(suite)),
         ("d", lambda: check_component_lemmas(suite)),
         ("e", lambda: check_characterization(suite, random.Random(205))),
         ("f", lambda: check_box_oracle(random.Random(206))),
+        ("g", lambda: check_euler_hilbert(suite, random.Random(201))),
     )
     results = []
     failures = []

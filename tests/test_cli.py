@@ -257,8 +257,7 @@ def test_cli_bad_kind_or_mode_before_any_scan(capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned before checking --kind and --mode")
 
-    monkeypatch.setattr(cli, "enumerate_scarf_poset", no_scan)
-    monkeypatch.setattr(cli, "betti_scan", no_scan)
+    monkeypatch.setattr(cli, "scan_degree_classes", no_scan)
     for extra in (
         ["--kind", "bogus"],
         ["--kind", "strong", "--mode", "bogus"],
@@ -314,6 +313,35 @@ def test_cli_verify_fixtures(capsys):
         rep = json.loads(out)
         assert rep["result"]["ok"] is True
         assert all(c["ok"] for c in rep["result"]["checks"])
+
+
+def test_one_scan_per_command(capsys, monkeypatch):
+    """verify and complex --kind strong read everything from one atlas."""
+    import sys
+
+    from latticescarf.homology import scan_degree_classes
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan_degree_classes(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latticescarf") and "scan_degree_classes" in vars(module):
+            monkeypatch.setattr(module, "scan_degree_classes", counted)
+    strong = ["complex", "--fixture", "ex63", "--bound", "40", "--kind", "strong"]
+    for argv in (
+        ["verify", "--fixture", "ex61"],
+        ["verify", "--fixture", "ex63"],
+        ["verify", "--fixture", "ex64"],
+        strong + ["--mode", "strict"],
+        strong + ["--mode", "paper"],
+    ):
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, out
+        assert len(calls) == 1, (argv, len(calls))
 
 
 def test_cli_verify_unknown_fixture(capsys):
@@ -471,6 +499,20 @@ def test_export_dot_bad_kind(ex63):
     fib = enumerate_fiber(ex63.lattice, (1, 1, 0, 1, 0))
     with pytest.raises(ParseError):
         export_dot(fib, ex63.spec.variables, kind="mesh")
+
+
+def test_cli_export_dot_bad_kind_before_enumerating(capsys, monkeypatch):
+    import latticescarf.cli as cli
+
+    def no_fiber(*args, **kwargs):
+        raise AssertionError("enumerated a fiber before checking --kind")
+
+    monkeypatch.setattr(cli, "enumerate_fiber", no_fiber)
+    code, out, err = run_cli(
+        capsys, "export-dot", "--fixture", "ex64", "--degree", "1200", "--kind", "bogus"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --kind") and "Traceback" not in err
 
 
 def test_cli_determinism(capsys):

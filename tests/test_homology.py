@@ -229,14 +229,18 @@ def test_scan_degree_classes_oracle(ex61):
     import itertools
 
     L = ex61.lattice
-    A = ex61.spec.semigroup
     got = scan_degree_classes(L, 20, ex61.functional)
+    assert len(got) == len(got.classes) == len(got.cones)
     # sigma values are the functional applied to the representative
-    for b, s, fib in got:
+    for b, s in got.classes:
         assert s == sum(w * x for w, x in zip(ex61.functional, b.representative))
+    assert [t[:2] for t in got.fibers] == [
+        (b, s) for (b, s), cone in zip(got.classes, got.cones) if not cone
+    ]
+    for b, _s, fib in got.fibers:
         assert fib.degree is b and b.representative in fib
-    assert [s for _b, s, _f in got] == sorted(s for _b, s, _f in got)
-    keys = {b.key for b, _s, _f in got}
+    assert [s for _b, s in got.classes] == sorted(s for _b, s in got.classes)
+    keys = {b.key for b, _s in got.classes}
     brute = set()
     for u in itertools.product(range(6), repeat=4):
         if sum(w * x for w, x in zip(ex61.functional, u)) <= 20:
@@ -260,7 +264,7 @@ def test_scan_degree_classes_negative_bound(ex63):
             scan_degree_classes(L, bound, w)
         with pytest.raises(ValueError):
             betti_scan(L, bound, functional=w)
-    ((b, s, fib),) = scan_degree_classes(L, 0, w)
+    ((b, s, fib),) = scan_degree_classes(L, 0, w).fibers
     assert s == 0 and fib.members == ((0, 0, 0, 0, 0),)
 
 

@@ -161,7 +161,7 @@ def test_class_leq_different_lattices():
 
 def test_class_leq_is_partial_order(ex61):
     L = ex61.lattice
-    classes = [b for b, _s, _f in scan_degree_classes(L, 20, ex61.functional)]
+    classes = [b for b, _s in scan_degree_classes(L, 20, ex61.functional).classes]
     T = betti_scan(L, 20, functional=ex61.functional)
     leq = {}
     for x in classes:

@@ -6,6 +6,7 @@ from helpers import (
     check_box_oracle,
     check_characterization,
     check_component_lemmas,
+    check_euler_hilbert,
     check_gcd_free_characterization,
     check_gcd_support_homology,
     check_indispensable_generation,
@@ -14,7 +15,7 @@ from helpers import (
 
 
 def test_gcd_vs_support_homology(suite):
-    check_gcd_support_homology(suite)
+    check_gcd_support_homology(suite, random.Random(101))
 
 
 def test_theta_squared_everywhere(suite):
@@ -39,3 +40,7 @@ def test_fiber_box_oracle():
 
 def test_indispensable_generation_theorem():
     check_indispensable_generation(random.Random(107))
+
+
+def test_euler_hilbert_identity(suite):
+    check_euler_hilbert(suite, random.Random(101))

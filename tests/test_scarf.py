@@ -9,7 +9,8 @@ import pytest
 import latticescarf
 
 from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of
-from latticescarf.homology import connected_components, gcd_complex, scan_degree_classes
+from helpers import full_fibers
+from latticescarf.homology import connected_components, gcd_complex
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
     BasicComponent,
@@ -139,7 +140,7 @@ def test_basic_components_degenerate(ex63):
 def test_whole_marks_entire_fibers(ex63):
     L = ex63.lattice
     marked = 0
-    for _b, _s, fib in scan_degree_classes(L, 40, ex63.functional):
+    for _b, _s, fib in full_fibers(L, 40, ex63.functional):
         for c in basic_components(L, fib):
             assert c.whole == (c.monomials == fib.members)
             marked += c.whole
@@ -181,7 +182,7 @@ def test_is_basic_fiber(ex63):
 def test_three_element_basic_fibers_ex64(ex64):
     L = ex64.lattice
     found = set()
-    for b, _s, fib in scan_degree_classes(L, ex64.bound, ex64.functional):
+    for b, _s, fib in full_fibers(L, ex64.bound, ex64.functional):
         if len(fib) == 3 and is_basic_fiber(L, fib):
             found.add(ex64.semigroup_degree(b))
     assert found == {(169,), (196,)}
