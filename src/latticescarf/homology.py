@@ -1,25 +1,25 @@
-"""Simplicial complexes attached to fibers, and Betti number scans.
+"""Homology of fibers from their support masks, and Betti number scans.
 
-Two complexes are built from a fiber: the gcd complex (vertices = fiber
-monomials, faces = subsets with a nontrivial common divisor) and the
-support complex (vertices = variables, faces = subsets of monomial
-supports).  The gcd complex is covered by the full simplices
-V_i = {m : x_i divides m}, and the support complex is the nerve of that
-cover, so the two have the same reduced homology (property suite (a)
-checks this on every fixture degree).  Homology is computed on the nerve
-of a complex's facets whenever that has fewer vertices, so a gcd complex
-costs at most 2^n faces however large its fiber.  The connected
-components of a gcd complex need no complex at all: gcd_components
-merges the variables of each monomial's support.
+beta_{i,b} is the reduced homology of the complex on the variables whose
+faces are the subsets of the fiber's monomial supports (Miller-Sturmfels'
+squarefree divisor complex, Combinatorial Commutative Algebra, ch. 9).
+reduced_homology_dims reads that complex from the support masks
+(fibers.support_mask) alone, with faces as vertex bitmasks.  The complex
+is the nerve of the cover of the gcd complex (vertices = fiber
+monomials, faces = subsets with a nontrivial common divisor) by the full
+simplices V_i = {m : x_i divides m}, so the two have the same reduced
+homology; the gcd complex itself survives only as a test oracle.  The
+connected components of a gcd complex need no complex at all:
+gcd_components merges the variables of each monomial's support.
 
-When the monomials of a fiber share a variable x_k, V_k is the whole
-fiber: the gcd complex is a cone, and so is the support complex (Miller-
-Sturmfels' squarefree divisor complex), so beta_{i,b} = 0 for every i.  A
+When the monomials of a fiber share a variable x_k, every support
+contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  A
 degree scan's Atlas carries fibers only for the other classes.
 
 Multigraded Betti numbers follow the convention
 
-    beta_{i,b} = dim H~_{i-1}(gcd complex of the fiber of b),   i >= 1.
+    beta_{i,b} = dim H~_{i-1}(complex of the supports of the fiber of b),
+    i >= 1.
 """
 
 from .fibers import Fiber, fiber_of, support_mask
@@ -27,184 +27,81 @@ from .lattice_core import class_of, positive_functional
 from .linalg import is_prime, rank_mod_p, rank_rational
 
 
-def _maximal_sets(sets):
-    """Distinct sets none of which is contained in another."""
-    uniq = sorted(set(sets), key=lambda s: (-len(s), sorted(s)))
+def _maximal_masks(masks):
+    """The distinct nonzero masks not contained in another."""
     out = []
-    for s in uniq:
-        if not any(s < t for t in out):
+    for s in sorted(set(masks), key=lambda s: (-s.bit_count(), s)):
+        if s and all(s & t != s for t in out):
             out.append(s)
     return out
 
 
-class SimplicialComplex:
-    """An abstract simplicial complex given by vertex labels and facets.
-
-    Facets are sets of indices into vertex_labels.  The faces are exactly
-    the downward closure of the facets; a label occurring in no facet
-    carries no 0-face (the complex on an empty facet list is {empty set}).
-    """
-
-    def __init__(self, vertex_labels, facets):
-        self.vertex_labels = tuple(vertex_labels)
-        fs = [frozenset(f) for f in facets if f]
-        for f in fs:
-            for v in f:
-                if not 0 <= v < len(self.vertex_labels):
-                    raise ValueError("facet vertex %r out of range" % (v,))
-        fs = _maximal_sets(fs)
-        self.facets = tuple(sorted(fs, key=lambda s: sorted(s)))
-
-    def vertices(self):
-        """Indices of the vertices that are actual 0-faces."""
-        seen = set()
-        for f in self.facets:
-            seen |= f
-        return sorted(seen)
-
-    def faces(self):
-        """Downward closure, as {dim: sorted list of index tuples}.
-
-        Materializes every face on each call; reduced_homology_dims calls
-        it once, on the facet nerve when that is smaller.
-        """
-        allf = set()
-        for f in self.facets:
-            _close(tuple(sorted(f)), allf)
-        byd = {}
-        for f in allf:
-            byd.setdefault(len(f) - 1, []).append(f)
-        return {d: sorted(v) for d, v in sorted(byd.items())}
-
-    def f_vector(self):
-        fs = self.faces()
-        return tuple(len(fs.get(d, ())) for d in range(0, max(fs, default=-1) + 1))
-
-    def __repr__(self):
-        return "SimplicialComplex(%d vertices, %d facets)" % (
-            len(self.vertex_labels),
-            len(self.facets),
-        )
-
-
-def _close(face, acc):
-    if face in acc:
-        return
-    stack = [face]
-    while stack:
-        f = stack.pop()
-        if f in acc:
-            continue
-        acc.add(f)
-        if len(f) > 1:
-            for t in range(len(f)):
-                g = f[:t] + f[t + 1 :]
-                if g not in acc:
-                    stack.append(g)
-
-
-def connected_components(K):
-    """Partition of the 0-faces by 1-skeleton connectivity.
-
-    Returns a tuple of components, each a tuple of vertex labels in index
-    order; components are ordered by their smallest vertex index.
-    """
-    verts = K.vertices()
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in K.facets:
-        it = iter(sorted(f))
-        try:
-            a = find(next(it))
-        except StopIteration:
-            continue
-        for v in it:
-            b = find(v)
-            if b != a:
-                parent[b] = a
-    groups = {}
-    for v in verts:
-        groups.setdefault(find(v), []).append(v)
-    comps = sorted(groups.values(), key=lambda g: g[0])
-    return tuple(tuple(K.vertex_labels[v] for v in sorted(g)) for g in comps)
-
-
-def _boundary_rank(lower, upper, field):
-    """Rank of the boundary map from span(upper) to span(lower)."""
-    if not upper or not lower:
-        return 0
-    index = {f: i for i, f in enumerate(lower)}
-    rows = []
-    for f in upper:
-        row = [0] * len(lower)
-        for t in range(len(f)):
-            g = f[:t] + f[t + 1 :]
-            row[index[g]] = 1 if t % 2 == 0 else -1
-        rows.append(row)
-    if field in ("q", "Q"):
-        return rank_rational(rows)
-    return rank_mod_p(rows, field)
-
-
-def reduced_homology_dims(K, field="q"):
-    """Reduced homology dimensions {j: dim} for j = -1 up to the dimension
-    of the complex whose faces are built (K, or the nerve below).
+def reduced_homology_dims(facets, field="q"):
+    """Reduced homology dimensions {j: dim}, from j = -1 up to the
+    dimension of the complex whose faces are built, of the complex
+    generated by facets, an iterable of int vertex bitmasks (vertex v is
+    bit v).
 
     Uses the augmented chain complex, so the empty complex {emptyset}
-    reports {-1: 1} and any nonempty complex reports {-1: 0, ...}.
-    field is "q" for the rationals or an int prime p for GF(p).
+    (no nonzero mask) reports {-1: 1} and any nonempty complex reports
+    {-1: 0, ...}.  field is "q" for the rationals or an int prime p for
+    GF(p).
 
-    When K has fewer facets than vertices the faces are those of the nerve
-    of its facets instead: one vertex per facet, and for each vertex v of
-    K the face {facets containing v}.  Nonempty intersections of facets
-    are simplices, so the nerve has the same reduced homology (nerve
-    lemma).
+    When there are fewer maximal facets than vertices the faces are those
+    of the nerve of the facets instead: vertex k for facet F_k, and for
+    each vertex v the face {k : v in F_k}.  Nonempty intersections of
+    facets are simplices, so the nerve has the same reduced homology
+    (nerve lemma).
     """
     if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
         raise ValueError("field must be 'q' or a prime integer")
-    verts = K.vertices()
-    if len(K.facets) < len(verts):
-        K = SimplicialComplex(
-            K.facets,
-            [[i for i, f in enumerate(K.facets) if v in f] for v in verts],
+    facets = _maximal_masks(facets)
+    verts = 0
+    for f in facets:
+        verts |= f
+    if len(facets) < verts.bit_count():
+        facets = _maximal_masks(
+            sum(1 << k for k, f in enumerate(facets) if f >> v & 1)
+            for v in range(verts.bit_length())
+            if verts >> v & 1
         )
-    fs = K.faces()
-    if not fs:
+    faces = set()
+    for f in facets:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+    if not faces:
         return {-1: 1}
+    fs = {}
+    for s in sorted(faces):
+        fs.setdefault(s.bit_count() - 1, []).append(s)
     maxd = max(fs)
-    counts = {d: len(fs[d]) for d in fs}
     ranks = {0: 1}  # augmentation C_0 -> C_{-1}
     for d in range(1, maxd + 1):
-        ranks[d] = _boundary_rank(fs[d - 1], fs[d], field)
-    dims = {-1: 1 - ranks[0]}
+        index = {g: k for k, g in enumerate(fs[d - 1])}
+        rows = []
+        for f in fs[d]:
+            row = [0] * len(index)
+            sign, rest = 1, f
+            while rest:
+                low = rest & -rest
+                row[index[f ^ low]] = sign
+                sign, rest = -sign, rest ^ low
+            rows.append(row)
+        if field in ("q", "Q"):
+            ranks[d] = rank_rational(rows)
+        else:
+            ranks[d] = rank_mod_p(rows, field)
+    dims = {-1: 0}
     for d in range(0, maxd + 1):
-        dims[d] = counts.get(d, 0) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        dims[d] = len(fs[d]) - ranks[d] - ranks.get(d + 1, 0)
     return dims
 
 
-def gcd_complex(F):
-    """The complex on the fiber's monomials whose faces are the subsets
-    with gcd != 1.  Facets are the maximal sets V_i = {m : m_i > 0}."""
-    ms = F.members
-    if not ms:
-        return SimplicialComplex((), ())
-    n = len(ms[0])
-    vs = []
-    for i in range(n):
-        vi = frozenset(k for k, m in enumerate(ms) if m[i] > 0)
-        if vi:
-            vs.append(vi)
-    return SimplicialComplex(ms, vs)
-
-
 def gcd_components(F):
-    """connected_components(gcd_complex(F)), without building the complex.
+    """The connected components of the gcd complex of F: tuples of
+    monomials in fiber order, ordered by their first monomial.
 
     Two monomials are joined when their supports meet, so the components
     follow from a union-find over the variables that merges the variables
@@ -232,25 +129,13 @@ def gcd_components(F):
     return tuple(tuple(g) for g in groups.values())
 
 
-def support_complex(F):
-    """The complex on the variable indices whose faces are the subsets of
-    the monomial supports supp(m), m in the fiber."""
-    ms = F.members
-    if not ms:
-        return SimplicialComplex((), ())
-    n = len(ms[0])
-    sups = [frozenset(i for i in range(n) if m[i] > 0) for m in ms]
-    return SimplicialComplex(tuple(range(n)), [s for s in sups if s])
-
-
 def betti_at(L, i, b, field="q"):
-    """beta_{i,b} = dim H~_{i-1} of the gcd complex of the fiber of b."""
+    """beta_{i,b} = dim H~_{i-1} of the complex of the supports of the
+    fiber of b."""
     if i < 1:
         raise ValueError("betti_at is defined for homological degree i >= 1")
     fib = fiber_of(L, b)
-    if len(fib) <= 1:
-        return 0
-    dims = reduced_homology_dims(gcd_complex(fib), field)
+    dims = reduced_homology_dims({support_mask(m) for m in fib.members}, field)
     return dims.get(i - 1, 0)
 
 
@@ -398,7 +283,7 @@ def _betti_table(atlas, field="q"):
     """betti_scan over the fibers an Atlas carries."""
     entries = {}
     for b, _s, fib in atlas.fibers:
-        dims = reduced_homology_dims(gcd_complex(fib), field)
+        dims = reduced_homology_dims({support_mask(m) for m in fib.members}, field)
         for j, dim in dims.items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim

@@ -1,4 +1,4 @@
-"""Shared property-suite routines.
+"""Shared property-suite routines and test-only oracles.
 
 Each check_* function raises AssertionError with a pointed message on the
 first violation and returns a short human-readable summary on success.
@@ -17,18 +17,18 @@ from latticescarf.fibers import (
     support_mask,
 )
 from latticescarf.homology import (
+    _betti_table,
     betti_scan,
-    connected_components,
-    gcd_complex,
     gcd_components,
     reduced_homology_dims,
     scan_degree_classes,
-    support_complex,
 )
 from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
+from latticescarf.linalg import is_prime, rank_mod_p, rank_rational
 from latticescarf.scarf import (
     LatticeSubset,
     _in_generalized_scarf,
+    _one_betti_classes,
     algebraic_scarf_subcomplex,
     basic_components,
     build_generalized_scarf_complex,
@@ -39,6 +39,199 @@ from latticescarf.scarf import (
     strongly_algebraic_subcomplex,
     verify_zero_composition,
 )
+
+
+# ---------------------------------------------------------------------------
+# Face-tuple oracle: simplicial complexes with explicit faces, the gcd and
+# support complexes of a fiber, and their homology.  The package computes
+# homology from support bitmasks instead (homology.reduced_homology_dims).
+
+
+def _maximal_sets(sets):
+    """Distinct sets none of which is contained in another."""
+    uniq = sorted(set(sets), key=lambda s: (-len(s), sorted(s)))
+    out = []
+    for s in uniq:
+        if not any(s < t for t in out):
+            out.append(s)
+    return out
+
+
+class SimplicialComplex:
+    """An abstract simplicial complex given by vertex labels and facets.
+
+    Facets are sets of indices into vertex_labels.  The faces are exactly
+    the downward closure of the facets; a label occurring in no facet
+    carries no 0-face (the complex on an empty facet list is {empty set}).
+    """
+
+    def __init__(self, vertex_labels, facets):
+        self.vertex_labels = tuple(vertex_labels)
+        fs = [frozenset(f) for f in facets if f]
+        for f in fs:
+            for v in f:
+                if not 0 <= v < len(self.vertex_labels):
+                    raise ValueError("facet vertex %r out of range" % (v,))
+        fs = _maximal_sets(fs)
+        self.facets = tuple(sorted(fs, key=lambda s: sorted(s)))
+
+    def vertices(self):
+        """Indices of the vertices that are actual 0-faces."""
+        seen = set()
+        for f in self.facets:
+            seen |= f
+        return sorted(seen)
+
+    def faces(self):
+        """Downward closure, as {dim: sorted list of index tuples}.
+
+        Materializes every face on each call; complex_homology_dims calls
+        it once, on the facet nerve when that is smaller.
+        """
+        allf = set()
+        for f in self.facets:
+            _close(tuple(sorted(f)), allf)
+        byd = {}
+        for f in allf:
+            byd.setdefault(len(f) - 1, []).append(f)
+        return {d: sorted(v) for d, v in sorted(byd.items())}
+
+    def f_vector(self):
+        fs = self.faces()
+        return tuple(len(fs.get(d, ())) for d in range(0, max(fs, default=-1) + 1))
+
+    def __repr__(self):
+        return "SimplicialComplex(%d vertices, %d facets)" % (
+            len(self.vertex_labels),
+            len(self.facets),
+        )
+
+
+def _close(face, acc):
+    if face in acc:
+        return
+    stack = [face]
+    while stack:
+        f = stack.pop()
+        if f in acc:
+            continue
+        acc.add(f)
+        if len(f) > 1:
+            for t in range(len(f)):
+                g = f[:t] + f[t + 1 :]
+                if g not in acc:
+                    stack.append(g)
+
+
+def connected_components(K):
+    """Partition of the 0-faces by 1-skeleton connectivity.
+
+    Returns a tuple of components, each a tuple of vertex labels in index
+    order; components are ordered by their smallest vertex index.
+    """
+    verts = K.vertices()
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for f in K.facets:
+        it = iter(sorted(f))
+        try:
+            a = find(next(it))
+        except StopIteration:
+            continue
+        for v in it:
+            b = find(v)
+            if b != a:
+                parent[b] = a
+    groups = {}
+    for v in verts:
+        groups.setdefault(find(v), []).append(v)
+    comps = sorted(groups.values(), key=lambda g: g[0])
+    return tuple(tuple(K.vertex_labels[v] for v in sorted(g)) for g in comps)
+
+
+def _boundary_rank(lower, upper, field):
+    """Rank of the boundary map from span(upper) to span(lower)."""
+    if not upper or not lower:
+        return 0
+    index = {f: i for i, f in enumerate(lower)}
+    rows = []
+    for f in upper:
+        row = [0] * len(lower)
+        for t in range(len(f)):
+            g = f[:t] + f[t + 1 :]
+            row[index[g]] = 1 if t % 2 == 0 else -1
+        rows.append(row)
+    if field in ("q", "Q"):
+        return rank_rational(rows)
+    return rank_mod_p(rows, field)
+
+
+def complex_homology_dims(K, field="q"):
+    """Reduced homology dimensions {j: dim} for j = -1 up to the dimension
+    of the complex whose faces are built (K, or the nerve below).
+
+    Uses the augmented chain complex, so the empty complex {emptyset}
+    reports {-1: 1} and any nonempty complex reports {-1: 0, ...}.
+    field is "q" for the rationals or an int prime p for GF(p).
+
+    When K has fewer facets than vertices the faces are those of the nerve
+    of its facets instead: one vertex per facet, and for each vertex v of
+    K the face {facets containing v}.  Nonempty intersections of facets
+    are simplices, so the nerve has the same reduced homology (nerve
+    lemma).
+    """
+    if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
+        raise ValueError("field must be 'q' or a prime integer")
+    verts = K.vertices()
+    if len(K.facets) < len(verts):
+        K = SimplicialComplex(
+            K.facets,
+            [[i for i, f in enumerate(K.facets) if v in f] for v in verts],
+        )
+    fs = K.faces()
+    if not fs:
+        return {-1: 1}
+    maxd = max(fs)
+    counts = {d: len(fs[d]) for d in fs}
+    ranks = {0: 1}  # augmentation C_0 -> C_{-1}
+    for d in range(1, maxd + 1):
+        ranks[d] = _boundary_rank(fs[d - 1], fs[d], field)
+    dims = {-1: 1 - ranks[0]}
+    for d in range(0, maxd + 1):
+        dims[d] = counts.get(d, 0) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    return dims
+
+
+def gcd_complex(F):
+    """The complex on the fiber's monomials whose faces are the subsets
+    with gcd != 1.  Facets are the maximal sets V_i = {m : m_i > 0}."""
+    ms = F.members
+    if not ms:
+        return SimplicialComplex((), ())
+    n = len(ms[0])
+    vs = []
+    for i in range(n):
+        vi = frozenset(k for k, m in enumerate(ms) if m[i] > 0)
+        if vi:
+            vs.append(vi)
+    return SimplicialComplex(ms, vs)
+
+
+def support_complex(F):
+    """The complex on the variable indices whose faces are the subsets of
+    the monomial supports supp(m), m in the fiber."""
+    ms = F.members
+    if not ms:
+        return SimplicialComplex((), ())
+    n = len(ms[0])
+    sups = [frozenset(i for i in range(n) if m[i] > 0) for m in ms]
+    return SimplicialComplex(tuple(range(n)), [s for s in sups if s])
 
 
 def random_pointed_lattice(rng, r, n, lo=-3, hi=3):
@@ -116,7 +309,7 @@ def euler_characteristic_checks(K, field="q"):
     chi_f = -1 + sum(
         (-1) ** d * len(faces) for d, faces in fs.items() if d >= 0
     )
-    dims = reduced_homology_dims(K, field)
+    dims = complex_homology_dims(K, field)
     chi_h = sum((-1) ** j * v for j, v in dims.items())
     return chi_f, chi_h
 
@@ -191,10 +384,12 @@ def complexes_equal(X, Y):
 
 
 # ---------------------------------------------------------------------------
-# (a) gcd complex and support complex have the same homology, and the
-# degree scan's atlas agrees with full fibers built independently: same
-# classes and values, each cone mask the AND of its fiber's support masks,
-# and a fiber carried exactly for mask 0, equal to the Fourier-Motzkin one.
+# (a) the gcd complex, the support complex and the package's support masks
+# have the same homology; beta_1 from the masks is the number of gcd
+# components less one; and the degree scan's atlas agrees with full fibers
+# built independently: same classes and values, each cone mask the AND of
+# its fiber's support masks, and a fiber carried exactly for mask 0, equal
+# to the Fourier-Motzkin one.
 
 
 def check_gcd_support_homology(suite, rng, random_count=10):
@@ -220,16 +415,27 @@ def check_gcd_support_homology(suite, rng, random_count=10):
                     "carried fiber differs on %s at %r" % (where, b.representative)
                 )
                 carried += 1
-            d1 = reduced_homology_dims(gcd_complex(fib))
-            d2 = reduced_homology_dims(support_complex(fib))
-            top = max(max(d1), max(d2))
-            for j in range(-1, top + 1):
-                assert d1.get(j, 0) == d2.get(j, 0), (
-                    "homology mismatch at %s degree %r index %d: gcd %r vs support %r"
-                    % (where, b.representative, j, d1, d2)
-                )
+            dims = [
+                complex_homology_dims(gcd_complex(fib)),
+                complex_homology_dims(support_complex(fib)),
+                reduced_homology_dims({support_mask(m) for m in fib}),
+            ]
+            nonzero = [{j: d for j, d in ds.items() if d} for ds in dims]
+            assert nonzero[0] == nonzero[1] == nonzero[2], (
+                "homology mismatch at %s degree %r: gcd %r, support %r, masks %r"
+                % ((where, b.representative) + tuple(dims))
+            )
             checked += 1
         assert not fibers, "a cone class carries a fiber on %s" % where
+        # beta_1 twice: components - 1 by union-find, and H~_0 of the masks
+        _found, components = _one_betti_classes(atlas)
+        want = {b.key: v for (_i, b), v in components.entries.items()}
+        for field in ("q", 32003):
+            T = _betti_table(atlas, field)
+            got = {b.key: v for (i, b), v in T.entries.items() if i == 1}
+            assert got == want, "beta_1 over %r differs from the components on %s" % (
+                field, where
+            )
     return "%d degrees, %d fibers carried" % (checked, carried)
 
 
@@ -359,7 +565,7 @@ def check_component_lemmas(suite):
             # homology, concentrated at index s-2 of its induced gcd complex
             s = len(ms)
             if s >= 2:
-                dims = reduced_homology_dims(gcd_complex(Fiber(c.degree, ms)))
+                dims = complex_homology_dims(gcd_complex(Fiber(c.degree, ms)))
                 for j, d in dims.items():
                     want = 1 if j == s - 2 else 0
                     assert d == want, (
@@ -415,8 +621,6 @@ def _subset_family(rng, ms, comps, cap):
 
 
 def check_characterization(suite, rng, cap=12):
-    from latticescarf.homology import connected_components
-
     checked = 0
     for data in suite.values():
         L = data.lattice

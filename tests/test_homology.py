@@ -2,19 +2,24 @@ import random
 
 import pytest
 
-from helpers import catalog_fibers, check_gcd_components, euler_characteristic_checks
-from latticescarf.fibers import enumerate_fiber
-from latticescarf.homology import (
+from helpers import (
     SimplicialComplex,
+    catalog_fibers,
+    check_gcd_components,
+    complex_homology_dims,
+    connected_components,
+    euler_characteristic_checks,
+    gcd_complex,
+    support_complex,
+)
+from latticescarf.fibers import enumerate_fiber, support_mask
+from latticescarf.homology import (
     betti_at,
     betti_scan,
-    connected_components,
-    gcd_complex,
     gcd_components,
     minimal_betti_degrees,
     reduced_homology_dims,
     scan_degree_classes,
-    support_complex,
 )
 from latticescarf.lattice_core import LatticeBasis, class_of
 
@@ -36,6 +41,17 @@ RP2_FACETS = [
 ]
 
 
+def both_homologies(facets, field="q"):
+    """Reduced homology of the complex generated by facets (vertex tuples),
+    by the package's mask routine and by the face-tuple oracle, which must
+    agree key for key."""
+    n = 1 + max((v for f in facets for v in f), default=-1)
+    dims = complex_homology_dims(SimplicialComplex(range(n), facets), field)
+    masks = [sum(1 << v for v in f) for f in facets]
+    assert reduced_homology_dims(masks, field) == dims
+    return dims
+
+
 def test_facet_domination():
     K = SimplicialComplex(("x", "y"), [(0, 1), (0,)])
     assert K.facets == (frozenset({0, 1}),)
@@ -45,7 +61,7 @@ def test_facet_domination():
 def test_empty_facets_are_stripped():
     K = SimplicialComplex(("x",), [()])
     assert K.facets == ()
-    assert reduced_homology_dims(K) == {-1: 1}
+    assert complex_homology_dims(K) == {-1: 1}
 
 
 def test_facet_vertex_out_of_range():
@@ -84,7 +100,8 @@ def test_gcd_complex_single_monomial(ex63):
     assert fib.members == ((1, 0, 0, 0, 0),)
     K = gcd_complex(fib)
     assert K.facets == (frozenset({0}),)
-    assert reduced_homology_dims(K) == {-1: 0, 0: 0}
+    assert complex_homology_dims(K) == {-1: 0, 0: 0}
+    assert reduced_homology_dims({support_mask(m) for m in fib}) == {-1: 0, 0: 0}
 
 
 def test_gcd_complex_182(ex64):
@@ -107,7 +124,8 @@ def test_support_complex_unit_fiber(ex63):
     fib = enumerate_fiber(ex63.lattice, (0, 0, 0, 0, 0))
     K = support_complex(fib)
     assert K.facets == ()
-    assert reduced_homology_dims(K) == {-1: 1}
+    assert complex_homology_dims(K) == {-1: 1}
+    assert reduced_homology_dims({support_mask(m) for m in fib}) == {-1: 1}
 
 
 def test_support_complex_10_8(ex63):
@@ -142,28 +160,29 @@ def test_gcd_components_equal_complex_components(suite):
 
 
 def test_reduced_homology_small_cases():
-    two_edges = SimplicialComplex(tuple("abcd"), [(0, 1), (2, 3)])
-    assert reduced_homology_dims(two_edges)[0] == 1
-    hollow = SimplicialComplex(tuple("abc"), [(0, 1), (0, 2), (1, 2)])
-    dims = reduced_homology_dims(hollow)
+    assert both_homologies([(0, 1), (2, 3)])[0] == 1
+    dims = both_homologies([(0, 1), (0, 2), (1, 2)])
     assert dims[1] == 1 and dims[0] == 0
-    solid_plus_point = SimplicialComplex(tuple("abcd"), [(0, 1, 2), (3,)])
-    dims = reduced_homology_dims(solid_plus_point)
+    dims = both_homologies([(0, 1, 2), (3,)])
     assert dims[0] == 1
     assert all(v == 0 for j, v in dims.items() if j != 0)
-    # 6 vertices, 3 facets: homology goes through the nerve, a hollow triangle
-    ring = SimplicialComplex(tuple(range(6)), [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
-    dims = reduced_homology_dims(ring)
-    assert dims[1] == 1
-    assert all(v == 0 for j, v in dims.items() if j != 1)
+    # 6 vertices, 3 facets: homology goes through the nerve, a hollow
+    # triangle, so no index reaches the ring's own dimension 2
+    dims = both_homologies([(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    assert dims == {-1: 0, 0: 0, 1: 1}
+    # no facet, or only empty ones: the complex {emptyset}
+    assert both_homologies([]) == both_homologies([()]) == {-1: 1}
+    assert reduced_homology_dims([0, 0]) == {-1: 1}
 
 
 def test_homology_field_dependence_rp2():
     K = SimplicialComplex(tuple(range(6)), RP2_FACETS)
     assert K.f_vector() == (6, 15, 10)
-    over_q = reduced_homology_dims(K, "q")
+    # 10 facets on 6 vertices: no nerve, whose faces would reach dimension 4
+    over_q = both_homologies(RP2_FACETS, "q")
+    assert max(over_q) == 2
     assert all(v == 0 for v in over_q.values())
-    over_2 = reduced_homology_dims(K, 2)
+    over_2 = both_homologies(RP2_FACETS, 2)
     assert over_2[1] == 1 and over_2[2] == 1
 
 
@@ -171,9 +190,13 @@ def test_field_validation():
     K = SimplicialComplex(("x",), [(0,)])
     for bad in ("x", 1, 0, -7, 4, 32001, True):
         with pytest.raises(ValueError):
-            reduced_homology_dims(K, bad)
-    reduced_homology_dims(K, "Q")
-    reduced_homology_dims(K, 32003)
+            complex_homology_dims(K, bad)
+        # validated before any face is built, even with no face to build
+        for masks in ([1], [0], []):
+            with pytest.raises(ValueError):
+                reduced_homology_dims(masks, bad)
+    for good in ("q", "Q", 2, 32003):
+        assert both_homologies([(0,)], good) == {-1: 0, 0: 0}
 
 
 def test_betti_scan_composite_field(ex63):
@@ -187,6 +210,11 @@ def test_betti_at(ex63, ex64):
     assert betti_at(ex64.lattice, 2, (2, 2, 0, 0, 0, 0)) == 2
     with pytest.raises(ValueError):
         betti_at(ex63.lattice, 0, ABD)
+    # an invalid field fails on fibers of at most one monomial too
+    with pytest.raises(ValueError):
+        betti_at(ex63.lattice, 1, (1, 0, 0, 0, 0), field=4)
+    with pytest.raises(ValueError):
+        betti_at(ex63.lattice, 1, (0, 0, 0, 0, 0), field="bogus")
 
 
 def test_betti_scan_ex63(ex63):
@@ -287,10 +315,11 @@ def test_rational_vs_finite_field_scans(ex61, ex63):
 
 def test_rational_vs_finite_field_ex64_catalog(ex64):
     for fib in catalog_fibers(ex64):
-        K = gcd_complex(fib)
-        assert reduced_homology_dims(K, "q") == reduced_homology_dims(K, 32003)
-    big = gcd_complex(enumerate_fiber(ex64.lattice, (2, 2, 0, 0, 0, 0)))
-    assert reduced_homology_dims(big, "q") == reduced_homology_dims(big, 32003)
+        masks = {support_mask(m) for m in fib}
+        assert reduced_homology_dims(masks, "q") == reduced_homology_dims(masks, 32003)
+    big = enumerate_fiber(ex64.lattice, (2, 2, 0, 0, 0, 0))
+    masks = {support_mask(m) for m in big}
+    assert reduced_homology_dims(masks, "q") == reduced_homology_dims(masks, 32003)
 
 
 def test_betti_table_get_and_degrees(ex63):

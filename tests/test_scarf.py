@@ -9,8 +9,7 @@ import pytest
 import latticescarf
 
 from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of
-from helpers import full_fibers
-from latticescarf.homology import connected_components, gcd_complex
+from helpers import connected_components, full_fibers, gcd_complex
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
     BasicComponent,

@@ -18,3 +18,10 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_public_names_resolve_and_are_sorted():
+    names = latticescarf.__all__
+    assert names == sorted(names) and len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(latticescarf, name)]
+    assert missing == []
