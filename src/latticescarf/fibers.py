@@ -60,6 +60,8 @@ def enumerate_fiber(L, u0):
     """
     u0 = tuple(u0)
     n, r = L.n, L.r
+    if len(u0) != n:
+        raise ValueError("vector has wrong dimension")
     # u = u0 + z * B >= 0, coordinatewise, over z in Z^r
     rows = []
     for j in range(n):

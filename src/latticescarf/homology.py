@@ -23,7 +23,7 @@ Multigraded Betti numbers follow the convention
 """
 
 from .fibers import Fiber, fiber_of, support_mask
-from .lattice_core import class_of, positive_functional
+from .lattice_core import DegreeClass, class_of, positive_functional
 from .linalg import is_prime, rank_mod_p, rank_rational
 
 
@@ -165,6 +165,10 @@ def scan_degree_classes(L, bound, functional=None):
     The bound must be nonnegative (the zero class has value 0).  The
     functional must be strictly positive and orthogonal to L, so that it
     is constant on fibers; by default one is computed from the lattice.
+    The search steps b -> b + e_j from the zero class and reaches each
+    class first at a nonnegative representative.  Keys are not reduced
+    afresh: LatticeBasis.step_key turns the canonical key of b into that
+    of b + e_j, with Hermite reduction only on pivot steps.
     A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
     fiber of b - e_j, a class the scan reached one step earlier, so
     fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
@@ -184,20 +188,21 @@ def scan_degree_classes(L, bound, functional=None):
     seen = {start.key: (start, 0)}
     # key -> flat [key of b - e_j, j, ...] over the steps into the class
     steps = {start.key: []}
-    queue = [(zero, start.key, 0)]
+    queue = [(start, 0)]
     while queue:
-        rep, key, s = queue.pop()
+        b, s = queue.pop()
+        key, rep = b.key, b.representative
         for j in range(L.n):
             s2 = s + w[j]
             if s2 > bound:
                 continue
-            rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
-            b2 = class_of(L, rep2)
-            key2 = b2.key
+            key2 = L.step_key(key, j)
             if key2 not in seen:
+                rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
+                b2 = DegreeClass._with_key(L, rep2, key2)
                 seen[key2] = (b2, s2)
                 steps[key2] = []
-                queue.append((rep2, key2, s2))
+                queue.append((b2, s2))
             steps[key2] += (key, j)
     classes = sorted(seen.values(), key=lambda t: (t[1], t[0].key))
     cone = {}

@@ -99,6 +99,19 @@ class LatticeBasis:
             raise ValueError("vector has wrong dimension")
         return canonical_rep(v, self._hnf, self._pivots)
 
+    def step_key(self, key, j):
+        """canonical_key(key + e_j) for a canonical key, whose pivot
+        coordinates all lie in [0, pivot).  Only coordinate j moves: off
+        the pivot columns, or short of its pivot, the key stays canonical;
+        when it reaches its pivot the reduction starts at its pivot row,
+        since the rows above it reduce by 0."""
+        key = key[:j] + (key[j] + 1,) + key[j + 1 :]
+        if j in self._pivots:
+            k = self._pivots.index(j)
+            if key[j] == self._hnf[k][j]:
+                key = canonical_rep(key, self._hnf[k:], self._pivots[k:])
+        return key
+
     def __repr__(self):
         return "LatticeBasis(%r, n=%d)" % (self.rows, self.n)
 
@@ -148,6 +161,13 @@ class DegreeClass:
         self.representative = tuple(representative)
         self.key = lattice.canonical_key(self.representative)
 
+    @classmethod
+    def _with_key(cls, lattice, representative, key):
+        """The class of representative, whose canonical key is known."""
+        b = cls.__new__(cls)
+        b.lattice, b.representative, b.key = lattice, representative, key
+        return b
+
     def __eq__(self, other):
         if not isinstance(other, DegreeClass):
             return NotImplemented
@@ -177,7 +197,9 @@ def class_leq(d, b):
     nonnegative representative, i.e. the fiber of b - d is nonempty."""
     from .fibers import enumerate_fiber
 
-    if d.lattice is not b.lattice and d.lattice.rows != b.lattice.rows:
+    if d.lattice is not b.lattice and (
+        d.lattice.rows != b.lattice.rows or d.lattice.n != b.lattice.n
+    ):
         raise ValueError("classes live over different lattices")
     diff = tuple(x - y for x, y in zip(b.representative, d.representative))
     return len(enumerate_fiber(b.lattice, diff)) > 0

@@ -401,6 +401,15 @@ def check_gcd_support_homology(suite, rng, random_count=10):
         assert [(b.key, s) for b, s in atlas.classes] == [
             (b.key, s) for b, s, _fib in full
         ], "scanned classes differ from the full fibers on %s" % where
+        for b, s in atlas.classes:
+            rep = b.representative
+            assert L.canonical_key(rep) == b.key, (
+                "representative %r is not in class %r on %s" % (rep, b.key, where)
+            )
+            assert min(rep) >= 0 and sum(x * y for x, y in zip(w, rep)) == s, (
+                "representative %r is negative or not of value %r on %s"
+                % (rep, s, where)
+            )
         fibers = {b.key: fib for b, _s, fib in atlas.fibers}
         for (b, _s, fib), cone in zip(full, atlas.cones):
             mask = -1

@@ -72,6 +72,12 @@ def test_empty_fiber(ex63):
     assert fib.members == ()
 
 
+def test_fiber_vector_of_wrong_dimension(ex61):
+    for u0 in ((1, 1, 1), (1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            enumerate_fiber(ex61.lattice, u0)
+
+
 def test_zero_lattice_fibers():
     L = LatticeBasis([], n=3)
     fib = enumerate_fiber(L, (2, 0, 1))

@@ -276,6 +276,29 @@ def test_scan_degree_classes_oracle(ex61):
     assert keys == brute
 
 
+def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
+    """The scan steps each canonical key to the next: only the zero class
+    goes through class_of and canonical_key."""
+    from latticescarf import homology, lattice_core
+
+    calls = {"canonical_key": 0, "class_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    key = counted("canonical_key", LatticeBasis.canonical_key)
+    monkeypatch.setattr(LatticeBasis, "canonical_key", key)
+    for module in (homology, lattice_core):
+        monkeypatch.setattr(module, "class_of", counted("class_of", class_of))
+    atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
+    assert len(atlas) == 469
+    assert calls["canonical_key"] <= 1 and calls["class_of"] <= 1, calls
+
+
 def test_scan_degree_classes_bad_functional(ex61):
     with pytest.raises(ValueError):
         scan_degree_classes(ex61.lattice, 10, (0, 1, 1, 1))

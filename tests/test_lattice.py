@@ -159,6 +159,27 @@ def test_class_leq_different_lattices():
         class_leq(class_of(L1, (0, 0)), class_of(L2, (0, 0)))
 
 
+def test_class_leq_different_dimensions():
+    d = class_of(LatticeBasis((), n=2), (0, 0))
+    b = class_of(LatticeBasis((), n=3), (1, 0, 0))
+    for x, y in ((d, b), (b, d)):
+        with pytest.raises(ValueError, match="different lattices"):
+            class_leq(x, y)
+
+
+def test_step_key_is_the_key_of_the_next_vector(suite):
+    rng = random.Random(17)
+    lattices = [data.lattice for data in suite.values()]
+    lattices.append(LatticeBasis([(2, -3, 1)]))
+    lattices.append(LatticeBasis([(1, -2, 1, 0), (0, 3, 0, -2)]))
+    for L in lattices:
+        for _ in range(200):
+            key = L.canonical_key(tuple(rng.randint(-9, 9) for _ in range(L.n)))
+            for j in range(L.n):
+                u = key[:j] + (key[j] + 1,) + key[j + 1 :]
+                assert L.step_key(key, j) == L.canonical_key(u)
+
+
 def test_class_leq_is_partial_order(ex61):
     L = ex61.lattice
     classes = [b for b, _s in scan_degree_classes(L, 20, ex61.functional).classes]
