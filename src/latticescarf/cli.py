@@ -56,12 +56,11 @@ class ParseError(ValueError):
 class ProblemSpec:
     """A parsed problem: lattice, optional semigroup, variable names."""
 
-    def __init__(self, name, lattice, semigroup, variables, source=None):
+    def __init__(self, name, lattice, semigroup, variables):
         self.name = name
         self.lattice = lattice
         self.semigroup = semigroup
         self.variables = tuple(variables)
-        self.source = source
 
     def functional(self):
         """Grading functional for scan bounds: semigroup column sums when
@@ -101,7 +100,7 @@ def _int_matrix(value, field):
     return [list(r) for r in value]
 
 
-def problem_from_dict(d, source=None):
+def problem_from_dict(d):
     if not isinstance(d, dict):
         raise ParseError("problem spec must be a JSON object")
     unknown = set(d) - {"name", "semigroup", "lattice", "variables"}
@@ -145,7 +144,7 @@ def problem_from_dict(d, source=None):
         name = "problem"
     if not isinstance(name, str):
         raise ParseError("name must be a string")
-    return ProblemSpec(name, lattice, semigroup, variables, source=source)
+    return ProblemSpec(name, lattice, semigroup, variables)
 
 
 def parse_spec(path):
@@ -157,7 +156,7 @@ def parse_spec(path):
         raise ParseError("cannot read %s: %s" % (path, e)) from e
     except json.JSONDecodeError as e:
         raise ParseError("%s is not valid JSON: %s" % (path, e)) from e
-    spec = problem_from_dict(data, source=path)
+    spec = problem_from_dict(data)
     if spec.name == "problem" and "name" not in data:
         import os
 
@@ -439,9 +438,8 @@ def run_command(spec, command, options):
                     fh.write(dot)
             except OSError as e:
                 raise ParseError("cannot write %s: %s" % (out, e)) from e
-        view = class_of(L, fib.members[0]) if fib.members else fib.degree
         result = {
-            "degree": spec.degree_view(view),
+            "degree": spec.degree_view(class_of(L, fib.members[0])),
             "kind": kind,
             "nodes": nodes,
             "edges": edgecount,

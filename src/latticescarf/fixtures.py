@@ -83,7 +83,7 @@ def fixture_problem(name):
         raise KeyError("unknown fixture %r (have %s)" % (name, ", ".join(fixture_names())))
     d = dict(BUNDLED[name])
     d.pop("bound")
-    return problem_from_dict(d, source="<fixture %s>" % name)
+    return problem_from_dict(d)
 
 
 def fixture_bound(name):

@@ -23,7 +23,7 @@ Multigraded Betti numbers follow the convention
 """
 
 from .fibers import Fiber, fiber_of, support_mask
-from .lattice_core import DegreeClass, class_of, positive_functional
+from .lattice_core import DegreeClass, _same_lattice, positive_functional
 from .linalg import is_prime, rank_mod_p, rank_rational
 
 
@@ -140,22 +140,22 @@ def betti_at(L, i, b, field="q"):
 
 
 class Atlas:
-    """A degree scan.  classes lists (DegreeClass, value) in (value, key)
-    order; cones[k], the AND of the support masks of the fiber of
-    classes[k], is nonzero iff that gcd complex is a cone (no homology, no
-    basic component, connected).  fibers lists (DegreeClass, value, Fiber)
-    for the classes of cone mask 0 only; len() counts every class."""
+    """A degree scan.  scanned is the frozenset of the canonical keys of
+    every class it reached, and len() counts them.  fibers lists
+    (DegreeClass, value, Fiber) in (value, key) order for the classes of
+    cone mask 0 only: the AND of the support masks of a fiber is nonzero
+    iff its gcd complex is a cone (no homology, no basic component,
+    connected)."""
 
-    def __init__(self, lattice, bound, functional, classes, cones, fibers):
+    def __init__(self, lattice, bound, functional, scanned, fibers):
         self.lattice = lattice
         self.bound = bound
         self.functional = functional
-        self.classes = classes
-        self.cones = cones
+        self.scanned = scanned
         self.fibers = fibers
 
     def __len__(self):
-        return len(self.classes)
+        return len(self.scanned)
 
 
 def scan_degree_classes(L, bound, functional=None):
@@ -174,7 +174,8 @@ def scan_degree_classes(L, bound, functional=None):
     fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
     from fiber(0) = {0} up without Fourier-Motzkin, and only where a fiber
     of cone mask 0 needs it.  The masks need no members: cone(0) = 0 and
-    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).
+    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).  Only the
+    carried classes become DegreeClass objects.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -184,14 +185,13 @@ def scan_degree_classes(L, bound, functional=None):
     if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
         raise ValueError("functional must vanish on the lattice")
     zero = (0,) * L.n
-    start = class_of(L, zero)
-    seen = {start.key: (start, 0)}
+    start = L.canonical_key(zero)
+    seen = {start: (zero, 0)}  # key -> (representative, value)
     # key -> flat [key of b - e_j, j, ...] over the steps into the class
-    steps = {start.key: []}
-    queue = [(start, 0)]
-    while queue:
-        b, s = queue.pop()
-        key, rep = b.key, b.representative
+    steps = {start: []}
+    stack = [(start, zero, 0)]
+    while stack:
+        key, rep, s = stack.pop()
         for j in range(L.n):
             s2 = s + w[j]
             if s2 > bound:
@@ -199,39 +199,39 @@ def scan_degree_classes(L, bound, functional=None):
             key2 = L.step_key(key, j)
             if key2 not in seen:
                 rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
-                b2 = DegreeClass._with_key(L, rep2, key2)
-                seen[key2] = (b2, s2)
+                seen[key2] = (rep2, s2)
                 steps[key2] = []
-                queue.append((b2, s2))
+                stack.append((key2, rep2, s2))
             steps[key2] += (key, j)
-    classes = sorted(seen.values(), key=lambda t: (t[1], t[0].key))
+    keys = sorted(seen, key=lambda k: (seen[k][1], k))
     cone = {}
-    for b, _s in classes:
-        into = steps[b.key]
+    for key in keys:
+        into = steps[key]
         mask = -1 if into else 0
         for k in range(0, len(into), 2):
             mask &= cone[into[k]] | 1 << into[k + 1]
-        cone[b.key] = mask
+        cone[key] = mask
     # a step raises the value, so one reverse pass marks every predecessor
     needed = set()
-    for b, _s in reversed(classes):
-        if b.key in needed or not cone[b.key]:
-            needed.update(steps[b.key][::2])
+    for key in reversed(keys):
+        if key in needed or not cone[key]:
+            needed.update(steps[key][::2])
     members = {}
     fibers = []
-    for b, s in classes:
-        if b.key not in needed and cone[b.key]:
+    for key in keys:
+        if key not in needed and cone[key]:
             continue
-        into = steps[b.key]
-        ms = members[b.key] = {zero} if not into else set()
+        into = steps[key]
+        ms = members[key] = {zero} if not into else set()
         for k in range(0, len(into), 2):
             j = into[k + 1]
             for m in members[into[k]]:
                 ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
-        if not cone[b.key]:
+        if not cone[key]:
+            rep, s = seen[key]
+            b = DegreeClass._with_key(L, rep, key)
             fibers.append((b, s, Fiber(b, ms)))
-    cones = [cone[b.key] for b, _s in classes]
-    return Atlas(L, bound, w, classes, cones, fibers)
+    return Atlas(L, bound, w, frozenset(seen), fibers)
 
 
 class BettiTable:
@@ -250,6 +250,11 @@ class BettiTable:
         """Divisibility d <= b for scanned classes.  A monomial in the class
         of b - d has functional value sigma(b) - sigma(d) <= bound, so it
         exists iff that class was scanned."""
+        if not (
+            _same_lattice(d.lattice, self.lattice)
+            and _same_lattice(b.lattice, self.lattice)
+        ):
+            raise ValueError("classes live over different lattices")
         diff = tuple(x - y for x, y in zip(b.representative, d.representative))
         return self.lattice.canonical_key(diff) in self.scanned
 
@@ -292,9 +297,8 @@ def _betti_table(atlas, field="q"):
         for j, dim in dims.items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim
-    scanned = (b.key for b, _s in atlas.classes)
     return BettiTable(
-        atlas.lattice, entries, atlas.bound, field, atlas.functional, scanned
+        atlas.lattice, entries, atlas.bound, field, atlas.functional, atlas.scanned
     )
 
 

@@ -12,13 +12,7 @@ both decides pointedness (is_pointed) and yields the grading functional
 
 from math import gcd
 
-from .linalg import (
-    canonical_rep,
-    fm_feasible,
-    integer_kernel,
-    rational_point,
-    row_hermite,
-)
+from .linalg import canonical_rep, integer_kernel, rational_point, row_hermite
 
 
 class NotPointedError(ValueError):
@@ -126,10 +120,10 @@ def _functional_system(L):
 
 def is_pointed(L):
     """Does L meet the nonnegative orthant only in the origin?  Decided by
-    Fourier-Motzkin feasibility of the system positive_functional solves
-    (Stiemke's lemma)."""
+    a rational point of the system positive_functional solves (Stiemke's
+    lemma)."""
     K, rows = _functional_system(L)
-    return fm_feasible(rows, len(K))
+    return rational_point(rows, len(K)) is not None
 
 
 def lattice_from_semigroup(A):
@@ -145,6 +139,11 @@ def lattice_from_semigroup(A):
 def contains(L, v):
     """Is v an element of the lattice?"""
     return not any(L.canonical_key(v))
+
+
+def _same_lattice(L1, L2):
+    """Do L1 and L2 have the same basis?  Classes compare only then."""
+    return L1 is L2 or (L1.rows == L2.rows and L1.n == L2.n)
 
 
 class DegreeClass:
@@ -171,11 +170,7 @@ class DegreeClass:
     def __eq__(self, other):
         if not isinstance(other, DegreeClass):
             return NotImplemented
-        if self.lattice is not other.lattice and (
-            self.lattice.rows != other.lattice.rows or self.lattice.n != other.lattice.n
-        ):
-            return False
-        return self.key == other.key
+        return _same_lattice(self.lattice, other.lattice) and self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
@@ -197,9 +192,7 @@ def class_leq(d, b):
     nonnegative representative, i.e. the fiber of b - d is nonempty."""
     from .fibers import enumerate_fiber
 
-    if d.lattice is not b.lattice and (
-        d.lattice.rows != b.lattice.rows or d.lattice.n != b.lattice.n
-    ):
+    if not _same_lattice(d.lattice, b.lattice):
         raise ValueError("classes live over different lattices")
     diff = tuple(x - y for x, y in zip(b.representative, d.representative))
     return len(enumerate_fiber(b.lattice, diff)) > 0

@@ -9,15 +9,15 @@ The pieces:
   integer linear solves),
 * Fourier-Motzkin elimination over the integers/rationals: integer
   points for single-degree fiber queries (fibers.enumerate_fiber), and
-  feasibility and a rational point of the one system that decides
-  pointedness and gives the positive functional (lattice_core); degree
-  scans run none,
+  a rational point of the one system that decides pointedness and gives
+  the positive functional (lattice_core); degree scans run none,
 * fraction-free (Bareiss) and mod-p rank for homology, with the
   primality check that guards the latter.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def _ceil_div(p, q):
@@ -174,17 +174,6 @@ def fm_eliminate(rows, v):
     return sorted(out)
 
 
-def fm_feasible(rows, nvars):
-    """Rational feasibility of a . z + c >= 0 for all rows."""
-    cur = sorted({_normalize_row(a, c) for a, c in rows})
-    for v in range(nvars - 1, -1, -1):
-        for a, c in cur:
-            if not any(a) and c < 0:
-                return False
-        cur = fm_eliminate(cur, v)
-    return all(c >= 0 for a, c in cur)
-
-
 def _interval(rows, v, prefix):
     """Integer bounds for z_v given fixed prefix z_0..z_{v-1}.
 
@@ -247,7 +236,9 @@ def rational_point(rows, nvars):
     """Some exact rational solution of a . z + c >= 0, or None.
 
     Chooses interval midpoints on the way down; Fourier-Motzkin projections
-    being exact over Q, every prefix admissible at level v extends.
+    being exact over Q, every prefix admissible at level v extends.  The
+    prefix is held as integer numerators over one common denominator, so
+    each row is evaluated and its bound compared in integers.
     """
     systems = [None] * (nvars + 1)
     systems[nvars] = sorted({_normalize_row(a, c) for a, c in rows})
@@ -257,22 +248,22 @@ def rational_point(rows, nvars):
         if not any(a) and c < 0:
             return None
     point = []
+    nums, den = [], 1  # point[i] == nums[i] / den
     for v in range(nvars):
-        lo, hi = None, None
+        lo, hi = None, None  # (numerator, denominator > 0)
         for a, c in systems[v + 1]:
-            s = Fraction(c) + sum(Fraction(a[i]) * point[i] for i in range(v))
+            s = c * den + sum(map(mul, a, nums))  # den times the row's prefix value
             av = a[v]
             if av == 0:
                 if s < 0:
                     return None  # cannot happen after projection, but be safe
             elif av > 0:
-                b = -s / av
-                if lo is None or b > lo:
-                    lo = b
-            else:
-                b = s / (-av)
-                if hi is None or b < hi:
-                    hi = b
+                if lo is None or -s * lo[1] > lo[0] * av * den:
+                    lo = (-s, av * den)
+            elif hi is None or s * hi[1] < hi[0] * -av * den:
+                hi = (s, -av * den)
+        lo = None if lo is None else Fraction(*lo)
+        hi = None if hi is None else Fraction(*hi)
         if lo is None and hi is None:
             z = Fraction(0)
         elif lo is None:
@@ -284,6 +275,9 @@ def rational_point(rows, nvars):
                 return None
             z = (lo + hi) / 2
         point.append(z)
+        m = lcm(den, z.denominator)
+        nums = [x * (m // den) for x in nums] + [z.numerator * (m // z.denominator)]
+        den = m
     return tuple(point)
 
 

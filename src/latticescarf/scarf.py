@@ -31,7 +31,7 @@ from .homology import (
     minimal_betti_degrees,
     scan_degree_classes,
 )
-from .lattice_core import class_of, contains
+from .lattice_core import contains
 
 
 class LatticeSubset:
@@ -334,9 +334,8 @@ def build_generalized_scarf_complex(poset):
     L = poset.lattice
     top = poset.max_cardinality() - 1
     basis = [poset.by_cardinality(i + 1) for i in range(top + 1)]
-    index = [
-        {(c.degree.key, c.monomials): k for k, c in enumerate(bs)} for bs in basis
-    ]
+    # a component's monomials fix its degree, the class of any of them
+    index = [{c.monomials: k for k, c in enumerate(bs)} for bs in basis]
     diffs = [dict() for _ in range(top + 1)]  # diffs[0] stays empty
     for i in range(1, top + 1):
         d = {}
@@ -346,8 +345,7 @@ def build_generalized_scarf_complex(poset):
                 rest = ms[:pos] + ms[pos + 1 :]
                 g = gcd_of(rest)
                 target = reduce_by_gcd(rest)
-                tkey = (class_of(L, target[0]).key, target)
-                row = index[i - 1].get(tkey)
+                row = index[i - 1].get(target)
                 if row is None:
                     raise ValueError(
                         "differential target %r missing below degree %r; "
@@ -506,7 +504,6 @@ def _one_betti_classes(atlas):
         if len(comps) >= 2:
             found.append((b, fib, comps))
             entries[(1, b)] = len(comps) - 1
-    scanned = (b.key for b, _s in atlas.classes)
     return found, BettiTable(
-        atlas.lattice, entries, atlas.bound, "q", atlas.functional, scanned
+        atlas.lattice, entries, atlas.bound, "q", atlas.functional, atlas.scanned
     )

@@ -387,9 +387,9 @@ def complexes_equal(X, Y):
 # (a) the gcd complex, the support complex and the package's support masks
 # have the same homology; beta_1 from the masks is the number of gcd
 # components less one; and the degree scan's atlas agrees with full fibers
-# built independently: same classes and values, each cone mask the AND of
-# its fiber's support masks, and a fiber carried exactly for mask 0, equal
-# to the Fourier-Motzkin one.
+# built independently: the same class keys, and a fiber carried, in the
+# same order and at the same value, exactly where the AND of its support
+# masks is 0, equal to the Fourier-Motzkin one.
 
 
 def check_gcd_support_homology(suite, rng, random_count=10):
@@ -398,10 +398,21 @@ def check_gcd_support_homology(suite, rng, random_count=10):
     for where, L, bound, w in scan_problems(suite, lattices):
         atlas = scan_degree_classes(L, bound, w)
         full = full_fibers(L, bound, w)
-        assert [(b.key, s) for b, s in atlas.classes] == [
-            (b.key, s) for b, s, _fib in full
-        ], "scanned classes differ from the full fibers on %s" % where
-        for b, s in atlas.classes:
+        assert atlas.scanned == {b.key for b, _s, _fib in full}, (
+            "scanned classes differ from the full fibers on %s" % where
+        )
+        assert len(atlas) == len(full), "class count differs on %s" % where
+        carry = []
+        for b, s, fib in full:
+            mask = -1
+            for m in fib:
+                mask &= support_mask(m)
+            if not mask:
+                carry.append((b.key, s, fib))
+        assert [(b.key, s) for b, s, _fib in atlas.fibers] == [
+            (key, s) for key, s, _fib in carry
+        ], "carried classes are not the classes of cone mask 0 on %s" % where
+        for (b, s, got), (_key, _s, fib) in zip(atlas.fibers, carry):
             rep = b.representative
             assert L.canonical_key(rep) == b.key, (
                 "representative %r is not in class %r on %s" % (rep, b.key, where)
@@ -410,20 +421,11 @@ def check_gcd_support_homology(suite, rng, random_count=10):
                 "representative %r is negative or not of value %r on %s"
                 % (rep, s, where)
             )
-        fibers = {b.key: fib for b, _s, fib in atlas.fibers}
-        for (b, _s, fib), cone in zip(full, atlas.cones):
-            mask = -1
-            for m in fib:
-                mask &= support_mask(m)
-            assert cone == mask, "cone mask %r, not %r, on %s at %r" % (
-                cone, mask, where, b.representative
+            assert got == fib == enumerate_fiber(L, rep), (
+                "carried fiber differs on %s at %r" % (where, rep)
             )
-            if not cone:
-                got = fibers.pop(b.key, None)
-                assert got == fib == enumerate_fiber(L, b.representative), (
-                    "carried fiber differs on %s at %r" % (where, b.representative)
-                )
-                carried += 1
+            carried += 1
+        for b, _s, fib in full:
             dims = [
                 complex_homology_dims(gcd_complex(fib)),
                 complex_homology_dims(support_complex(fib)),
@@ -435,7 +437,6 @@ def check_gcd_support_homology(suite, rng, random_count=10):
                 % ((where, b.representative) + tuple(dims))
             )
             checked += 1
-        assert not fibers, "a cone class carries a fiber on %s" % where
         # beta_1 twice: components - 1 by union-find, and H~_0 of the masks
         _found, components = _one_betti_classes(atlas)
         want = {b.key: v for (_i, b), v in components.entries.items()}

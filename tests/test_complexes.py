@@ -44,6 +44,22 @@ def test_zero_composition(suite):
         assert verify_zero_composition(data.complex)
 
 
+def test_assembly_reduces_no_class(monkeypatch, suite):
+    """Complex assembly finds each boundary target by its monomials alone."""
+    from latticescarf import scarf
+
+    def refuse(*args):
+        raise AssertionError("complex assembly reduced a class")
+
+    ranks = {"ex61": (1, 4, 4, 1), "ex63": (1, 3, 2), "ex64": (1, 6, 4)}
+    for name, data in suite.items():
+        with monkeypatch.context() as m:
+            m.setattr(scarf, "class_of", refuse, raising=False)
+            X = build_generalized_scarf_complex(data.poset)
+        assert X.ranks() == ranks[name]
+        assert complexes_equal(X, data.complex) and verify_zero_composition(X)
+
+
 def test_differential_terms_at_10_8(ex63):
     X = ex63.complex
     col = degree2_index(ex63, (10, 8))

@@ -258,27 +258,23 @@ def test_scan_degree_classes_oracle(ex61):
 
     L = ex61.lattice
     got = scan_degree_classes(L, 20, ex61.functional)
-    assert len(got) == len(got.classes) == len(got.cones)
+    assert len(got) == len(got.scanned)
     # sigma values are the functional applied to the representative
-    for b, s in got.classes:
+    for b, s, fib in got.fibers:
         assert s == sum(w * x for w, x in zip(ex61.functional, b.representative))
-    assert [t[:2] for t in got.fibers] == [
-        (b, s) for (b, s), cone in zip(got.classes, got.cones) if not cone
-    ]
-    for b, _s, fib in got.fibers:
         assert fib.degree is b and b.representative in fib
-    assert [s for _b, s in got.classes] == sorted(s for _b, s in got.classes)
-    keys = {b.key for b, _s in got.classes}
+    order = [(s, b.key) for b, s, _fib in got.fibers]
+    assert order == sorted(order)
     brute = set()
     for u in itertools.product(range(6), repeat=4):
         if sum(w * x for w, x in zip(ex61.functional, u)) <= 20:
             brute.add(L.canonical_key(u))
-    assert keys == brute
+    assert got.scanned == brute
 
 
 def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
-    """The scan steps each canonical key to the next: only the zero class
-    goes through class_of and canonical_key."""
+    """The scan steps each canonical key to the next: only the zero vector
+    goes through canonical_key, and at most one class through class_of."""
     from latticescarf import homology, lattice_core
 
     calls = {"canonical_key": 0, "class_of": 0}
@@ -293,10 +289,28 @@ def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
     key = counted("canonical_key", LatticeBasis.canonical_key)
     monkeypatch.setattr(LatticeBasis, "canonical_key", key)
     for module in (homology, lattice_core):
-        monkeypatch.setattr(module, "class_of", counted("class_of", class_of))
+        counter = counted("class_of", class_of)
+        monkeypatch.setattr(module, "class_of", counter, raising=False)
     atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
     assert len(atlas) == 469
     assert calls["canonical_key"] <= 1 and calls["class_of"] <= 1, calls
+
+
+def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
+    """A DegreeClass is made for each carried fiber and for no other class."""
+    from latticescarf.lattice_core import DegreeClass
+
+    made = []
+    with_key = DegreeClass._with_key.__func__
+
+    def counted(cls, lattice, representative, key):
+        made.append(key)
+        return with_key(cls, lattice, representative, key)
+
+    monkeypatch.setattr(DegreeClass, "_with_key", classmethod(counted))
+    atlas = scan_degree_classes(ex64.lattice, 600, ex64.functional)
+    assert (len(atlas), len(atlas.fibers), len(made)) == (469, 343, 343)
+    assert made == [b.key for b, _s, _fib in atlas.fibers]
 
 
 def test_scan_degree_classes_bad_functional(ex61):

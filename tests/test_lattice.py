@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from helpers import full_fibers
 from latticescarf.fibers import enumerate_fiber
-from latticescarf.homology import betti_scan, scan_degree_classes
+from latticescarf.homology import betti_scan
 from latticescarf.lattice_core import (
     DegreeClass,
     LatticeBasis,
@@ -167,6 +168,27 @@ def test_class_leq_different_dimensions():
             class_leq(x, y)
 
 
+def test_betti_table_leq_rejects_other_lattices():
+    """T.leq(d, b) answers only for classes over the table's lattice."""
+    T = betti_scan(LatticeBasis([(1, -1, 0)]), 4, functional=(1, 1, 1))
+    M = LatticeBasis([(0, 1, -1)])
+    d, b = class_of(M, (0, 1, 0)), class_of(M, (1, 0, 0))
+    assert not class_leq(d, b)
+    N = LatticeBasis([(1, -1, 0, 0)])
+    others = [
+        (d, b),
+        (class_of(T.lattice, (0, 1, 0)), b),
+        (d, class_of(T.lattice, (1, 0, 0))),
+        (class_of(N, (0, 1, 0, 0)), class_of(N, (1, 0, 0, 0))),
+    ]
+    for x, y in others:
+        with pytest.raises(ValueError, match="different lattices"):
+            T.leq(x, y)
+    # the same basis built apart is the same lattice
+    same = LatticeBasis([(1, -1, 0)])
+    assert T.leq(class_of(same, (0, 1, 0)), class_of(same, (1, 0, 0)))
+
+
 def test_step_key_is_the_key_of_the_next_vector(suite):
     rng = random.Random(17)
     lattices = [data.lattice for data in suite.values()]
@@ -182,7 +204,7 @@ def test_step_key_is_the_key_of_the_next_vector(suite):
 
 def test_class_leq_is_partial_order(ex61):
     L = ex61.lattice
-    classes = [b for b, _s in scan_degree_classes(L, 20, ex61.functional).classes]
+    classes = [b for b, _s, _fib in full_fibers(L, 20, ex61.functional)]
     T = betti_scan(L, 20, functional=ex61.functional)
     leq = {}
     for x in classes:

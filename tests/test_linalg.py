@@ -6,8 +6,9 @@ import pytest
 import sympy
 
 from latticescarf.linalg import (
+    _normalize_row,
     canonical_rep,
-    fm_feasible,
+    fm_eliminate,
     integer_kernel,
     integer_points,
     rank_mod_p,
@@ -172,24 +173,63 @@ def test_rational_point_and_feasibility():
             # choose the constant so that `center` satisfies the row
             val = sum(ai * ci for ai, ci in zip(a, center))
             rows.append((a, int(-val) + rng.randint(0, 4)))
-        assert fm_feasible(rows, nvars)
         p = rational_point(rows, nvars)
         assert p is not None
         for a, c in rows:
             assert sum(ai * pi for ai, pi in zip(a, p)) + c >= 0
 
 
+def fraction_descent(rows, nvars):
+    """rational_point's midpoint descent in Fraction arithmetic throughout:
+    the reference for its integer bookkeeping."""
+    systems = [None] * (nvars + 1)
+    systems[nvars] = sorted({_normalize_row(a, c) for a, c in rows})
+    for v in range(nvars - 1, 0, -1):
+        systems[v] = fm_eliminate(systems[v + 1], v)
+    last = systems[1] if nvars else systems[0]
+    if any(not any(a) and c < 0 for a, c in last):
+        return None
+    point = []
+    for v in range(nvars):
+        lo, hi = None, None
+        for a, c in systems[v + 1]:
+            s = Fraction(c) + sum(Fraction(a[i]) * point[i] for i in range(v))
+            if a[v] > 0 and (lo is None or -s / a[v] > lo):
+                lo = -s / a[v]
+            elif a[v] < 0 and (hi is None or s / -a[v] < hi):
+                hi = s / -a[v]
+        if lo is not None and hi is not None:
+            if lo > hi:
+                return None
+            point.append((lo + hi) / 2)
+        elif lo is not None or hi is not None:
+            point.append(max(lo, Fraction(0)) if hi is None else min(hi, Fraction(0)))
+        else:
+            point.append(Fraction(0))
+    return tuple(point)
+
+
+def test_rational_point_matches_fraction_descent():
+    local = random.Random(7)
+    for _ in range(400):
+        nvars = local.randint(0, 4)
+        rows = [
+            (tuple(local.randint(-4, 4) for _ in range(nvars)), local.randint(-6, 6))
+            for _ in range(local.randint(0, 8))
+        ]
+        p = rational_point(rows, nvars)
+        assert p == fraction_descent(rows, nvars)
+        assert p is None or all(type(x) is Fraction for x in p)
+
+
 def test_rational_point_infeasible():
     rows = [((1,), 0), ((-1,), -1)]  # z >= 0 and z <= -1
-    assert not fm_feasible(rows, 1)
     assert rational_point(rows, 1) is None
 
 
 def test_rational_point_without_variables():
-    assert fm_feasible([((), 0), ((), 3)], 0)
     assert rational_point([((), 0), ((), 3)], 0) == ()
     assert rational_point([], 0) == ()
-    assert not fm_feasible([((), 2), ((), -1)], 0)
     assert rational_point([((), 2), ((), -1)], 0) is None
 
 
