@@ -165,17 +165,22 @@ def scan_degree_classes(L, bound, functional=None):
     The bound must be nonnegative (the zero class has value 0).  The
     functional must be strictly positive and orthogonal to L, so that it
     is constant on fibers; by default one is computed from the lattice.
-    The search steps b -> b + e_j from the zero class and reaches each
-    class first at a nonnegative representative.  Keys are not reduced
-    afresh: LatticeBasis.step_key turns the canonical key of b into that
-    of b + e_j, with Hermite reduction only on pivot steps.
-    A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
-    fiber of b - e_j, a class the scan reached one step earlier, so
-    fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
-    from fiber(0) = {0} up without Fourier-Motzkin, and only where a fiber
-    of cone mask 0 needs it.  The masks need no members: cone(0) = 0 and
-    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).  Only the
-    carried classes become DegreeClass objects.
+    A depth-first search steps b -> b + e_j from the zero class and
+    numbers each class by when it first reaches it: one dict lookup per
+    step, keyed by the canonical key, which LatticeBasis.step_key turns
+    into that of b + e_j (Hermite reduction only on pivot steps).  The
+    ids index every per-class list; into[i] records the steps into class
+    i, the first being the one that found it, so walking these discovery
+    steps back to class 0 rebuilds the search's representative, which only
+    the carried classes need.  A step raises the value, so value order puts
+    every class after the classes it steps from.
+    The masks need no members: cone(0) = 0 and cone(b) = AND over the
+    steps of (cone(b - e_j) | 1 << j).  A monomial u != 0 in the fiber of
+    b is u' + e_j for u' in the fiber of b - e_j, with j the last index
+    where u is positive, so u' is 0 or positive somewhere at or before j.
+    So fiber(b) is built once per monomial from fiber(0) = {0} up, without
+    Fourier-Motzkin, and only where a fiber of cone mask 0 needs it.  Only
+    the carried classes become DegreeClass objects.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -184,54 +189,70 @@ def scan_degree_classes(L, bound, functional=None):
         raise ValueError("functional must be strictly positive of length n")
     if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
         raise ValueError("functional must vanish on the lattice")
-    zero = (0,) * L.n
+    n, step_key = L.n, L.step_key
+    zero = (0,) * n
     start = L.canonical_key(zero)
-    seen = {start: (zero, 0)}  # key -> (representative, value)
-    # key -> flat [key of b - e_j, j, ...] over the steps into the class
-    steps = {start: []}
-    stack = [(start, zero, 0)]
+    ids = {start: 0}
+    keys, values, into = [start], [0], [[]]  # into[i] = [pred id, j, ...]
+    stack = [0]
+    weights = list(enumerate(w))
     while stack:
-        key, rep, s = stack.pop()
-        for j in range(L.n):
-            s2 = s + w[j]
-            if s2 > bound:
+        i = stack.pop()
+        key, s = keys[i], values[i]
+        room = bound - s
+        for j, wj in weights:
+            if wj > room:
                 continue
-            key2 = L.step_key(key, j)
-            if key2 not in seen:
-                rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
-                seen[key2] = (rep2, s2)
-                steps[key2] = []
-                stack.append((key2, rep2, s2))
-            steps[key2] += (key, j)
-    keys = sorted(seen, key=lambda k: (seen[k][1], k))
-    cone = {}
-    for key in keys:
-        into = steps[key]
-        mask = -1 if into else 0
-        for k in range(0, len(into), 2):
-            mask &= cone[into[k]] | 1 << into[k + 1]
-        cone[key] = mask
-    # a step raises the value, so one reverse pass marks every predecessor
-    needed = set()
-    for key in reversed(keys):
-        if key in needed or not cone[key]:
-            needed.update(steps[key][::2])
-    members = {}
+            key2 = step_key(key, j)
+            i2 = ids.get(key2)
+            if i2 is None:
+                ids[key2] = i2 = len(keys)
+                keys.append(key2)
+                values.append(s + wj)
+                into.append([i, j])
+                stack.append(i2)
+            else:
+                into[i2].extend((i, j))
+    order = sorted(range(len(keys)), key=values.__getitem__)
+    bits = [1 << j for j in range(n)]
+    cone = [0] * len(keys)
+    for i in order[1:]:
+        e = into[i]
+        mask = -1
+        for k in range(0, len(e), 2):
+            mask &= cone[e[k]] | bits[e[k + 1]]
+        cone[i] = mask
+    needed = bytearray(len(keys))  # carried, or a predecessor of one
+    for i in reversed(order):
+        if needed[i] or not cone[i]:
+            needed[i] = 1
+            for p in into[i][::2]:
+                needed[p] = 1
+    # members[i][j + 1] holds the monomials of fiber i whose last positive
+    # coordinate is j, members[i][0] the zero monomial
+    members = [None] * len(keys)
+    members[0] = [(zero,)] + [()] * n
+    for i in order[1:]:
+        if needed[i]:
+            groups = members[i] = [()] * (n + 1)
+            e = into[i]
+            for k in range(0, len(e), 2):
+                j = e[k + 1]
+                groups[j + 1] = [
+                    m[:j] + (m[j] + 1,) + m[j + 1 :]
+                    for g in members[e[k]][: j + 2]
+                    for m in g
+                ]
     fibers = []
-    for key in keys:
-        if key not in needed and cone[key]:
-            continue
-        into = steps[key]
-        ms = members[key] = {zero} if not into else set()
-        for k in range(0, len(into), 2):
-            j = into[k + 1]
-            for m in members[into[k]]:
-                ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
-        if not cone[key]:
-            rep, s = seen[key]
-            b = DegreeClass._with_key(L, rep, key)
-            fibers.append((b, s, Fiber(b, ms)))
-    return Atlas(L, bound, w, frozenset(seen), fibers)
+    carried = [i for i in order if not cone[i]]
+    for i in sorted(carried, key=lambda i: (values[i], keys[i])):
+        rep, k = [0] * n, i
+        while k:
+            rep[into[k][1]] += 1
+            k = into[k][0]
+        b = DegreeClass._with_key(L, tuple(rep), keys[i])
+        fibers.append((b, values[i], Fiber(b, [m for g in members[i] for m in g])))
+    return Atlas(L, bound, w, frozenset(ids), fibers)
 
 
 class BettiTable:

@@ -84,6 +84,11 @@ class LatticeBasis:
         self.r = len(rows)
         self._hnf = H
         self._pivots = pivots
+        # per column: None off the pivots; for the pivot column of row k,
+        # (the pivot, the rows from k on, their pivot columns)
+        self._steps = [None] * n
+        for k, col in enumerate(pivots):
+            self._steps[col] = (H[k][col], H[k:], pivots[k:])
         if check and not is_pointed(self):
             raise NotPointedError("lattice contains a nonzero nonnegative vector")
 
@@ -99,12 +104,12 @@ class LatticeBasis:
         the pivot columns, or short of its pivot, the key stays canonical;
         when it reaches its pivot the reduction starts at its pivot row,
         since the rows above it reduce by 0."""
-        key = key[:j] + (key[j] + 1,) + key[j + 1 :]
-        if j in self._pivots:
-            k = self._pivots.index(j)
-            if key[j] == self._hnf[k][j]:
-                key = canonical_rep(key, self._hnf[k:], self._pivots[k:])
-        return key
+        key = list(key)
+        key[j] += 1
+        step = self._steps[j]
+        if step is not None and key[j] == step[0]:
+            return canonical_rep(key, step[1], step[2])
+        return tuple(key)
 
     def __repr__(self):
         return "LatticeBasis(%r, n=%d)" % (self.rows, self.n)

@@ -31,7 +31,7 @@ from .homology import (
     minimal_betti_degrees,
     scan_degree_classes,
 )
-from .lattice_core import contains
+from .lattice_core import _same_lattice, contains
 
 
 class LatticeSubset:
@@ -57,7 +57,7 @@ class LatticeSubset:
         return (
             isinstance(other, LatticeSubset)
             and self.members == other.members
-            and self.lattice.rows == other.lattice.rows
+            and _same_lattice(self.lattice, other.lattice)
         )
 
     def __hash__(self):

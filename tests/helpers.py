@@ -17,13 +17,19 @@ from latticescarf.fibers import (
     support_mask,
 )
 from latticescarf.homology import (
+    Atlas,
     _betti_table,
     betti_scan,
     gcd_components,
     reduced_homology_dims,
     scan_degree_classes,
 )
-from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
+from latticescarf.lattice_core import (
+    DegreeClass,
+    LatticeBasis,
+    class_of,
+    positive_functional,
+)
 from latticescarf.linalg import is_prime, rank_mod_p, rank_rational
 from latticescarf.scarf import (
     LatticeSubset,
@@ -286,6 +292,87 @@ def full_fibers(L, bound, w):
         b = class_of(L, ms[0])
         out.append((b, sum(x * y for x, y in zip(w, ms[0])), Fiber(b, ms)))
     return sorted(out, key=lambda t: (t[1], t[0].key))
+
+
+def reference_scan(L, bound, functional=None):
+    """The degree scan of the package before dense class ids, kept as a
+    test-only oracle for homology.scan_degree_classes: tuple-keyed dicts,
+    a representative for every class, members as sets.
+
+    The Atlas of all degree classes with a nonnegative representative
+    of functional value <= bound.
+
+    The bound must be nonnegative (the zero class has value 0).  The
+    functional must be strictly positive and orthogonal to L, so that it
+    is constant on fibers; by default one is computed from the lattice.
+    The search steps b -> b + e_j from the zero class and reaches each
+    class first at a nonnegative representative.  Keys are not reduced
+    afresh: LatticeBasis.step_key turns the canonical key of b into that
+    of b + e_j, with Hermite reduction only on pivot steps.
+    A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
+    fiber of b - e_j, a class the scan reached one step earlier, so
+    fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
+    from fiber(0) = {0} up without Fourier-Motzkin, and only where a fiber
+    of cone mask 0 needs it.  The masks need no members: cone(0) = 0 and
+    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).  Only the
+    carried classes become DegreeClass objects.
+    """
+    if bound < 0:
+        raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
+    w = tuple(functional) if functional is not None else positive_functional(L)
+    if len(w) != L.n or any(x < 1 for x in w):
+        raise ValueError("functional must be strictly positive of length n")
+    if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
+        raise ValueError("functional must vanish on the lattice")
+    zero = (0,) * L.n
+    start = L.canonical_key(zero)
+    seen = {start: (zero, 0)}  # key -> (representative, value)
+    # key -> flat [key of b - e_j, j, ...] over the steps into the class
+    steps = {start: []}
+    stack = [(start, zero, 0)]
+    while stack:
+        key, rep, s = stack.pop()
+        for j in range(L.n):
+            s2 = s + w[j]
+            if s2 > bound:
+                continue
+            key2 = L.step_key(key, j)
+            if key2 not in seen:
+                rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
+                seen[key2] = (rep2, s2)
+                steps[key2] = []
+                stack.append((key2, rep2, s2))
+            steps[key2] += (key, j)
+    keys = sorted(seen, key=lambda k: (seen[k][1], k))
+    cone = {}
+    for key in keys:
+        into = steps[key]
+        mask = -1 if into else 0
+        for k in range(0, len(into), 2):
+            mask &= cone[into[k]] | 1 << into[k + 1]
+        cone[key] = mask
+    # a step raises the value, so one reverse pass marks every predecessor
+    needed = set()
+    for key in reversed(keys):
+        if key in needed or not cone[key]:
+            needed.update(steps[key][::2])
+    members = {}
+    fibers = []
+    for key in keys:
+        if key not in needed and cone[key]:
+            continue
+        into = steps[key]
+        ms = members[key] = {zero} if not into else set()
+        for k in range(0, len(into), 2):
+            j = into[k + 1]
+            for m in members[into[k]]:
+                ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
+        if not cone[key]:
+            rep, s = seen[key]
+            b = DegreeClass._with_key(L, rep, key)
+            fibers.append((b, s, Fiber(b, ms)))
+    return Atlas(L, bound, w, frozenset(seen), fibers)
+
 
 
 def scan_problems(suite, lattices):

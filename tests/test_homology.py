@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,9 @@ from helpers import (
     connected_components,
     euler_characteristic_checks,
     gcd_complex,
+    reference_scan,
+    scan_problems,
+    suite_b_lattices,
     support_complex,
 )
 from latticescarf.fibers import enumerate_fiber, support_mask
@@ -311,6 +316,41 @@ def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
     atlas = scan_degree_classes(ex64.lattice, 600, ex64.functional)
     assert (len(atlas), len(atlas.fibers), len(made)) == (469, 343, 343)
     assert made == [b.key for b, _s, _fib in atlas.fibers]
+
+
+def scan_summary(atlas):
+    """The scanned keys, the class count and the carried (key,
+    representative, value, members) in order."""
+    carried = [(b.key, b.representative, s, fib.members) for b, s, fib in atlas.fibers]
+    return atlas.scanned, len(atlas), carried
+
+
+def test_scan_matches_reference_scan(suite):
+    """The scan equals the tuple-keyed oracle on the fixtures at their
+    bounds and suite (b)'s first 10 lattices; the representatives, which
+    every report prints, pin the search order."""
+    lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
+    for where, L, bound, w in scan_problems(suite, lattices):
+        got = scan_summary(scan_degree_classes(L, bound, w))
+        assert got == scan_summary(reference_scan(L, bound, w)), where
+
+
+def test_scan_work_does_not_grow_with_the_weights():
+    """Scaling the functional and the bound by 10**6 changes nothing: no
+    work or memory follows the magnitude of the values."""
+    L = LatticeBasis([(1, -1, 0)])
+    small = scan_summary(scan_degree_classes(L, 4, (1, 1, 1)))
+    tracemalloc.start()
+    try:
+        big = scan_degree_classes(L, 4 * 10**6, (10**6,) * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert big.scanned == small[0] and len(big) == small[1]
+    assert [(b.key, b.representative, fib.members) for b, _s, fib in big.fibers] == [
+        (key, rep, members) for key, rep, _s, members in small[2]
+    ]
+    assert peak < 2**20, peak
 
 
 def test_scan_degree_classes_bad_functional(ex61):

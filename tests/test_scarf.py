@@ -36,6 +36,14 @@ def j1(lattice):
     return LatticeSubset(lattice, J1_VECTORS)
 
 
+def test_lattice_subset_equality_needs_the_same_lattice():
+    """Equal members over lattices of equal rows but different ambient
+    dimension are different subsets."""
+    zero2, zero3 = LatticeBasis([], n=2), LatticeBasis([], n=3)
+    assert LatticeSubset(zero2, []) != LatticeSubset(zero3, [])
+    assert LatticeSubset(zero2, []) == LatticeSubset(LatticeBasis([], n=2), [])
+
+
 def test_lattice_subset_validates(ex63):
     with pytest.raises(ValueError):
         LatticeSubset(ex63.lattice, [(1, 0, 0, 0, 0)])
