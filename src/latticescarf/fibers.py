@@ -10,9 +10,6 @@ built on fibers is deterministic.
 from .lattice_core import class_of
 from .linalg import integer_points
 
-# Exponent vectors are plain tuples of nonnegative ints.
-ExponentVector = tuple
-
 
 def canonical_order(monomials):
     """Descending lexicographic order, first coordinate most significant."""

@@ -10,7 +10,7 @@ monomials, faces = subsets with a nontrivial common divisor) by the full
 simplices V_i = {m : x_i divides m}, so the two have the same reduced
 homology; the gcd complex itself survives only as a test oracle.  The
 connected components of a gcd complex need no complex at all:
-gcd_components merges the variables of each monomial's support.
+gcd_components merges the support masks that meet.
 
 When the monomials of a fiber share a variable x_k, every support
 contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  A
@@ -103,29 +103,28 @@ def gcd_components(F):
     """The connected components of the gcd complex of F: tuples of
     monomials in fiber order, ordered by their first monomial.
 
-    Two monomials are joined when their supports meet, so the components
-    follow from a union-find over the variables that merges the variables
-    of each monomial's support.  The monomial 1 lies in no component.
+    Two monomials are joined when their supports meet, so each component
+    covers a union of supports disjoint from the others' unions.  Each
+    distinct support mask absorbs every union it meets, so the unions stay
+    disjoint; a monomial belongs to the union its mask meets.  The
+    monomial 1 lies in no component.
     """
-    ms = F.members
-    n = len(ms[0]) if ms else 0
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    masks = [support_mask(m) for m in ms]
-    for mask in set(masks):
-        vs = [i for i in range(n) if mask >> i & 1]
-        for v in vs[1:]:
-            parent[find(v)] = find(vs[0])
+    masks = [support_mask(m) for m in F.members]
+    distinct = set(masks) - {0}
+    unions = []
+    for s in distinct:
+        rest = []
+        for u in unions:
+            if u & s:
+                s |= u
+            else:
+                rest.append(u)
+        unions = rest + [s]
+    union_of = {s: u for u in unions for s in distinct if s & u}
     groups = {}
-    for m, mask in zip(ms, masks):
-        if mask:
-            groups.setdefault(find(mask.bit_length() - 1), []).append(m)
+    for m, s in zip(F.members, masks):
+        if s:
+            groups.setdefault(union_of[s], []).append(m)
     return tuple(tuple(g) for g in groups.values())
 
 

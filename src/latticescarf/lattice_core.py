@@ -5,12 +5,12 @@ integer rows.  Pointed means L meets the nonnegative orthant only in 0;
 exactly then every congruence class b in Z^n/L contains finitely many
 nonnegative vectors (the fiber of b), and everything downstream -- Betti
 scans, Scarf posets -- makes sense.  By Stiemke's lemma L is pointed iff
-some strictly positive functional vanishes on L, so one linear system
-both decides pointedness (is_pointed) and yields the grading functional
-(positive_functional).
+some strictly positive functional vanishes on L, so one linear system,
+solved once when a LatticeBasis is built, both decides pointedness
+(is_pointed) and yields the grading functional (positive_functional).
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import canonical_rep, integer_kernel, rational_point, row_hermite
 
@@ -61,6 +61,10 @@ class LatticeBasis:
 
     Construction verifies independence over Q and (unless check=False)
     pointedness; a Hermite form of the basis is kept for coset reduction.
+
+    functional is the primitive, strictly positive integer w orthogonal to
+    L, found at construction; it exists exactly when L is pointed, and is
+    None otherwise (possible only with check=False).
     """
 
     def __init__(self, rows, n=None, check=True):
@@ -89,7 +93,8 @@ class LatticeBasis:
         self._steps = [None] * n
         for k, col in enumerate(pivots):
             self._steps[col] = (H[k][col], H[k:], pivots[k:])
-        if check and not is_pointed(self):
+        self.functional = _positive_functional(rows, n)
+        if check and self.functional is None:
             raise NotPointedError("lattice contains a nonzero nonnegative vector")
 
     def canonical_key(self, v):
@@ -115,20 +120,30 @@ class LatticeBasis:
         return "LatticeBasis(%r, n=%d)" % (self.rows, self.n)
 
 
-def _functional_system(L):
-    """A basis K of {w : w . v = 0 for v in L} and the system
-    sum_i c_i K[i][j] >= 1, one row per variable j, over c in Q^len(K):
-    its solutions are the functionals w = c K that are >= 1 everywhere."""
-    K = integer_kernel(L.rows, L.n)
-    return K, [(tuple(row[j] for row in K), -1) for j in range(L.n)]
+def _positive_functional(rows, n):
+    """The primitive strictly positive integer w orthogonal to the rows, or
+    None.  Its candidates are w = c K over a basis K of the orthogonal
+    complement, subject to sum_i c_i K[i][j] >= 1 for every variable j; a
+    rational point c of that system, scaled to integers, gives w."""
+    K = integer_kernel(rows, n)
+    k = len(K)
+    pt = rational_point([(tuple(row[j] for row in K), -1) for j in range(n)], k)
+    if pt is None:
+        return None
+    denom = lcm(*(f.denominator for f in pt))
+    c = [int(f * denom) for f in pt]
+    w = tuple(sum(c[i] * K[i][j] for i in range(k)) for j in range(n))
+    g = gcd(*w)
+    w = tuple(x // g for x in w)
+    if any(x < 1 for x in w):
+        raise RuntimeError("functional %r is not strictly positive" % (w,))
+    return w
 
 
 def is_pointed(L):
-    """Does L meet the nonnegative orthant only in the origin?  Decided by
-    a rational point of the system positive_functional solves (Stiemke's
-    lemma)."""
-    K, rows = _functional_system(L)
-    return rational_point(rows, len(K)) is not None
+    """Does L meet the nonnegative orthant only in the origin?  Exactly
+    when it has a strictly positive functional (Stiemke's lemma)."""
+    return L.functional is not None
 
 
 def lattice_from_semigroup(A):
@@ -188,10 +203,6 @@ def class_of(L, u):
     return DegreeClass(L, u)
 
 
-def class_eq(b1, b2):
-    return b1 == b2
-
-
 def class_leq(d, b):
     """The divisibility (semigroup) order: d <= b iff b - d has a
     nonnegative representative, i.e. the fiber of b - d is nonempty."""
@@ -210,21 +221,6 @@ def positive_functional(L):
     sigma(u) = w . u, constant on fibers and >= 1 on every unit vector, so
     degree scans bounded by sigma terminate.
     """
-    n = L.n
-    K, rows = _functional_system(L)
-    k = len(K)
-    pt = rational_point(rows, k)
-    if pt is None:
+    if L.functional is None:
         raise NotPointedError("no strictly positive functional exists")
-    denom = 1
-    for f in pt:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    c = [int(f * denom) for f in pt]
-    w = tuple(sum(c[i] * K[i][j] for i in range(k)) for j in range(n))
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    w = tuple(x // g for x in w)
-    if any(x < 1 for x in w):
-        raise RuntimeError("functional %r is not strictly positive" % (w,))
-    return w
+    return L.functional

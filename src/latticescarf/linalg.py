@@ -198,6 +198,17 @@ def _interval(rows, v, prefix):
     return lo, hi
 
 
+def _projections(rows, nvars):
+    """systems[v + 1] is the system a . z + c >= 0 projected onto
+    z_0..z_v by Fourier-Motzkin elimination, for v = 0..nvars-1;
+    systems[nvars] is the normalized input (also systems[0] if nvars = 0)."""
+    systems = [None] * (nvars + 1)
+    systems[nvars] = sorted({_normalize_row(a, c) for a, c in rows})
+    for v in range(nvars - 1, 0, -1):
+        systems[v] = fm_eliminate(systems[v + 1], v)
+    return systems
+
+
 def integer_points(rows, nvars):
     """All integer solutions of a . z + c >= 0, via elimination + descent.
 
@@ -205,10 +216,7 @@ def integer_points(rows, nvars):
     (callers use this only for systems known to be bounded -- fibers of a
     pointed lattice).
     """
-    systems = [None] * (nvars + 1)
-    systems[nvars] = sorted({_normalize_row(a, c) for a, c in rows})
-    for v in range(nvars - 1, 0, -1):
-        systems[v] = fm_eliminate(systems[v + 1], v)
+    systems = _projections(rows, nvars)
     out = []
     prefix = [0] * nvars
 
@@ -240,10 +248,7 @@ def rational_point(rows, nvars):
     prefix is held as integer numerators over one common denominator, so
     each row is evaluated and its bound compared in integers.
     """
-    systems = [None] * (nvars + 1)
-    systems[nvars] = sorted({_normalize_row(a, c) for a, c in rows})
-    for v in range(nvars - 1, 0, -1):
-        systems[v] = fm_eliminate(systems[v + 1], v)
+    systems = _projections(rows, nvars)
     for a, c in systems[1] if nvars else systems[0]:
         if not any(a) and c < 0:
             return None

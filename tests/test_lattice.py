@@ -1,17 +1,18 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from helpers import full_fibers
+from latticescarf import cli, lattice_core
 from latticescarf.fibers import enumerate_fiber
-from latticescarf.homology import betti_scan
+from latticescarf.homology import betti_scan, scan_degree_classes
 from latticescarf.lattice_core import (
     DegreeClass,
     LatticeBasis,
     NotPointedError,
     SemigroupMatrix,
-    class_eq,
     class_leq,
     class_of,
     contains,
@@ -125,9 +126,8 @@ def test_degree_class_equality(ex63):
     L = ex63.lattice
     abd = (1, 1, 0, 1, 0)
     ee = (0, 0, 0, 0, 2)
-    assert class_eq(class_of(L, abd), class_of(L, ee))
     assert class_of(L, abd) == class_of(L, ee)
-    assert class_eq(class_of(L, abd), class_of(L, abd))
+    assert class_of(L, abd) == class_of(L, abd)
     bc = (0, 1, 1, 0, 0)
     ac = (1, 0, 1, 0, 0)
     assert class_of(L, bc) != class_of(L, ac)
@@ -272,6 +272,49 @@ def test_positive_functional(suite):
 
 def test_positive_functional_zero_lattice():
     assert positive_functional(LatticeBasis([], n=4)) == (1, 1, 1, 1)
+
+
+def test_positive_functional_of_the_fixtures(suite):
+    want = {
+        "ex61": (1, 1, 1, 1),
+        "ex63": (2, 2, 2, 2, 3),
+        "ex64": (39, 52, 65, 42, 56, 70),
+    }
+    for name, w in want.items():
+        L = suite[name].lattice
+        assert positive_functional(L) == w
+        assert L.functional == w
+
+
+def test_one_functional_solve_per_lattice(monkeypatch, tmp_path, capsys):
+    calls = []
+    solve = lattice_core.rational_point
+
+    def counted(rows, nvars):
+        calls.append(nvars)
+        return solve(rows, nvars)
+
+    monkeypatch.setattr(lattice_core, "rational_point", counted)
+    L = LatticeBasis([(1, -2, 1)])
+    assert len(calls) == 1
+    assert is_pointed(L)
+    assert positive_functional(L) == positive_functional(L) == (1, 1, 1)
+    scan_degree_classes(L, 4)
+    betti_scan(L, 4)
+    assert len(calls) == 1
+    calls.clear()
+    M = LatticeBasis([(1, 1)], check=False)
+    assert len(calls) == 1 and M.functional is None
+    assert not is_pointed(M)
+    with pytest.raises(NotPointedError, match="^no strictly positive functional exists$"):
+        positive_functional(M)
+    assert len(calls) == 1
+    calls.clear()
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"lattice": [[1, -2, 1]]}))
+    assert cli.main(["betti", "--spec", str(path), "--bound", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_degree_class_repr_is_stable(ex63):
