@@ -7,7 +7,7 @@ lexicographic, first coordinate most significant) so that every structure
 built on fibers is deterministic.
 """
 
-from .lattice_core import class_of
+from .lattice_core import _same_lattice, class_of
 from .linalg import integer_points
 
 
@@ -77,12 +77,14 @@ def enumerate_fiber(L, u0):
 
 def fiber_of(L, b):
     """b itself when it is a Fiber, else the fiber of the class that b (a
-    representative or a DegreeClass) names."""
-    if isinstance(b, Fiber):
-        return b
-    if not isinstance(b, (tuple, list)):
-        b = b.representative
-    return enumerate_fiber(L, b)
+    representative or a DegreeClass) names.  A Fiber or DegreeClass over
+    another lattice raises ValueError."""
+    if isinstance(b, (tuple, list)):
+        return enumerate_fiber(L, b)
+    degree = b.degree if isinstance(b, Fiber) else b
+    if not _same_lattice(L, degree.lattice):
+        raise ValueError("classes live over different lattices")
+    return b if isinstance(b, Fiber) else enumerate_fiber(L, b.representative)
 
 
 def support_mask(u):

@@ -23,7 +23,13 @@ Multigraded Betti numbers follow the convention
 """
 
 from .fibers import Fiber, fiber_of, support_mask
-from .lattice_core import DegreeClass, _same_lattice, positive_functional
+from .lattice_core import (
+    CosetPacking,
+    DegreeClass,
+    ScannedClasses,
+    _same_lattice,
+    positive_functional,
+)
 from .linalg import is_prime, rank_mod_p, rank_rational
 
 
@@ -139,12 +145,13 @@ def betti_at(L, i, b, field="q"):
 
 
 class Atlas:
-    """A degree scan.  scanned is the frozenset of the canonical keys of
-    every class it reached, and len() counts them.  fibers lists
-    (DegreeClass, value, Fiber) in (value, key) order for the classes of
-    cone mask 0 only: the AND of the support masks of a fiber is nonzero
-    iff its gcd complex is a cone (no homology, no basic component,
-    connected)."""
+    """A degree scan.  scanned holds every class it reached, as packed
+    keys (lattice_core.ScannedClasses): len() counts them, and v in
+    scanned asks whether the class of the integer vector v was reached.
+    fibers lists (DegreeClass, value, Fiber) in (value, key) order for the
+    classes of cone mask 0 only: the AND of the support masks of a fiber
+    is nonzero iff its gcd complex is a cone (no homology, no basic
+    component, connected)."""
 
     def __init__(self, lattice, bound, functional, scanned, fibers):
         self.lattice = lattice
@@ -166,13 +173,15 @@ def scan_degree_classes(L, bound, functional=None):
     is constant on fibers; by default one is computed from the lattice.
     A depth-first search steps b -> b + e_j from the zero class and
     numbers each class by when it first reaches it: one dict lookup per
-    step, keyed by the canonical key, which LatticeBasis.step_key turns
-    into that of b + e_j (Hermite reduction only on pivot steps).  The
-    ids index every per-class list; into[i] records the steps into class
-    i, the first being the one that found it, so walking these discovery
-    steps back to class 0 rebuilds the search's representative, which only
-    the carried classes need.  A step raises the value, so value order puts
-    every class after the classes it steps from.
+    step, keyed by the class's packed coset coordinates
+    (lattice_core.CosetPacking), so the key of b + e_j is that of b plus
+    a column, with a compare and a subtraction per torsion coordinate.
+    The ids index every per-class list; into[i] records the steps into
+    class i, the first being the one that found it, so walking these
+    discovery steps back to class 0 rebuilds the search's representative,
+    which only the carried classes need; only they get a canonical key.
+    A step raises the value, so value order puts every class after the
+    classes it steps from.
     The masks need no members: cone(0) = 0 and cone(b) = AND over the
     steps of (cone(b - e_j) | 1 << j).  A monomial u != 0 in the fiber of
     b is u' + e_j for u' in the fiber of b - e_j, with j the last index
@@ -188,21 +197,26 @@ def scan_degree_classes(L, bound, functional=None):
         raise ValueError("functional must be strictly positive of length n")
     if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
         raise ValueError("functional must vanish on the lattice")
-    n, step_key = L.n, L.step_key
+    n = L.n
     zero = (0,) * n
-    start = L.canonical_key(zero)
+    packing = CosetPacking(L, bound, w)
+    torsion = packing.torsion
+    start = packing.pack(zero)
     ids = {start: 0}
     keys, values, into = [start], [0], [[]]  # into[i] = [pred id, j, ...]
     stack = [0]
-    weights = list(enumerate(w))
+    steps = list(zip(range(n), w, packing.cols))
     while stack:
         i = stack.pop()
         key, s = keys[i], values[i]
         room = bound - s
-        for j, wj in weights:
+        for j, wj, col in steps:
             if wj > room:
                 continue
-            key2 = step_key(key, j)
+            key2 = key + col
+            for top, lim in torsion:
+                if key2 & top >= lim:
+                    key2 -= lim
             i2 = ids.get(key2)
             if i2 is None:
                 ids[key2] = i2 = len(keys)
@@ -242,21 +256,26 @@ def scan_degree_classes(L, bound, functional=None):
                     for g in members[e[k]][: j + 2]
                     for m in g
                 ]
+    carried = []
+    for i in order:
+        if not cone[i]:
+            rep, k = [0] * n, i
+            while k:
+                rep[into[k][1]] += 1
+                k = into[k][0]
+            rep = tuple(rep)
+            carried.append((values[i], L.canonical_key(rep), rep, i))
+    carried.sort(key=lambda c: c[:2])
     fibers = []
-    carried = [i for i in order if not cone[i]]
-    for i in sorted(carried, key=lambda i: (values[i], keys[i])):
-        rep, k = [0] * n, i
-        while k:
-            rep[into[k][1]] += 1
-            k = into[k][0]
-        b = DegreeClass._with_key(L, tuple(rep), keys[i])
-        fibers.append((b, values[i], Fiber(b, [m for g in members[i] for m in g])))
-    return Atlas(L, bound, w, frozenset(ids), fibers)
+    for s, key, rep, i in carried:
+        b = DegreeClass._with_key(L, rep, key)
+        fibers.append((b, s, Fiber(b, [m for g in members[i] for m in g])))
+    return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers)
 
 
 class BettiTable:
-    """Nonzero multigraded Betti numbers found by a bounded scan, and the
-    keys of every class that scan visited."""
+    """Nonzero multigraded Betti numbers found by a bounded scan, and
+    every class that scan visited (the scanned of its Atlas)."""
 
     def __init__(self, lattice, entries, bound, field, functional, scanned):
         self.lattice = lattice
@@ -264,7 +283,7 @@ class BettiTable:
         self.bound = bound
         self.field = field
         self.functional = functional
-        self.scanned = frozenset(scanned)
+        self.scanned = scanned
 
     def leq(self, d, b):
         """Divisibility d <= b for scanned classes.  A monomial in the class
@@ -276,7 +295,7 @@ class BettiTable:
         ):
             raise ValueError("classes live over different lattices")
         diff = tuple(x - y for x, y in zip(b.representative, d.representative))
-        return self.lattice.canonical_key(diff) in self.scanned
+        return diff in self.scanned
 
     def get(self, i, b):
         return self.entries.get((i, b), 0)

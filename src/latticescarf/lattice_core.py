@@ -8,11 +8,21 @@ scans, Scarf posets -- makes sense.  By Stiemke's lemma L is pointed iff
 some strictly positive functional vanishes on L, so one linear system,
 solved once when a LatticeBasis is built, both decides pointedness
 (is_pointed) and yields the grading functional (positive_functional).
+The same transform gives coordinates phi on Z^n/L, which a degree scan
+packs into ints (CosetPacking, ScannedClasses); classes keep their
+Hermite keys.
 """
 
 from math import gcd, lcm
+from operator import mul
 
-from .linalg import canonical_rep, integer_kernel, rational_point, row_hermite
+from .linalg import (
+    canonical_rep,
+    diagonal_form,
+    integer_kernel,
+    rational_point,
+    row_hermite,
+)
 
 
 class NotPointedError(ValueError):
@@ -60,7 +70,8 @@ class LatticeBasis:
     """A pointed lattice L in Z^n, stored as an independent row basis.
 
     Construction verifies independence over Q and (unless check=False)
-    pointedness; a Hermite form of the basis is kept for coset reduction.
+    pointedness; a Hermite form of the basis is kept for coset reduction,
+    and coset coordinates for packing classes in a scan (CosetPacking).
 
     functional is the primitive, strictly positive integer w orthogonal to
     L, found at construction; it exists exactly when L is pointed, and is
@@ -80,7 +91,7 @@ class LatticeBasis:
             for x in r:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError("lattice entries must be integers")
-        H, U, pivots = row_hermite(rows, n)
+        H, _, pivots = row_hermite(rows, n)
         if len(pivots) != len(rows):
             raise ValueError("lattice rows are linearly dependent")
         self.rows = rows
@@ -88,12 +99,14 @@ class LatticeBasis:
         self.r = len(rows)
         self._hnf = H
         self._pivots = pivots
-        # per column: None off the pivots; for the pivot column of row k,
-        # (the pivot, the rows from k on, their pivot columns)
-        self._steps = [None] * n
-        for k, col in enumerate(pivots):
-            self._steps[col] = (H[k][col], H[k:], pivots[k:])
-        self.functional = _positive_functional(rows, n)
+        # U B^T = T, so B V = T^T = [M | 0] for the unimodular V = U^T: the
+        # coordinates phi(u) = u V = U u send L onto the row span of M in
+        # the first r coordinates.  The last n - r rows of U are a kernel
+        # basis K, the free coordinates; M gives the torsion ones.
+        T, U, _ = row_hermite([tuple(row[j] for row in rows) for j in range(n)], self.r)
+        self._free = U[self.r :]
+        self._torsion = _torsion_rows(T, U, self.r, n)
+        self.functional = _positive_functional(self._free, n)
         if check and self.functional is None:
             raise NotPointedError("lattice contains a nonzero nonnegative vector")
 
@@ -103,29 +116,105 @@ class LatticeBasis:
             raise ValueError("vector has wrong dimension")
         return canonical_rep(v, self._hnf, self._pivots)
 
-    def step_key(self, key, j):
-        """canonical_key(key + e_j) for a canonical key, whose pivot
-        coordinates all lie in [0, pivot).  Only coordinate j moves: off
-        the pivot columns, or short of its pivot, the key stays canonical;
-        when it reaches its pivot the reduction starts at its pivot row,
-        since the rows above it reduce by 0."""
-        key = list(key)
-        key[j] += 1
-        step = self._steps[j]
-        if step is not None and key[j] == step[0]:
-            return canonical_rep(key, step[1], step[2])
-        return tuple(key)
-
     def __repr__(self):
         return "LatticeBasis(%r, n=%d)" % (self.rows, self.n)
 
 
-def _positive_functional(rows, n):
-    """The primitive strictly positive integer w orthogonal to the rows, or
-    None.  Its candidates are w = c K over a basis K of the orthogonal
-    complement, subject to sum_i c_i K[i][j] >= 1 for every variable j; a
-    rational point c of that system, scaled to integers, gives w."""
-    K = integer_kernel(rows, n)
+def _torsion_rows(T, U, r, n):
+    """The torsion coordinates of Z^n/L, (row, d) with d > 1 and the row
+    reduced mod d: u is congruent to 0 mod L iff K u = 0 and row . u = 0
+    mod d for each.  With P M Q = diag(d) (linalg.diagonal_form), y lies
+    in the row span of M iff y Q lies in that of diag(d); y is the first r
+    coordinates U u, so the k-th row is sum_i Q[i][k] U[i].  When every
+    pivot of the triangular T is 1, M is unimodular and there are none."""
+    if all(T[k][k] == 1 for k in range(r)):
+        return ()
+    d, Q = diagonal_form([tuple(T[k][i] for k in range(r)) for i in range(r)])
+    return tuple(
+        (tuple(sum(Q[i][k] * U[i][j] for i in range(r)) % dk for j in range(n)), dk)
+        for k, dk in enumerate(d)
+        if dk > 1
+    )
+
+
+class CosetPacking:
+    """The classes of Z^n/L with a nonnegative member of value w . u <=
+    bound, packed into ints for one scan.
+
+    phi(u) = (K u, the torsion digits) is a group isomorphism from Z^n/L
+    onto Z^(n-r) + sum Z/d.  A monomial u of value <= bound has
+    |K[k] . u| <= R_k = max_j |K[k][j]| * bound // w_j, so free
+    coordinate k is stored as K[k] . u + R_k in a field of its own, above
+    the torsion digits, which sit in the lowest bits in [0, d).  The key of
+    u + e_j is then key + cols[j], followed, for each (top, lim) in
+    torsion, by one subtraction of lim when key & top >= lim; a saturated
+    lattice has no torsion, so a step is one integer addition.
+    """
+
+    __slots__ = ("cols", "torsion", "_zero", "_fields", "_digits")
+
+    def __init__(self, L, bound, w):
+        shift, torsion, digits = 0, [], []
+        for row, d in L._torsion:
+            width = (2 * d - 2).bit_length()  # room for the sum of two digits
+            torsion.append((((1 << width) - 1) << shift, d << shift))
+            digits.append((row, d, shift))
+            shift += width
+        fields, zero = [], 0
+        for row in L._free:
+            R = max(abs(x) * bound // wj for x, wj in zip(row, w))
+            fields.append((row, R, shift))
+            zero += R << shift
+            shift += (2 * R).bit_length()
+        self.cols = tuple(
+            sum(row[j] << s for row, _R, s in fields)
+            + sum(row[j] << s for row, _d, s in digits)
+            for j in range(L.n)
+        )
+        self.torsion = tuple(torsion)
+        self._zero, self._fields, self._digits = zero, tuple(fields), tuple(digits)
+
+    def pack(self, v):
+        """The key of the class of the integer vector v, or None when a
+        free coordinate lies outside [-R_k, R_k]: then the class has no
+        monomial of value <= bound, and no key stands for two classes."""
+        if len(v) != len(self.cols):
+            raise ValueError("vector has wrong dimension")
+        key = self._zero
+        for row, R, shift in self._fields:
+            y = sum(map(mul, row, v))
+            if not -R <= y <= R:
+                return None
+            key += y << shift
+        for row, d, shift in self._digits:
+            key += sum(map(mul, row, v)) % d << shift
+        return key
+
+
+class ScannedClasses:
+    """The classes a degree scan reached, held as packed keys (see
+    CosetPacking).  len() counts them; v in it asks whether the class of
+    the integer vector v was reached."""
+
+    __slots__ = ("_packing", "_keys")
+
+    def __init__(self, packing, keys):
+        self._packing = packing
+        self._keys = keys
+
+    def __contains__(self, v):
+        key = self._packing.pack(v)
+        return key is not None and key in self._keys
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _positive_functional(K, n):
+    """The primitive strictly positive integer w orthogonal to L, or None.
+    Its candidates are w = c K over the kernel basis K of L (the rows
+    orthogonal to L), subject to sum_i c_i K[i][j] >= 1 for every variable
+    j; a rational point c of that system, scaled to integers, gives w."""
     k = len(K)
     pt = rational_point([(tuple(row[j] for row in K), -1) for j in range(n)], k)
     if pt is None:

@@ -295,9 +295,11 @@ def full_fibers(L, bound, w):
 
 
 def reference_scan(L, bound, functional=None):
-    """The degree scan of the package before dense class ids, kept as a
-    test-only oracle for homology.scan_degree_classes: tuple-keyed dicts,
-    a representative for every class, members as sets.
+    """A degree scan that shares no stepping code with the package's,
+    kept as a test-only oracle for homology.scan_degree_classes:
+    Hermite-tuple keys reduced afresh at every step, tuple-keyed dicts, a
+    representative for every class, members as sets.  Its scanned is the
+    frozenset of the canonical keys of the classes it reached.
 
     The Atlas of all degree classes with a nonnegative representative
     of functional value <= bound.
@@ -306,9 +308,8 @@ def reference_scan(L, bound, functional=None):
     functional must be strictly positive and orthogonal to L, so that it
     is constant on fibers; by default one is computed from the lattice.
     The search steps b -> b + e_j from the zero class and reaches each
-    class first at a nonnegative representative.  Keys are not reduced
-    afresh: LatticeBasis.step_key turns the canonical key of b into that
-    of b + e_j, with Hermite reduction only on pivot steps.
+    class first at a nonnegative representative; the key of b + e_j is
+    LatticeBasis.canonical_key of the key of b plus e_j.
     A monomial u != 0 in the fiber of b is u' + e_j for some u' in the
     fiber of b - e_j, a class the scan reached one step earlier, so
     fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
@@ -336,7 +337,7 @@ def reference_scan(L, bound, functional=None):
             s2 = s + w[j]
             if s2 > bound:
                 continue
-            key2 = L.step_key(key, j)
+            key2 = L.canonical_key(key[:j] + (key[j] + 1,) + key[j + 1 :])
             if key2 not in seen:
                 rep2 = rep[:j] + (rep[j] + 1,) + rep[j + 1 :]
                 seen[key2] = (rep2, s2)
@@ -373,6 +374,11 @@ def reference_scan(L, bound, functional=None):
             fibers.append((b, s, Fiber(b, ms)))
     return Atlas(L, bound, w, frozenset(seen), fibers)
 
+
+def same_classes(scanned, keys):
+    """Does the scan's scanned hold exactly the classes of the distinct
+    canonical keys keys?  Equal counts, and every key a member."""
+    return len(scanned) == len(keys) and all(key in scanned for key in keys)
 
 
 def scan_problems(suite, lattices):
@@ -485,7 +491,7 @@ def check_gcd_support_homology(suite, rng, random_count=10):
     for where, L, bound, w in scan_problems(suite, lattices):
         atlas = scan_degree_classes(L, bound, w)
         full = full_fibers(L, bound, w)
-        assert atlas.scanned == {b.key for b, _s, _fib in full}, (
+        assert same_classes(atlas.scanned, [b.key for b, _s, _fib in full]), (
             "scanned classes differ from the full fibers on %s" % where
         )
         assert len(atlas) == len(full), "class count differs on %s" % where
@@ -797,18 +803,22 @@ def check_box_oracle(rng, count=100, box=8, classes_per_lattice=30):
 
 
 def euler_hilbert_mismatches(T):
-    """The scanned class keys of a Betti table that break the identity."""
+    """The scanned class keys of a Betti table that break the identity.
+    The classes come from reference_scan, as canonical keys; T.scanned
+    must hold exactly those, and answers the right side."""
     L = T.lattice
-    lhs = dict.fromkeys(T.scanned, 0)
+    keys = reference_scan(L, T.bound, T.functional).scanned
+    assert len(T.scanned) == len(keys), "scanned class counts differ"
+    lhs = dict.fromkeys(keys, 0)
     lhs[L.canonical_key((0,) * L.n)] = 1
     for (i, b), beta in T.entries.items():
         lhs[b.key] += (-1) ** i * beta
     bad = []
-    for key in sorted(T.scanned):
+    for key in sorted(keys):
         rhs = 0
         for F in itertools.product((0, 1), repeat=L.n):
             shifted = tuple(x - f for x, f in zip(key, F))
-            if L.canonical_key(shifted) in T.scanned:
+            if shifted in T.scanned:
                 rhs += (-1) ** sum(F)
         if lhs[key] != rhs:
             bad.append(key)

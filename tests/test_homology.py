@@ -13,7 +13,9 @@ from helpers import (
     euler_characteristic_checks,
     gcd_complex,
     reference_scan,
+    same_classes,
     scan_problems,
+    small_scan_bound,
     suite_b_lattices,
     support_complex,
 )
@@ -274,12 +276,14 @@ def test_scan_degree_classes_oracle(ex61):
     for u in itertools.product(range(6), repeat=4):
         if sum(w * x for w, x in zip(ex61.functional, u)) <= 20:
             brute.add(L.canonical_key(u))
-    assert got.scanned == brute
+    assert same_classes(got.scanned, brute)
 
 
 def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
-    """The scan steps each canonical key to the next: only the zero vector
-    goes through canonical_key, and at most one class through class_of."""
+    """The scan steps packed keys by addition: canonical_key runs at most
+    once per carried fiber (343 of ex64's 469 classes, where a reduction
+    per step would make thousands), and at most one class goes through
+    class_of."""
     from latticescarf import homology, lattice_core
 
     calls = {"canonical_key": 0, "class_of": 0}
@@ -297,8 +301,8 @@ def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
         counter = counted("class_of", class_of)
         monkeypatch.setattr(module, "class_of", counter, raising=False)
     atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
-    assert len(atlas) == 469
-    assert calls["canonical_key"] <= 1 and calls["class_of"] <= 1, calls
+    assert (len(atlas), len(atlas.fibers)) == (469, 343)
+    assert calls["canonical_key"] <= 343 and calls["class_of"] <= 1, calls
 
 
 def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
@@ -319,20 +323,34 @@ def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
 
 
 def scan_summary(atlas):
-    """The scanned keys, the class count and the carried (key,
-    representative, value, members) in order."""
+    """The class count and the carried (key, representative, value,
+    members) in order."""
     carried = [(b.key, b.representative, s, fib.members) for b, s, fib in atlas.fibers]
-    return atlas.scanned, len(atlas), carried
+    return len(atlas), carried
+
+
+# two lattices whose quotient has two torsion coordinates: (Z/2)^2 and
+# Z/2 + Z/3 beside the free part
+TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, -3)])
 
 
 def test_scan_matches_reference_scan(suite):
-    """The scan equals the tuple-keyed oracle on the fixtures at their
-    bounds and suite (b)'s first 10 lattices; the representatives, which
-    every report prints, pin the search order."""
+    """The scan equals the oracle, which reduces a Hermite key at every
+    step, on the fixtures at their bounds, suite (b)'s first 10 lattices
+    (three with torsion) and two lattices with two torsion coordinates:
+    the same classes, compared through the packing, and the same carried
+    fibers; the representatives, which every report prints, pin the
+    search order."""
     lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
-    for where, L, bound, w in scan_problems(suite, lattices):
-        got = scan_summary(scan_degree_classes(L, bound, w))
-        assert got == scan_summary(reference_scan(L, bound, w)), where
+    problems = scan_problems(suite, lattices)
+    for rows in TWO_TORSION_FIELDS:
+        L = LatticeBasis(rows)
+        problems.append((repr(rows), L, 4 * small_scan_bound(L), L.functional))
+    for where, L, bound, w in problems:
+        got = scan_degree_classes(L, bound, w)
+        want = reference_scan(L, bound, w)
+        assert same_classes(got.scanned, want.scanned), where
+        assert scan_summary(got) == scan_summary(want), where
 
 
 def test_scan_work_does_not_grow_with_the_weights():
@@ -340,15 +358,16 @@ def test_scan_work_does_not_grow_with_the_weights():
     work or memory follows the magnitude of the values."""
     L = LatticeBasis([(1, -1, 0)])
     small = scan_summary(scan_degree_classes(L, 4, (1, 1, 1)))
+    keys = reference_scan(L, 4, (1, 1, 1)).scanned
     tracemalloc.start()
     try:
         big = scan_degree_classes(L, 4 * 10**6, (10**6,) * 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert big.scanned == small[0] and len(big) == small[1]
+    assert same_classes(big.scanned, keys) and len(big) == small[0]
     assert [(b.key, b.representative, fib.members) for b, _s, fib in big.fibers] == [
-        (key, rep, members) for key, rep, _s, members in small[2]
+        (key, rep, members) for key, rep, _s, members in small[1]
     ]
     assert peak < 2**20, peak
 

@@ -9,6 +9,7 @@ from latticescarf import cli, lattice_core
 from latticescarf.fibers import enumerate_fiber
 from latticescarf.homology import betti_scan, scan_degree_classes
 from latticescarf.lattice_core import (
+    CosetPacking,
     DegreeClass,
     LatticeBasis,
     NotPointedError,
@@ -189,17 +190,69 @@ def test_betti_table_leq_rejects_other_lattices():
     assert T.leq(class_of(same, (0, 1, 0)), class_of(same, (1, 0, 0)))
 
 
-def test_step_key_is_the_key_of_the_next_vector(suite):
+# Z/2 beside the free part, then (Z/2)^2 and Z/2 + Z/3
+ONE_TORSION_FIELD = [(2, -2, 0)]
+TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, -3)])
+
+
+def test_packed_keys_are_the_coset_classes(suite):
+    """Two vectors get the same packed key iff they are congruent mod L
+    (the same canonical key), and the key of v + e_j is that of v plus
+    column j, with one compare and subtraction per torsion coordinate."""
     rng = random.Random(17)
     lattices = [data.lattice for data in suite.values()]
-    lattices.append(LatticeBasis([(2, -3, 1)]))
-    lattices.append(LatticeBasis([(1, -2, 1, 0), (0, 3, 0, -2)]))
+    lattices += [LatticeBasis(rows) for rows in (ONE_TORSION_FIELD,) + TWO_TORSION_FIELDS]
+    assert [len(L._torsion) for L in lattices[3:]] == [1, 2, 2]
     for L in lattices:
-        for _ in range(200):
-            key = L.canonical_key(tuple(rng.randint(-9, 9) for _ in range(L.n)))
-            for j in range(L.n):
-                u = key[:j] + (key[j] + 1,) + key[j + 1 :]
-                assert L.step_key(key, j) == L.canonical_key(u)
+        vectors = []
+        for _ in range(150):
+            v = tuple(rng.randint(-9, 9) for _ in range(L.n))
+            z = [rng.randint(-2, 2) for _ in range(L.r)]
+            u = tuple(x + sum(c * row[j] for c, row in zip(z, L.rows)) for j, x in enumerate(v))
+            vectors += [v, u]
+        # at this bound every coordinate of every v and v + e_j is in range
+        w = L.functional
+        bound = max(sum(wj * (abs(x) + 1) for wj, x in zip(w, v)) for v in vectors)
+        P = CosetPacking(L, bound, w)
+        pairs = {(P.pack(v), L.canonical_key(v)) for v in vectors}
+        assert None not in {key for key, _ in pairs}
+        assert len(pairs) == len({key for key, _ in pairs}) == len({k for _, k in pairs})
+        assert len(pairs) < len(vectors)  # some vectors were congruent
+        with pytest.raises(ValueError, match="wrong dimension"):
+            P.pack((0,) * (L.n + 1))
+        for v in vectors:
+            for j, col in enumerate(P.cols):
+                key = P.pack(v) + col
+                for top, lim in P.torsion:
+                    if key & top >= lim:
+                        key -= lim
+                assert key == P.pack(v[:j] + (v[j] + 1,) + v[j + 1 :])
+
+
+def test_betti_table_leq_matches_class_leq(ex61):
+    """T.leq(d, b) is class_leq(d, b) whenever sigma(b) - sigma(d) <=
+    T.bound, over the classes of a scan at twice the bound, and False
+    beyond the bound, also where the packed coordinates of b - d leave
+    the table's range."""
+    problems = [(ex61.lattice, 4), (LatticeBasis(ONE_TORSION_FIELD), 5)]
+    problems += [(LatticeBasis(rows), 3) for rows in TWO_TORSION_FIELDS]
+    compared = beyond = outside = 0
+    for L, bound in problems:
+        w = L.functional
+        T = betti_scan(L, bound, functional=w)
+        packing = CosetPacking(L, bound, w)
+        classes = [(b, s) for b, s, _fib in full_fibers(L, 2 * bound, w)]
+        for d, sd in classes:
+            for b, sb in classes:
+                if sb - sd <= bound:
+                    assert T.leq(d, b) == class_leq(d, b), (L, d, b)
+                    compared += 1
+                else:
+                    assert not T.leq(d, b), (L, d, b)
+                    beyond += 1
+                    diff = tuple(x - y for x, y in zip(b.representative, d.representative))
+                    outside += packing.pack(diff) is None
+    assert compared and beyond and outside, (compared, beyond, outside)
 
 
 def test_class_leq_is_partial_order(ex61):
