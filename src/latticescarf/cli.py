@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .fibers import enumerate_fiber, monomial_str, support_mask
+from .fibers import enumerate_fiber, monomial_str
 from .homology import (
     _betti_table,
     betti_scan,
@@ -300,11 +300,13 @@ def _render_dot(fiber, variables, kind):
         for k, m in enumerate(ms):
             label = _dot_label(monomial_str(m, variables))
             lines.append('  n%d [label="%s"];' % (k, label))
-        masks = [support_mask(m) for m in ms]
+        masks = fiber.masks
+        tails = ["%d;" % b for b in range(len(ms))]
         for a, mask in enumerate(masks):
-            for b in range(a + 1, len(masks)):
-                if mask & masks[b]:
-                    edges.append("  n%d -- n%d;" % (a, b))
+            head = "  n%d -- n" % a
+            edges.extend(
+                [head + tails[b] for b in range(a + 1, len(ms)) if mask & masks[b]]
+            )
     elif kind == "support":
         sups = [[i for i, x in enumerate(m) if x > 0] for m in fiber.members]
         for i in sorted(set().union(*sups)):
@@ -323,10 +325,10 @@ def export_dot(fiber, variables, kind="gcd"):
     """DOT source for the 1-skeleton of a fiber's complex.
 
     kind="gcd": vertices are the fiber monomials, edges join pairs with a
-    common divisor, that is pairs whose support masks (fibers.support_mask)
-    meet.  kind="support": vertices are the variables that occur, edges
-    join variables appearing in a common monomial support.  Labels escape
-    '"' and '\\'.
+    common divisor, that is pairs whose support masks (Fiber.masks) meet.
+    kind="support": vertices are the variables that occur, edges join
+    variables appearing in a common monomial support.  Labels escape '"'
+    and '\\'.
     """
     return _render_dot(fiber, variables, kind)[0]
 

@@ -17,13 +17,26 @@ def canonical_order(monomials):
 
 
 class Fiber:
-    """The set of monomials in one degree class, canonically ordered."""
+    """The set of monomials in one degree class, canonically ordered.
 
-    __slots__ = ("degree", "members")
+    masks[k] is the support mask (support_mask) of members[k]: the gcd
+    complex, its components and the homology of the fiber depend on the
+    masks alone."""
+
+    __slots__ = ("degree", "members", "masks")
 
     def __init__(self, degree, members):
         self.degree = degree
         self.members = canonical_order(members)
+        self.masks = tuple(map(support_mask, self.members))
+
+    @classmethod
+    def _with_masks(cls, degree, members, masks):
+        """The fiber whose members, a tuple in canonical order, have the
+        tuple of masks."""
+        fib = cls.__new__(cls)
+        fib.degree, fib.members, fib.masks = degree, members, masks
+        return fib
 
     def __len__(self):
         return len(self.members)

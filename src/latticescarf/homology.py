@@ -4,7 +4,7 @@ beta_{i,b} is the reduced homology of the complex on the variables whose
 faces are the subsets of the fiber's monomial supports (Miller-Sturmfels'
 squarefree divisor complex, Combinatorial Commutative Algebra, ch. 9).
 reduced_homology_dims reads that complex from the support masks
-(fibers.support_mask) alone, with faces as vertex bitmasks.  The complex
+(Fiber.masks) alone, with faces as vertex bitmasks.  The complex
 is the nerve of the cover of the gcd complex (vertices = fiber
 monomials, faces = subsets with a nontrivial common divisor) by the full
 simplices V_i = {m : x_i divides m}, so the two have the same reduced
@@ -22,7 +22,7 @@ Multigraded Betti numbers follow the convention
     i >= 1.
 """
 
-from .fibers import Fiber, fiber_of, support_mask
+from .fibers import Fiber, fiber_of
 from .lattice_core import (
     CosetPacking,
     DegreeClass,
@@ -109,14 +109,13 @@ def gcd_components(F):
     """The connected components of the gcd complex of F: tuples of
     monomials in fiber order, ordered by their first monomial.
 
-    Two monomials are joined when their supports meet, so each component
-    covers a union of supports disjoint from the others' unions.  Each
-    distinct support mask absorbs every union it meets, so the unions stay
-    disjoint; a monomial belongs to the union its mask meets.  The
-    monomial 1 lies in no component.
+    Two monomials are joined when their support masks (F.masks) meet, so
+    each component covers a union of supports disjoint from the others'
+    unions.  Each distinct support mask absorbs every union it meets, so
+    the unions stay disjoint; a monomial belongs to the union its mask
+    meets.  The monomial 1 lies in no component.
     """
-    masks = [support_mask(m) for m in F.members]
-    distinct = set(masks) - {0}
+    distinct = set(F.masks) - {0}
     unions = []
     for s in distinct:
         rest = []
@@ -128,7 +127,7 @@ def gcd_components(F):
         unions = rest + [s]
     union_of = {s: u for u in unions for s in distinct if s & u}
     groups = {}
-    for m, s in zip(F.members, masks):
+    for m, s in zip(F.members, F.masks):
         if s:
             groups.setdefault(union_of[s], []).append(m)
     return tuple(tuple(g) for g in groups.values())
@@ -140,8 +139,7 @@ def betti_at(L, i, b, field="q"):
     if i < 1:
         raise ValueError("betti_at is defined for homological degree i >= 1")
     fib = fiber_of(L, b)
-    dims = reduced_homology_dims({support_mask(m) for m in fib.members}, field)
-    return dims.get(i - 1, 0)
+    return reduced_homology_dims(fib.masks, field).get(i - 1, 0)
 
 
 class Atlas:
@@ -182,13 +180,16 @@ def scan_degree_classes(L, bound, functional=None):
     which only the carried classes need; only they get a canonical key.
     A step raises the value, so value order puts every class after the
     classes it steps from.
-    The masks need no members: cone(0) = 0 and cone(b) = AND over the
-    steps of (cone(b - e_j) | 1 << j).  A monomial u != 0 in the fiber of
-    b is u' + e_j for u' in the fiber of b - e_j, with j the last index
-    where u is positive, so u' is 0 or positive somewhere at or before j.
-    So fiber(b) is built once per monomial from fiber(0) = {0} up, without
-    Fourier-Motzkin, and only where a fiber of cone mask 0 needs it.  Only
-    the carried classes become DegreeClass objects.
+    The cone masks need no members: cone(0) = 0 and cone(b) = AND over
+    the steps of (cone(b - e_j) | 1 << j).  Members are built from
+    fiber(0) = {0} up, without Fourier-Motzkin, in canonical order beside
+    their support masks (mask(u + e_j) = mask(u) | 1 << j), and only where
+    a carried fiber needs them.  For bit k of cone(b), every monomial has
+    u_k >= 1, so fiber(b) = fiber(b - e_k) + e_k.  A carried class takes
+    the union over its steps e_j of u + e_j for the u of mask below
+    2 << j (j is the last index where u + e_j is positive), so each
+    monomial is built once.  Only the carried classes become DegreeClass
+    objects.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -235,27 +236,51 @@ def scan_degree_classes(L, bound, functional=None):
         for k in range(0, len(e), 2):
             mask &= cone[e[k]] | bits[e[k + 1]]
         cone[i] = mask
-    needed = bytearray(len(keys))  # carried, or a predecessor of one
+    # pred[i] = (p, j): a step into cone class i with bit j in cone[i].  It
+    # was recorded: a member minus e_j lies in class p within the bound.
+    pred = [None] * len(keys)
+    needed = bytearray(len(keys))  # carried, or read by a needed class
     for i in reversed(order):
-        if needed[i] or not cone[i]:
+        c = cone[i]
+        if not c:
             needed[i] = 1
             for p in into[i][::2]:
                 needed[p] = 1
-    # members[i][j + 1] holds the monomials of fiber i whose last positive
-    # coordinate is j, members[i][0] the zero monomial
-    members = [None] * len(keys)
-    members[0] = [(zero,)] + [()] * n
-    for i in order[1:]:
-        if needed[i]:
-            groups = members[i] = [()] * (n + 1)
+        elif needed[i]:
             e = into[i]
-            for k in range(0, len(e), 2):
-                j = e[k + 1]
-                groups[j + 1] = [
-                    m[:j] + (m[j] + 1,) + m[j + 1 :]
-                    for g in members[e[k]][: j + 2]
-                    for m in g
-                ]
+            k = 1
+            while not c >> e[k] & 1:
+                k += 2
+            p, j = e[k - 1], e[k]
+            pred[i] = p, j
+            needed[p] = 1
+    # members[i] holds fiber i in canonical order (a tuple when carried),
+    # masks[i] their support masks
+    members = [None] * len(keys)
+    masks = [None] * len(keys)
+    members[0], masks[0] = (zero,), (0,)
+    for i in order[1:]:
+        if not needed[i]:
+            continue
+        if pred[i]:
+            p, j = pred[i]
+            bit = bits[j]
+            members[i] = [m[:j] + (m[j] + 1,) + m[j + 1 :] for m in members[p]]
+            masks[i] = [s | bit for s in masks[p]]
+            continue
+        ms, ks = [], []
+        e = into[i]
+        for k in range(0, len(e), 2):
+            p, j = e[k], e[k + 1]
+            bit, top = bits[j], 2 << j
+            for m, s in zip(members[p], masks[p]):
+                if s < top:
+                    ms.append(m[:j] + (m[j] + 1,) + m[j + 1 :])
+                    ks.append(s | bit)
+        # each step's part is already in order: sorting merges the runs
+        by = sorted(range(len(ms)), key=ms.__getitem__, reverse=True)
+        members[i] = tuple([ms[t] for t in by])
+        masks[i] = tuple([ks[t] for t in by])
     carried = []
     for i in order:
         if not cone[i]:
@@ -269,7 +294,7 @@ def scan_degree_classes(L, bound, functional=None):
     fibers = []
     for s, key, rep, i in carried:
         b = DegreeClass._with_key(L, rep, key)
-        fibers.append((b, s, Fiber(b, [m for g in members[i] for m in g])))
+        fibers.append((b, s, Fiber._with_masks(b, members[i], masks[i])))
     return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers)
 
 
@@ -332,8 +357,7 @@ def _betti_table(atlas, field="q"):
     """betti_scan over the fibers an Atlas carries."""
     entries = {}
     for b, _s, fib in atlas.fibers:
-        dims = reduced_homology_dims({support_mask(m) for m in fib.members}, field)
-        for j, dim in dims.items():
+        for j, dim in reduced_homology_dims(fib.masks, field).items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim
     return BettiTable(

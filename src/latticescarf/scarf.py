@@ -23,7 +23,6 @@ from .fibers import (
     fiber_of,
     gcd_of,
     reduce_by_gcd,
-    support_mask,
 )
 from .homology import (
     BettiTable,
@@ -181,8 +180,8 @@ def basic_components(L, b):
     puncture G minus a monomial has a nontrivial gcd, and G is the whole
     fiber (at most two monomials) or a connected component of the gcd
     complex (more than two).  Monomials have a nontrivial common divisor iff
-    their supports share a variable, so both gcd tests are ANDs of
-    support masks (fibers.support_mask): gcd(G) = 1 iff the AND over G is
+    their supports share a variable, so both gcd tests are ANDs of the
+    fiber's support masks (Fiber.masks): gcd(G) = 1 iff the AND over G is
     0 (the AND over no masks is -1, all bits), and the AND over each
     puncture is the AND of a prefix and a suffix of G's masks, so all
     punctures cost O(|G|) together.  So the zero class contributes the
@@ -193,8 +192,12 @@ def basic_components(L, b):
     """
     fib = fiber_of(L, b)
     out = []
-    for G in gcd_components(fib) if len(fib) > 2 else (fib.members,):
-        masks = [support_mask(m) for m in G]
+    if len(fib) > 2:
+        mask_of = dict(zip(fib.members, fib.masks))
+        parts = [(G, [mask_of[m] for m in G]) for G in gcd_components(fib)]
+    else:
+        parts = [(fib.members, fib.masks)]
+    for G, masks in parts:
         # suffix[k] is the AND of masks[k:], prefix the AND of masks[:k]
         suffix = [-1] * (len(masks) + 1)
         for k in range(len(masks) - 1, -1, -1):

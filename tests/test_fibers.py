@@ -5,6 +5,7 @@ import pytest
 
 from helpers import catalog_fibers, enumerate_fiber_box_oracle, random_pointed_lattice
 from latticescarf.fibers import (
+    Fiber,
     canonical_order,
     enumerate_fiber,
     fiber_of,
@@ -76,7 +77,7 @@ def test_fiber_182(ex64):
         assert sum(w * x for w, x in zip(weights, m)) == 182
 
 
-def test_fiber_is_cached(ex63):
+def test_congruent_representatives_give_one_fiber(ex63):
     f1 = enumerate_fiber(ex63.lattice, ABD)
     f2 = enumerate_fiber(ex63.lattice, E2)  # same class, other representative
     assert f1 == f2 and f1.members == f2.members
@@ -98,6 +99,19 @@ def test_empty_fiber(ex63):
     fib = enumerate_fiber(ex63.lattice, (-1, 1, 0, 0, 0))
     assert len(fib) == 0
     assert fib.members == ()
+
+
+def test_fiber_masks_are_the_members_support_masks(suite, ex63):
+    """Fiber.masks[k] is support_mask(members[k]) on enumerated fibers,
+    the empty fiber and a fiber built by hand (whose members it sorts)."""
+    fibs = [enumerate_fiber(ex63.lattice, (-1, 1, 0, 0, 0))]
+    for data in suite.values():
+        fibs += catalog_fibers(data)
+    hand = Fiber(class_of(ex63.lattice, E2), [E2, ABD, B2C, AC2])
+    assert hand.members == (ABD, AC2, B2C, E2)
+    for fib in fibs + [hand]:
+        assert fib.masks == tuple(map(support_mask, fib.members))
+    assert fibs[0].masks == () and hand.masks == (0b1011, 0b101, 0b110, 0b10000)
 
 
 def test_fiber_vector_of_wrong_dimension(ex61):

@@ -322,10 +322,35 @@ def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
     assert made == [b.key for b, _s, _fib in atlas.fibers]
 
 
+def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
+    """The scan hands each fiber its support masks, so neither the scan nor
+    the Betti table, the poset and the 1-Betti classes read from ex64's
+    atlas call support_mask, under any module's binding of it."""
+    from latticescarf import cli, fibers, homology, scarf
+
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return support_mask(u)
+
+    for module in (fibers, homology, scarf, cli):
+        monkeypatch.setattr(module, "support_mask", counted, raising=False)
+    atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
+    T = homology._betti_table(atlas)
+    poset = scarf._scarf_poset(atlas)
+    found, _T1 = scarf._one_betti_classes(atlas)
+    assert calls == []
+    assert T.entries and len(poset) and found
+
+
 def scan_summary(atlas):
     """The class count and the carried (key, representative, value,
-    members) in order."""
-    carried = [(b.key, b.representative, s, fib.members) for b, s, fib in atlas.fibers]
+    members, masks) in order."""
+    carried = [
+        (b.key, b.representative, s, fib.members, fib.masks)
+        for b, s, fib in atlas.fibers
+    ]
     return len(atlas), carried
 
 
@@ -339,8 +364,9 @@ def test_scan_matches_reference_scan(suite):
     step, on the fixtures at their bounds, suite (b)'s first 10 lattices
     (three with torsion) and two lattices with two torsion coordinates:
     the same classes, compared through the packing, and the same carried
-    fibers; the representatives, which every report prints, pin the
-    search order."""
+    fibers with the same support masks, which the scan steps with the
+    monomials and the oracle computes from them; the representatives,
+    which every report prints, pin the search order."""
     lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
     problems = scan_problems(suite, lattices)
     for rows in TWO_TORSION_FIELDS:
@@ -366,9 +392,9 @@ def test_scan_work_does_not_grow_with_the_weights():
     finally:
         tracemalloc.stop()
     assert same_classes(big.scanned, keys) and len(big) == small[0]
-    assert [(b.key, b.representative, fib.members) for b, _s, fib in big.fibers] == [
-        (key, rep, members) for key, rep, _s, members in small[1]
-    ]
+    assert [
+        (b.key, b.representative, fib.members, fib.masks) for b, _s, fib in big.fibers
+    ] == [(key, rep, members, masks) for key, rep, _s, members, masks in small[1]]
     assert peak < 2**20, peak
 
 
