@@ -19,8 +19,8 @@ import sys
 from . import __version__
 from .fibers import enumerate_fiber, monomial_str
 from .homology import (
-    _betti_table,
     betti_scan,
+    betti_table,
     minimal_betti_degrees,
     scan_degree_classes,
 )
@@ -34,16 +34,14 @@ from .lattice_core import (
 )
 from .linalg import is_prime, solve_combination
 from .scarf import (
-    _generators,
-    _indispensables,
-    _one_betti_classes,
-    _scarf_poset,
     algebraic_scarf_subcomplex,
     basic_components,
+    binomials,
     build_generalized_scarf_complex,
     enumerate_scarf_poset,
     indispensable_binomials,
     minimal_generators,
+    scarf_poset,
     strongly_algebraic_subcomplex,
     verify_zero_composition,
 )
@@ -215,7 +213,6 @@ class Report:
 
 def _betti_payload(spec, T):
     entries = []
-    w = T.functional
     for i in sorted(T.homological_degrees()):
         for b in T.degrees(i):
             entries.append(
@@ -402,12 +399,12 @@ def run_command(spec, command, options):
         if mode not in ("strict", "paper-example"):
             raise ParseError("--mode must be strict or paper (paper-example)")
         atlas = scan_degree_classes(L, bound, w)
-        X = build_generalized_scarf_complex(_scarf_poset(atlas))
+        X = build_generalized_scarf_complex(scarf_poset(atlas))
         prov = {"bound": bound, "functional": list(w), "kind": kind}
         if kind == "scarf":
             X = algebraic_scarf_subcomplex(X)
         elif kind == "strong":
-            T = _betti_table(atlas, field)
+            T = betti_table(atlas, field)
             X = strongly_algebraic_subcomplex(X, T, mode=mode)
             prov["mode"] = mode
             prov["field"] = str(field)
@@ -473,9 +470,9 @@ def _verify_fixture(name, bound=None):
         return list(A.degree_of(b.representative))
 
     atlas = scan_degree_classes(L, bound, w)
-    T = _betti_table(atlas)
-    P = _scarf_poset(atlas)
-    found, T1 = _one_betti_classes(atlas)
+    T = betti_table(atlas)
+    P = scarf_poset(atlas)
+    gens, indispensables = binomials(atlas)
     X = build_generalized_scarf_complex(P)
     S = algebraic_scarf_subcomplex(X)
     checks = []
@@ -551,15 +548,13 @@ def _verify_fixture(name, bound=None):
     if "max_component_cardinality" in exp:
         check("max_component_cardinality", exp["max_component_cardinality"], P.max_cardinality())
     if "indispensable_degrees" in exp:
-        got = sorted(sdeg(b) for b, _ in _indispensables(found, T1))
+        got = sorted(sdeg(b) for b, _ in indispensables)
         check("indispensable_degrees", sorted(exp["indispensable_degrees"]), got)
-    if "generator_degrees" in exp or "generator_count" in exp:
-        gens = _generators(found)
-        if "generator_degrees" in exp:
-            got = sorted(sdeg(b) for b, _ in gens)
-            check("generator_degrees", sorted(exp["generator_degrees"]), got)
-        if "generator_count" in exp:
-            check("generator_count", exp["generator_count"], len(gens))
+    if "generator_degrees" in exp:
+        got = sorted(sdeg(b) for b, _ in gens)
+        check("generator_degrees", sorted(exp["generator_degrees"]), got)
+    if "generator_count" in exp:
+        check("generator_count", exp["generator_count"], len(gens))
 
     ok = all(c["ok"] for c in checks)
     prov = {"bound": bound, "functional": list(w)}

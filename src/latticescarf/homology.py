@@ -14,7 +14,9 @@ gcd_components merges the support masks that meet.
 
 When the monomials of a fiber share a variable x_k, every support
 contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  A
-degree scan's Atlas carries fibers only for the other classes.
+degree scan (scan_degree_classes) returns an Atlas, which carries the
+Fibers of the other classes only; betti_table reads a BettiTable from
+it, and scarf.scarf_poset and scarf.binomials read the other products.
 
 Multigraded Betti numbers follow the convention
 
@@ -146,9 +148,10 @@ class Atlas:
     """A degree scan.  scanned holds every class it reached, as packed
     keys (lattice_core.ScannedClasses): len() counts them, and v in
     scanned asks whether the class of the integer vector v was reached.
-    fibers lists (DegreeClass, value, Fiber) in (value, key) order for the
-    classes of cone mask 0 only: the AND of the support masks of a fiber
-    is nonzero iff its gcd complex is a cone (no homology, no basic
+    fibers is a tuple of the Fibers of the classes of cone mask 0 only,
+    each with its DegreeClass as fib.degree, in (functional value,
+    canonical key) order: the AND of the support masks of a fiber is
+    nonzero iff its gcd complex is a cone (no homology, no basic
     component, connected)."""
 
     def __init__(self, lattice, bound, functional, scanned, fibers):
@@ -189,7 +192,7 @@ def scan_degree_classes(L, bound, functional=None):
     the union over its steps e_j of u + e_j for the u of mask below
     2 << j (j is the last index where u + e_j is positive), so each
     monomial is built once.  Only the carried classes become DegreeClass
-    objects.
+    objects, and the Atlas holds their Fibers in (value, key) order.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -288,27 +291,25 @@ def scan_degree_classes(L, bound, functional=None):
             while k:
                 rep[into[k][1]] += 1
                 k = into[k][0]
-            rep = tuple(rep)
-            carried.append((values[i], L.canonical_key(rep), rep, i))
+            b = DegreeClass(L, rep)
+            fib = Fiber._with_masks(b, members[i], masks[i])
+            carried.append((values[i], b.key, fib))
     carried.sort(key=lambda c: c[:2])
-    fibers = []
-    for s, key, rep, i in carried:
-        b = DegreeClass._with_key(L, rep, key)
-        fibers.append((b, s, Fiber._with_masks(b, members[i], masks[i])))
+    fibers = tuple(fib for _s, _key, fib in carried)
     return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers)
 
 
 class BettiTable:
-    """Nonzero multigraded Betti numbers found by a bounded scan, and
-    every class that scan visited (the scanned of its Atlas)."""
+    """Nonzero multigraded Betti numbers read from an Atlas, with its
+    lattice, bound, functional and every class its scan visited."""
 
-    def __init__(self, lattice, entries, bound, field, functional, scanned):
-        self.lattice = lattice
+    def __init__(self, atlas, entries, field):
+        self.lattice = atlas.lattice
         self.entries = dict(entries)  # (i, DegreeClass) -> positive int
-        self.bound = bound
+        self.bound = atlas.bound
         self.field = field
-        self.functional = functional
-        self.scanned = scanned
+        self.functional = atlas.functional
+        self.scanned = atlas.scanned
 
     def leq(self, d, b):
         """Divisibility d <= b for scanned classes.  A monomial in the class
@@ -350,19 +351,18 @@ def betti_scan(L, bound, field="q", functional=None):
     Records the nonzero beta_{i,b}, i >= 1, from the fibers of the classes
     whose gcd complex is not a cone; every class goes in T.scanned.
     """
-    return _betti_table(scan_degree_classes(L, bound, functional), field)
+    return betti_table(scan_degree_classes(L, bound, functional), field)
 
 
-def _betti_table(atlas, field="q"):
-    """betti_scan over the fibers an Atlas carries."""
+def betti_table(atlas, field="q"):
+    """The BettiTable of an Atlas, read from the fibers it carries (a cone
+    has no homology)."""
     entries = {}
-    for b, _s, fib in atlas.fibers:
+    for fib in atlas.fibers:
         for j, dim in reduced_homology_dims(fib.masks, field).items():
             if j >= 0 and dim:
-                entries[(j + 1, b)] = dim
-    return BettiTable(
-        atlas.lattice, entries, atlas.bound, field, atlas.functional, atlas.scanned
-    )
+                entries[(j + 1, fib.degree)] = dim
+    return BettiTable(atlas, entries, field)
 
 
 def minimal_betti_degrees(T, i):

@@ -269,13 +269,6 @@ class DegreeClass:
         self.representative = tuple(representative)
         self.key = lattice.canonical_key(self.representative)
 
-    @classmethod
-    def _with_key(cls, lattice, representative, key):
-        """The class of representative, whose canonical key is known."""
-        b = cls.__new__(cls)
-        b.lattice, b.representative, b.key = lattice, representative, key
-        return b
-
     def __eq__(self, other):
         if not isinstance(other, DegreeClass):
             return NotImplemented

@@ -168,9 +168,9 @@ def _normalize_row(a, c):
 def fm_eliminate(rows, v):
     """Project the system onto the variables other than z_v.
 
-    Returns rows whose v-coefficient is zero.  Raises ValueError carrying
-    "unbounded" semantics nowhere -- unboundedness shows up later as a
-    missing bound in interval queries, which callers treat explicitly.
+    Returns rows whose v-coefficient is zero.  Raises nothing: an
+    unbounded system surfaces later, as the ValueError of integer_points
+    when a variable has no bound on one side.
     """
     pos, neg, rest = [], [], []
     for a, c in rows:

@@ -266,17 +266,19 @@ def _translate_into(small, big):
 def enumerate_scarf_poset(L, bound, functional=None):
     """All basic components whose degree lies within the scan bound,
     ordered deterministically, together with the translation order."""
-    return _scarf_poset(scan_degree_classes(L, bound, functional))
+    return scarf_poset(scan_degree_classes(L, bound, functional))
 
 
-def _scarf_poset(atlas):
-    """enumerate_scarf_poset over an Atlas: a cone has no basic component."""
-    elements = []
-    for _b, s, fib in atlas.fibers:
-        for c in basic_components(atlas.lattice, fib):
-            elements.append((s, c))
-    elements.sort(key=lambda t: (t[0], t[1].degree.key, t[1].monomials))
-    comps = [c for _, c in elements]
+def scarf_poset(atlas):
+    """The ScarfPoset of an Atlas: the basic components of the fibers it
+    carries (a cone has none), in (functional value, degree key,
+    monomials) order.  The fibers come in (value, key) order, so only
+    the components of one fiber need sorting."""
+    comps = []
+    for fib in atlas.fibers:
+        comps += sorted(
+            basic_components(atlas.lattice, fib), key=lambda c: c.monomials
+        )
     leq = set()
     for i, ci in enumerate(comps):
         for j, cj in enumerate(comps):
@@ -434,6 +436,8 @@ def strongly_algebraic_subcomplex(X, T, mode="strict"):
     """
     if mode not in ("strict", "paper-example"):
         raise ValueError("mode must be 'strict' or 'paper-example'")
+    if not _same_lattice(X.lattice, T.lattice):
+        raise ValueError("classes live over different lattices")
     indices = T.homological_degrees()
     minimal = {j: set(minimal_betti_degrees(T, j)) for j in indices}
     keep = [list(range(len(X.basis[0]))) if X.basis else []]
@@ -463,15 +467,7 @@ def indispensable_binomials(L, bound, functional=None):
     """Binomials whose degree is a minimal 1-Betti degree with a two-
     monomial gcd-free fiber: x^m1 - x^m2 written as the ordered pair
     (m1, m2), m1 the lexicographically larger exponent."""
-    atlas = scan_degree_classes(L, bound, functional)
-    return _indispensables(*_one_betti_classes(atlas))
-
-
-def _indispensables(found, T):
-    minimal = set(minimal_betti_degrees(T, 1))
-    return [
-        (b, fib.members) for b, fib, _comps in found if b in minimal and len(fib) == 2
-    ]
+    return binomials(scan_degree_classes(L, bound, functional))[1]
 
 
 def minimal_generators(L, bound, functional=None):
@@ -481,32 +477,27 @@ def minimal_generators(L, bound, functional=None):
     k >= 2 connected components; one representative monomial per
     component, connected to the first component's representative, gives
     k - 1 binomials, and all of them together generate minimally."""
-    atlas = scan_degree_classes(L, bound, functional)
-    return _generators(_one_betti_classes(atlas)[0])
+    return binomials(scan_degree_classes(L, bound, functional))[0]
 
 
-def _generators(found):
-    out = []
-    for b, _fib, comps in found:
+def binomials(atlas):
+    """(generators, indispensables) of an Atlas, as minimal_generators and
+    indispensable_binomials give them, from one gcd_components pass over
+    the fibers it carries (a cone is connected, so beta_1 = 0 there).
+    beta_1 of a class is its number of gcd components less one."""
+    generators, pairs, entries = [], [], {}
+    for fib in atlas.fibers:
+        comps = gcd_components(fib)
+        if len(comps) < 2:
+            continue
+        b = fib.degree
+        entries[(1, b)] = len(comps) - 1
+        if len(fib) == 2:
+            pairs.append(fib)
         base = comps[0][0]
         for comp in comps[1:]:
             m = comp[0]
-            pair = (m, base) if m > base else (base, m)
-            out.append((b, pair))
-    return out
-
-
-def _one_betti_classes(atlas):
-    """The classes of an Atlas with disconnected gcd complex (never a cone),
-    as (class, fiber, components) triples, and the Betti table of their
-    beta_1 = components - 1."""
-    found = []
-    entries = {}
-    for b, _s, fib in atlas.fibers:
-        comps = gcd_components(fib)
-        if len(comps) >= 2:
-            found.append((b, fib, comps))
-            entries[(1, b)] = len(comps) - 1
-    return found, BettiTable(
-        atlas.lattice, entries, atlas.bound, "q", atlas.functional, atlas.scanned
-    )
+            generators.append((b, (m, base) if m > base else (base, m)))
+    minimal = set(minimal_betti_degrees(BettiTable(atlas, entries, "q"), 1))
+    indispensables = [(f.degree, f.members) for f in pairs if f.degree in minimal]
+    return generators, indispensables

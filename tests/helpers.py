@@ -18,8 +18,8 @@ from latticescarf.fibers import (
 )
 from latticescarf.homology import (
     Atlas,
-    _betti_table,
     betti_scan,
+    betti_table,
     gcd_components,
     reduced_homology_dims,
     scan_degree_classes,
@@ -34,9 +34,9 @@ from latticescarf.linalg import is_prime, rank_mod_p, rank_rational
 from latticescarf.scarf import (
     LatticeSubset,
     _in_generalized_scarf,
-    _one_betti_classes,
     algebraic_scarf_subcomplex,
     basic_components,
+    binomials,
     build_generalized_scarf_complex,
     enumerate_scarf_poset,
     indispensable_binomials,
@@ -369,10 +369,8 @@ def reference_scan(L, bound, functional=None):
             for m in members[into[k]]:
                 ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
         if not cone[key]:
-            rep, s = seen[key]
-            b = DegreeClass._with_key(L, rep, key)
-            fibers.append((b, s, Fiber(b, ms)))
-    return Atlas(L, bound, w, frozenset(seen), fibers)
+            fibers.append(Fiber(DegreeClass(L, seen[key][0]), ms))
+    return Atlas(L, bound, w, frozenset(seen), tuple(fibers))
 
 
 def same_classes(scanned, keys):
@@ -502,10 +500,11 @@ def check_gcd_support_homology(suite, rng, random_count=10):
                 mask &= support_mask(m)
             if not mask:
                 carry.append((b.key, s, fib))
-        assert [(b.key, s) for b, s, _fib in atlas.fibers] == [
-            (key, s) for key, s, _fib in carry
+        assert [fib.degree.key for fib in atlas.fibers] == [
+            key for key, _s, _fib in carry
         ], "carried classes are not the classes of cone mask 0 on %s" % where
-        for (b, s, got), (_key, _s, fib) in zip(atlas.fibers, carry):
+        for got, (_key, s, fib) in zip(atlas.fibers, carry):
+            b = got.degree
             rep = b.representative
             assert L.canonical_key(rep) == b.key, (
                 "representative %r is not in class %r on %s" % (rep, b.key, where)
@@ -530,11 +529,13 @@ def check_gcd_support_homology(suite, rng, random_count=10):
                 % ((where, b.representative) + tuple(dims))
             )
             checked += 1
-        # beta_1 twice: components - 1 by union-find, and H~_0 of the masks
-        _found, components = _one_betti_classes(atlas)
-        want = {b.key: v for (_i, b), v in components.entries.items()}
+        # beta_1 twice: components - 1 as the minimal generators of a class,
+        # and H~_0 of the masks
+        want = {}
+        for b, _pair in binomials(atlas)[0]:
+            want[b.key] = want.get(b.key, 0) + 1
         for field in ("q", 32003):
-            T = _betti_table(atlas, field)
+            T = betti_table(atlas, field)
             got = {b.key: v for (i, b), v in T.entries.items() if i == 1}
             assert got == want, "beta_1 over %r differs from the components on %s" % (
                 field, where

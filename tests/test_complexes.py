@@ -142,6 +142,16 @@ def test_strongly_algebraic_bad_mode(ex63):
         strongly_algebraic_subcomplex(ex63.complex, ex63.table, mode="loose")
 
 
+def test_strongly_algebraic_rejects_another_lattices_table(ex61, ex63):
+    """A Betti table over another lattice raises, rather than cutting the
+    complex by degrees it does not hold: ex61's table would leave ex63's
+    complex at ranks (1,)."""
+    assert strongly_algebraic_subcomplex(ex63.complex, ex63.table).ranks() == (1, 3, 1)
+    for mode in ("strict", "paper-example"):
+        with pytest.raises(ValueError, match="different lattices"):
+            strongly_algebraic_subcomplex(ex63.complex, ex61.table, mode=mode)
+
+
 def test_scarf_always_inside_strongly(suite):
     # every Scarf basis element survives in both strongly-algebraic modes
     for data in suite.values():
@@ -280,7 +290,7 @@ def test_scans_never_enumerate_fibers(monkeypatch, capsys):
     assert len(indispensable_binomials(L, 40, w)) == 3
     # the atlas carries every fiber whose gcd complex is not a cone
     atlas = scan_degree_classes(L, 40, w)
-    fibs = [f for _b, _s, f in atlas.fibers if len(f) == 3]
+    fibs = [f for f in atlas.fibers if len(f) == 3]
     assert [is_basic_fiber(L, f) for f in fibs].count(True) == 1
     assert vars(L) == before
     assert cli.main(["verify", "--fixture", "ex63"]) == 0

@@ -267,10 +267,12 @@ def test_scan_degree_classes_oracle(ex61):
     got = scan_degree_classes(L, 20, ex61.functional)
     assert len(got) == len(got.scanned)
     # sigma values are the functional applied to the representative
-    for b, s, fib in got.fibers:
-        assert s == sum(w * x for w, x in zip(ex61.functional, b.representative))
-        assert fib.degree is b and b.representative in fib
-    order = [(s, b.key) for b, s, _fib in got.fibers]
+    order = []
+    for fib in got.fibers:
+        b = fib.degree
+        assert b.representative in fib
+        s = sum(w * x for w, x in zip(ex61.functional, b.representative))
+        order.append((s, b.key))
     assert order == sorted(order)
     brute = set()
     for u in itertools.product(range(6), repeat=4):
@@ -310,16 +312,16 @@ def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
     from latticescarf.lattice_core import DegreeClass
 
     made = []
-    with_key = DegreeClass._with_key.__func__
+    init = DegreeClass.__init__
 
-    def counted(cls, lattice, representative, key):
-        made.append(key)
-        return with_key(cls, lattice, representative, key)
+    def counted(self, lattice, representative):
+        init(self, lattice, representative)
+        made.append(self.key)
 
-    monkeypatch.setattr(DegreeClass, "_with_key", classmethod(counted))
+    monkeypatch.setattr(DegreeClass, "__init__", counted)
     atlas = scan_degree_classes(ex64.lattice, 600, ex64.functional)
     assert (len(atlas), len(atlas.fibers), len(made)) == (469, 343, 343)
-    assert made == [b.key for b, _s, _fib in atlas.fibers]
+    assert sorted(made) == sorted(fib.degree.key for fib in atlas.fibers)
 
 
 def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
@@ -337,20 +339,21 @@ def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
     for module in (fibers, homology, scarf, cli):
         monkeypatch.setattr(module, "support_mask", counted, raising=False)
     atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
-    T = homology._betti_table(atlas)
-    poset = scarf._scarf_poset(atlas)
-    found, _T1 = scarf._one_betti_classes(atlas)
+    T = homology.betti_table(atlas)
+    poset = scarf.scarf_poset(atlas)
+    generators, indispensables = scarf.binomials(atlas)
     assert calls == []
-    assert T.entries and len(poset) and found
+    assert T.entries and len(poset) and generators and indispensables
 
 
 def scan_summary(atlas):
     """The class count and the carried (key, representative, value,
     members, masks) in order."""
-    carried = [
-        (b.key, b.representative, s, fib.members, fib.masks)
-        for b, s, fib in atlas.fibers
-    ]
+    carried = []
+    for fib in atlas.fibers:
+        b = fib.degree
+        s = sum(x * y for x, y in zip(atlas.functional, b.representative))
+        carried.append((b.key, b.representative, s, fib.members, fib.masks))
     return len(atlas), carried
 
 
@@ -393,7 +396,8 @@ def test_scan_work_does_not_grow_with_the_weights():
         tracemalloc.stop()
     assert same_classes(big.scanned, keys) and len(big) == small[0]
     assert [
-        (b.key, b.representative, fib.members, fib.masks) for b, _s, fib in big.fibers
+        (fib.degree.key, fib.degree.representative, fib.members, fib.masks)
+        for fib in big.fibers
     ] == [(key, rep, members, masks) for key, rep, _s, members, masks in small[1]]
     assert peak < 2**20, peak
 
@@ -414,8 +418,8 @@ def test_scan_degree_classes_negative_bound(ex63):
             scan_degree_classes(L, bound, w)
         with pytest.raises(ValueError):
             betti_scan(L, bound, functional=w)
-    ((b, s, fib),) = scan_degree_classes(L, 0, w).fibers
-    assert s == 0 and fib.members == ((0, 0, 0, 0, 0),)
+    (fib,) = scan_degree_classes(L, 0, w).fibers
+    assert fib.degree.representative == (0,) * 5 and fib.members == ((0,) * 5,)
 
 
 def test_euler_characteristic(suite):

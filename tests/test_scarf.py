@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -9,7 +10,14 @@ import pytest
 import latticescarf
 
 from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of
-from helpers import connected_components, full_fibers, gcd_complex
+from helpers import (
+    connected_components,
+    full_fibers,
+    gcd_complex,
+    scan_problems,
+    suite_b_lattices,
+)
+from latticescarf.homology import scan_degree_classes
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
     BasicComponent,
@@ -20,6 +28,7 @@ from latticescarf.scarf import (
     in_generalized_scarf,
     is_basic_fiber,
     monomials_of,
+    scarf_poset,
     vsupp,
 )
 
@@ -232,6 +241,29 @@ def test_scarf_poset_zero_lattice():
     assert len(P) == 1
     assert P.elements[0].monomials == ((0, 0, 0),)
     assert P.leq == frozenset()
+
+
+def test_scarf_poset_inherits_the_scan_order(suite):
+    """scarf_poset sorts only within a fiber and takes the fibers in the
+    scan's (value, key) order; its elements are still in (functional
+    value, degree key, monomials) order, they are every basic component
+    of the full fibers, and it equals enumerate_scarf_poset.  On the
+    fixtures at their bounds and suite (b)'s first 10 lattices."""
+    lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
+    for where, L, bound, w in scan_problems(suite, lattices):
+
+        def order(c):
+            rep = c.degree.representative
+            return sum(x * y for x, y in zip(w, rep)), c.degree.key, c.monomials
+
+        P = scarf_poset(scan_degree_classes(L, bound, w))
+        got = [order(c) for c in P.elements]
+        assert got == sorted(got), where
+        fibers = full_fibers(L, bound, w)
+        full = [order(c) for _b, _s, fib in fibers for c in basic_components(L, fib)]
+        assert got == sorted(full), where
+        Q = enumerate_scarf_poset(L, bound, w)
+        assert (Q.elements, Q.leq) == (P.elements, P.leq), where
 
 
 def test_scarf_poset_deterministic(ex64):

@@ -49,3 +49,25 @@ def test_coset_key_format_stays_in_lattice_core():
                 if isinstance(node, ast.Attribute) and node.attr in private
             ]
     assert found == []
+
+
+def test_modules_import_no_private_names():
+    """Package modules reach one another through public names: an
+    underscore name stays in its module, except _same_lattice, the one
+    lattice comparison every module shares.  Dunders (__version__) are
+    public."""
+    found = []
+    for path, tree in package_modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level or (node.module or "").startswith("latticescarf")):
+                continue
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, alias.name)
+                for alias in node.names
+                if alias.name.startswith("_")
+                and not alias.name.startswith("__")
+                and alias.name != "_same_lattice"
+            ]
+    assert found == []
