@@ -14,6 +14,7 @@ mismatch, 2 malformed input / unsolvable degree / non-pointed lattice.
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import __version__
@@ -82,20 +83,16 @@ class ProblemSpec:
 
 
 def _int_matrix(value, field):
+    """value, if it has a matrix's JSON shape (a nonempty list of nonempty
+    lists); SemigroupMatrix and LatticeBasis check its entries and row
+    lengths."""
     if (
         not isinstance(value, list)
         or not value
         or not all(isinstance(r, list) and r for r in value)
     ):
         raise ParseError("%s must be a nonempty 2D integer array" % field)
-    width = len(value[0])
-    for r in value:
-        if len(r) != width:
-            raise ParseError("%s rows have unequal lengths" % field)
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError("%s entries must be integers" % field)
-    return [list(r) for r in value]
+    return value
 
 
 def problem_from_dict(d):
@@ -156,8 +153,6 @@ def parse_spec(path):
         raise ParseError("%s is not valid JSON: %s" % (path, e)) from e
     spec = problem_from_dict(data)
     if spec.name == "problem" and "name" not in data:
-        import os
-
         spec.name = os.path.splitext(os.path.basename(path))[0]
     return spec
 
@@ -469,62 +464,23 @@ def _verify_fixture(name, bound=None):
     def sdeg(b):
         return list(A.degree_of(b.representative))
 
+    def sdegs(classes):
+        return sorted(sdeg(b) for b in classes)
+
     atlas = scan_degree_classes(L, bound, w)
     T = betti_table(atlas)
     P = scarf_poset(atlas)
     gens, indispensables = binomials(atlas)
     X = build_generalized_scarf_complex(P)
     S = algebraic_scarf_subcomplex(X)
-    checks = []
 
-    def check(label, expected, got):
-        checks.append(
-            {"name": label, "expected": expected, "got": got, "ok": expected == got}
-        )
+    def basis_degrees(Y, i):
+        return sdegs(c.degree for c in Y.basis[i]) if len(Y.basis) > i else []
 
-    if "betti_totals" in exp:
-        check(
-            "betti_totals",
-            {str(k): v for k, v in exp["betti_totals"].items()},
-            {str(i): T.total(i) for i in T.homological_degrees()},
-        )
-    if "betti_degrees" in exp:
-        got = {
-            str(i): sorted(sdeg(b) for b in T.degrees(i))
-            for i in T.homological_degrees()
-        }
-        check(
-            "betti_degrees",
-            {str(k): sorted(v) for k, v in exp["betti_degrees"].items()},
-            got,
-        )
-    if "beta_2_at_182" in exp:
-        got = sum(v for (i, b), v in T.entries.items() if i == 2 and sdeg(b) == [182])
-        check("beta_2_at_182", exp["beta_2_at_182"], got)
-    if "complex_ranks" in exp:
-        check("complex_ranks", exp["complex_ranks"], list(X.ranks()))
-    if "zero_composition" in exp:
-        check("zero_composition", exp["zero_composition"], verify_zero_composition(X))
-    if "degree2_basis_degrees" in exp:
-        got = sorted(sdeg(c.degree) for c in X.basis[2]) if len(X.basis) > 2 else []
-        check("degree2_basis_degrees", sorted(exp["degree2_basis_degrees"]), got)
-    if "scarf_ranks" in exp:
-        check("scarf_ranks", exp["scarf_ranks"], list(S.ranks()))
-    if "scarf_equals_generalized" in exp:
-        check("scarf_equals_generalized", exp["scarf_equals_generalized"], S.basis == X.basis)
-    if "strongly_ranks" in exp or "strongly_equals_scarf" in exp:
-        for mode in ("strict", "paper-example"):
-            SS = strongly_algebraic_subcomplex(X, T, mode=mode)
-            if "strongly_ranks" in exp:
-                check("strongly_ranks[%s]" % mode, exp["strongly_ranks"][mode], list(SS.ranks()))
-            if "strongly_equals_scarf" in exp:
-                check(
-                    "strongly_equals_scarf[%s]" % mode,
-                    exp["strongly_equals_scarf"],
-                    SS.basis == S.basis,
-                )
-    if "graded_ranks_match_scan" in exp:
-        match = True
+    def strongly(mode):
+        return strongly_algebraic_subcomplex(X, T, mode=mode)
+
+    def graded_ranks_match_scan():
         for i in range(1, len(X.basis)):
             lhs = {}
             for c in X.basis[i]:
@@ -534,27 +490,47 @@ def _verify_fixture(name, bound=None):
                 if j == i:
                     rhs[b.key] = rhs.get(b.key, 0) + v
             if lhs != rhs:
-                match = False
-        check("graded_ranks_match_scan", exp["graded_ranks_match_scan"], match)
-    if "three_element_basic_fibers" in exp:
+                return False
+        return True
+
+    # Every check verify knows, in report order: name -> observed value.
+    observe = {
+        "betti_totals": lambda: {str(i): T.total(i) for i in T.homological_degrees()},
+        "betti_degrees": lambda: {
+            str(i): sdegs(T.degrees(i)) for i in T.homological_degrees()
+        },
+        "beta_2_at_182": lambda: sum(
+            v for (i, b), v in T.entries.items() if i == 2 and sdeg(b) == [182]
+        ),
+        "complex_ranks": lambda: list(X.ranks()),
+        "zero_composition": lambda: verify_zero_composition(X),
+        "degree2_basis_degrees": lambda: basis_degrees(X, 2),
+        "scarf_ranks": lambda: list(S.ranks()),
+        "scarf_equals_generalized": lambda: S.basis == X.basis,
+        "strongly_ranks[strict]": lambda: list(strongly("strict").ranks()),
+        "strongly_equals_scarf[strict]": lambda: strongly("strict").basis == S.basis,
+        "strongly_ranks[paper-example]": lambda: list(strongly("paper-example").ranks()),
+        "strongly_equals_scarf[paper-example]": lambda: (
+            strongly("paper-example").basis == S.basis
+        ),
+        "graded_ranks_match_scan": graded_ranks_match_scan,
         # S keeps exactly the components that are whole fibers
-        got = sorted(sdeg(c.degree) for c in S.basis[2]) if len(S.basis) > 2 else []
-        check("three_element_basic_fibers", exp["three_element_basic_fibers"], got)
-    if "components_at_182" in exp:
-        got = sum(
+        "three_element_basic_fibers": lambda: basis_degrees(S, 2),
+        "components_at_182": lambda: sum(
             1 for c in P.elements if c.cardinality == 3 and sdeg(c.degree) == [182]
-        )
-        check("components_at_182", exp["components_at_182"], got)
-    if "max_component_cardinality" in exp:
-        check("max_component_cardinality", exp["max_component_cardinality"], P.max_cardinality())
-    if "indispensable_degrees" in exp:
-        got = sorted(sdeg(b) for b, _ in indispensables)
-        check("indispensable_degrees", sorted(exp["indispensable_degrees"]), got)
-    if "generator_degrees" in exp:
-        got = sorted(sdeg(b) for b, _ in gens)
-        check("generator_degrees", sorted(exp["generator_degrees"]), got)
-    if "generator_count" in exp:
-        check("generator_count", exp["generator_count"], len(gens))
+        ),
+        "max_component_cardinality": P.max_cardinality,
+        "indispensable_degrees": lambda: sdegs(b for b, _ in indispensables),
+        "generator_degrees": lambda: sdegs(b for b, _ in gens),
+        "generator_count": lambda: len(gens),
+    }
+    checks = []
+    for label, observed in observe.items():
+        if label in exp:
+            got = observed()
+            checks.append(
+                {"name": label, "expected": exp[label], "got": got, "ok": exp[label] == got}
+            )
 
     ok = all(c["ok"] for c in checks)
     prov = {"bound": bound, "functional": list(w)}
@@ -581,7 +557,7 @@ def _build_parser():
     sp = sub.add_parser("betti", help="scan Betti numbers up to a bound")
     add_source(sp)
     sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--field", default="q")
+    sp.add_argument("--field")
 
     sp = sub.add_parser("components", help="basic fiber components")
     add_source(sp)
@@ -591,9 +567,9 @@ def _build_parser():
     sp = sub.add_parser("complex", help="build a Scarf chain complex")
     add_source(sp)
     sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--kind", default="generalized")
-    sp.add_argument("--mode", default="strict")
-    sp.add_argument("--field", default="q")
+    sp.add_argument("--kind")
+    sp.add_argument("--mode")
+    sp.add_argument("--field")
 
     sp = sub.add_parser("indispensable", help="indispensable binomials")
     add_source(sp)
@@ -610,7 +586,7 @@ def _build_parser():
     sp = sub.add_parser("export-dot", help="DOT for a fiber's 1-skeleton")
     add_source(sp)
     sp.add_argument("--degree", required=True)
-    sp.add_argument("--kind", default="gcd")
+    sp.add_argument("--kind")
     sp.add_argument("--out")
 
     return p
@@ -655,7 +631,7 @@ def main(argv=None):
         for key in ("degree", "bound", "kind", "mode", "out"):
             if hasattr(args, key) and getattr(args, key) is not None:
                 options[key] = getattr(args, key)
-        if hasattr(args, "field"):
+        if getattr(args, "field", None) is not None:
             options["field"] = _parse_field(args.field)
         report = run_command(spec, args.command, options)
         print(report.to_json())

@@ -11,7 +11,9 @@ The pieces:
 * Fourier-Motzkin elimination over the integers/rationals: integer
   points for single-degree fiber queries (fibers.enumerate_fiber), and
   a rational point of the one system that decides pointedness and gives
-  the positive functional (lattice_core); degree scans run none,
+  the positive functional (lattice_core); degree scans run none.  Both
+  descents take each variable's exact rational bounds from one routine,
+  _bounds,
 * fraction-free (Bareiss) and mod-p rank for homology, with the
   primality check that guards the latter.
 """
@@ -19,11 +21,6 @@ The pieces:
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-
-def _ceil_div(p, q):
-    # q > 0
-    return -((-p) // q)
 
 
 def row_hermite(rows, ncols):
@@ -197,27 +194,26 @@ def fm_eliminate(rows, v):
     return sorted(out)
 
 
-def _interval(rows, v, prefix):
-    """Integer bounds for z_v given fixed prefix z_0..z_{v-1}.
+def _bounds(rows, v, nums, den):
+    """Exact bounds on z_v given the prefix z_i = nums[i] / den, i < v.
 
-    rows must involve no variable beyond z_v.  Returns (lo, hi) where either
-    side may be None (unbounded), or "empty" when a constant row fails.
+    rows must involve no variable beyond z_v, len(nums) == v and den > 0.
+    Returns (lo, hi), each a (numerator, denominator > 0) pair or None
+    where z_v is unbounded on that side; or None when a row without z_v
+    fails.  Each row is evaluated and each bound compared in integers.
     """
     lo, hi = None, None
     for a, c in rows:
-        s = c + sum(a[i] * prefix[i] for i in range(v))
+        s = c * den + sum(map(mul, a, nums))  # den times the row's prefix value
         av = a[v]
         if av == 0:
             if s < 0:
-                return "empty"
+                return None
         elif av > 0:
-            b = _ceil_div(-s, av)
-            if lo is None or b > lo:
-                lo = b
-        else:
-            b = s // (-av)
-            if hi is None or b < hi:
-                hi = b
+            if lo is None or -s * lo[1] > lo[0] * av * den:
+                lo = (-s, av * den)
+        elif hi is None or s * hi[1] < hi[0] * -av * den:
+            hi = (s, -av * den)
     return lo, hi
 
 
@@ -235,30 +231,32 @@ def _projections(rows, nvars):
 def integer_points(rows, nvars):
     """All integer solutions of a . z + c >= 0, via elimination + descent.
 
-    Raises ValueError if the solution set is unbounded in some direction
-    (callers use this only for systems known to be bounded -- fibers of a
-    pointed lattice).
+    Each level takes the integers between _bounds' exact ends, with the
+    prefix over denominator 1.  Raises ValueError if the solution set is
+    unbounded in some direction (callers use this only for systems known
+    to be bounded -- fibers of a pointed lattice).
     """
     systems = _projections(rows, nvars)
+    if nvars == 0:
+        return [()] if all(c >= 0 for a, c in systems[0]) else []
     out = []
-    prefix = [0] * nvars
+    prefix = []
 
     def descend(v):
-        iv = _interval(systems[v + 1], v, prefix)
-        if iv == "empty":
+        bounds = _bounds(systems[v + 1], v, prefix, 1)
+        if bounds is None:
             return
-        lo, hi = iv
+        lo, hi = bounds
         if lo is None or hi is None:
             raise ValueError("unbounded solution set")
-        for z in range(lo, hi + 1):
-            prefix[v] = z
+        for z in range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1):
+            prefix.append(z)
             if v == nvars - 1:
                 out.append(tuple(prefix))
             else:
                 descend(v + 1)
+            prefix.pop()
 
-    if nvars == 0:
-        return [()] if all(c >= 0 for a, c in systems[0]) else []
     descend(0)
     return out
 
@@ -266,32 +264,22 @@ def integer_points(rows, nvars):
 def rational_point(rows, nvars):
     """Some exact rational solution of a . z + c >= 0, or None.
 
-    Chooses interval midpoints on the way down; Fourier-Motzkin projections
-    being exact over Q, every prefix admissible at level v extends.  The
-    prefix is held as integer numerators over one common denominator, so
-    each row is evaluated and its bound compared in integers.
+    Chooses the midpoint of _bounds' interval on the way down (on a
+    half-line its point nearest 0, on the whole line 0); Fourier-Motzkin
+    projections being exact over Q, every prefix admissible at level v
+    extends.  The prefix is held as integer numerators over one common
+    denominator.
     """
     systems = _projections(rows, nvars)
-    for a, c in systems[1] if nvars else systems[0]:
-        if not any(a) and c < 0:
-            return None
+    if nvars == 0:
+        return () if all(c >= 0 for a, c in systems[0]) else None
     point = []
     nums, den = [], 1  # point[i] == nums[i] / den
     for v in range(nvars):
-        lo, hi = None, None  # (numerator, denominator > 0)
-        for a, c in systems[v + 1]:
-            s = c * den + sum(map(mul, a, nums))  # den times the row's prefix value
-            av = a[v]
-            if av == 0:
-                if s < 0:
-                    return None  # cannot happen after projection, but be safe
-            elif av > 0:
-                if lo is None or -s * lo[1] > lo[0] * av * den:
-                    lo = (-s, av * den)
-            elif hi is None or s * hi[1] < hi[0] * -av * den:
-                hi = (s, -av * den)
-        lo = None if lo is None else Fraction(*lo)
-        hi = None if hi is None else Fraction(*hi)
+        bounds = _bounds(systems[v + 1], v, nums, den)
+        if bounds is None:
+            return None
+        lo, hi = (None if b is None else Fraction(*b) for b in bounds)
         if lo is None and hi is None:
             z = Fraction(0)
         elif lo is None:

@@ -60,10 +60,27 @@ def test_problem_from_dict_errors():
         problem_from_dict({"semigroup": [[1, True]]})
     with pytest.raises(ParseError):
         problem_from_dict({"lattice": [[1, -1], [2, -2]]})  # dependent rows
+    # entries and row lengths are checked by the matrix constructors
+    with pytest.raises(ParseError):
+        problem_from_dict({"lattice": [[1, -1, 0], [0, 1]]})
+    with pytest.raises(ParseError):
+        problem_from_dict({"lattice": [[1, -1.0]]})
+    with pytest.raises(ParseError):
+        problem_from_dict({"lattice": [[1, True]]})
+    with pytest.raises(ParseError):
+        problem_from_dict({"semigroup": [[1, 2], [3]]})
     with pytest.raises(ParseError):
         problem_from_dict([1, 2])
     with pytest.raises(NotPointedError):
         problem_from_dict({"lattice": [[1, 1]]})
+
+
+def test_cli_malformed_lattice(capsys, tmp_path):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"lattice": [[1, -1, 0], [0, 1]]}))
+    code, out, err = run_cli(capsys, "betti", "--spec", str(path), "--bound", "4")
+    assert code == 2 and out == ""
+    assert err == "error: lattice: lattice rows have unequal lengths\n"
 
 
 def test_variables_defaulted():
@@ -313,6 +330,68 @@ def test_cli_verify_fixtures(capsys):
         rep = json.loads(out)
         assert rep["result"]["ok"] is True
         assert all(c["ok"] for c in rep["result"]["checks"])
+
+
+VERIFY_CHECKS = {
+    "ex61": [
+        ("betti_totals", {"1": 4, "2": 4, "3": 1}),
+        ("complex_ranks", [1, 4, 4, 1]),
+        ("zero_composition", True),
+        ("scarf_ranks", [1, 4, 4, 1]),
+        ("scarf_equals_generalized", True),
+        ("graded_ranks_match_scan", True),
+        ("generator_degrees", [[3, 9], [4, 4], [6, 6], [9, 3]]),
+    ],
+    "ex63": [
+        ("betti_totals", {"1": 4, "2": 5, "3": 2}),
+        (
+            "betti_degrees",
+            {
+                "1": [[4, 8], [6, 6], [8, 4], [10, 8]],
+                "2": [[8, 10], [10, 8], [14, 16], [16, 14], [18, 12]],
+                "3": [[18, 18], [20, 16]],
+            },
+        ),
+        ("complex_ranks", [1, 3, 2]),
+        ("zero_composition", True),
+        ("degree2_basis_degrees", [[8, 10], [10, 8]]),
+        ("scarf_ranks", [1, 3, 1]),
+        ("strongly_ranks[strict]", [1, 3, 1]),
+        ("strongly_ranks[paper-example]", [1, 3, 2]),
+        ("indispensable_degrees", [[4, 8], [6, 6], [8, 4]]),
+    ],
+    "ex64": [
+        ("betti_totals", {"1": 7, "2": 19, "3": 25, "4": 16, "5": 4}),
+        ("beta_2_at_182", 2),
+        ("complex_ranks", [1, 6, 4]),
+        ("zero_composition", True),
+        ("scarf_ranks", [1, 6, 2]),
+        ("strongly_equals_scarf[strict]", True),
+        ("strongly_equals_scarf[paper-example]", True),
+        ("three_element_basic_fibers", [[169], [196]]),
+        ("components_at_182", 2),
+        ("max_component_cardinality", 3),
+        ("indispensable_degrees", [[104], [112], [117], [126], [130], [140]]),
+        ("generator_count", 7),
+    ],
+}
+
+
+def test_cli_verify_check_list(capsys):
+    """The names, order and expected values of verify's checks, and which
+    of them fail below a fixture's bound."""
+    for name in fixture_names():
+        code, out, _ = run_cli(capsys, "verify", "--fixture", name)
+        checks = json.loads(out)["result"]["checks"]
+        assert [(c["name"], c["expected"]) for c in checks] == VERIFY_CHECKS[name]
+    for name, bound, failing in (
+        ("ex63", "18", ["betti_totals", "betti_degrees"]),
+        ("ex64", "300", ["betti_totals"]),
+    ):
+        code, out, _ = run_cli(capsys, "verify", "--fixture", name, "--bound", bound)
+        assert code == 1
+        checks = json.loads(out)["result"]["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == failing
 
 
 def test_one_scan_per_command(capsys, monkeypatch):

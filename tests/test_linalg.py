@@ -143,24 +143,29 @@ def brute_box_points(rows, nvars, box=12):
 
 
 def test_integer_points_matches_brute_force():
+    local = random.Random(12)  # 4 to 6 systems of each size 0..4
     for _ in range(25):
-        nvars = rng.randint(1, 3)
+        nvars = local.randint(0, 4)
         rows = []
-        # ensure boundedness with a box, then add random cuts
+        # ensure boundedness with a box |z_i| <= 6, then add random cuts
         for i in range(nvars):
             e = tuple(1 if j == i else 0 for j in range(nvars))
-            rows.append((e, rng.randint(0, 6)))
-            rows.append((tuple(-x for x in e), rng.randint(0, 6)))
-        for _ in range(rng.randint(0, 3)):
+            rows.append((e, local.randint(0, 6)))
+            rows.append((tuple(-x for x in e), local.randint(0, 6)))
+        for _ in range(local.randint(0, 3)):
             rows.append(
-                (tuple(rng.randint(-2, 2) for _ in range(nvars)), rng.randint(-3, 3))
+                (tuple(local.randint(-2, 2) for _ in range(nvars)), local.randint(-3, 3))
             )
-        assert sorted(integer_points(rows, nvars)) == brute_box_points(rows, nvars)
+        expected = brute_box_points(rows, nvars, box=6)
+        assert sorted(integer_points(rows, nvars)) == expected
 
 
 def test_integer_points_unbounded():
     with pytest.raises(ValueError):
         integer_points([((1,), 0)], 1)
+    # 0 <= z_0 <= 2 but z_1 >= 0 only: raised at the second level
+    with pytest.raises(ValueError):
+        integer_points([((1, 0), 0), ((-1, 0), 2), ((0, 1), 0)], 2)
 
 
 def test_rational_point_and_feasibility():
