@@ -12,6 +12,7 @@ mismatch, 2 malformed input / unsolvable degree / non-pointed lattice.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -538,7 +539,17 @@ def _verify_fixture(name, bound=None):
     return report, ok
 
 
+_DEGREE_HELP = (
+    "comma-separated integers: a semigroup degree, or a class representative "
+    "of a lattice spec.  Write a negative first value as --degree=-1,3,0: "
+    "after a space, argparse takes -1,3,0 for an option."
+)
+
+
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first main call and reused:
+    parse_args leaves it unchanged, and building it costs about 1 ms."""
     p = argparse.ArgumentParser(
         prog="latticescarf",
         description="Fibers, Betti numbers and Scarf complexes of pointed lattice ideals.",
@@ -552,7 +563,7 @@ def _build_parser():
 
     sp = sub.add_parser("fiber", help="enumerate the monomials of one degree")
     add_source(sp)
-    sp.add_argument("--degree", required=True)
+    sp.add_argument("--degree", required=True, help=_DEGREE_HELP)
 
     sp = sub.add_parser("betti", help="scan Betti numbers up to a bound")
     add_source(sp)
@@ -561,7 +572,7 @@ def _build_parser():
 
     sp = sub.add_parser("components", help="basic fiber components")
     add_source(sp)
-    sp.add_argument("--degree")
+    sp.add_argument("--degree", help=_DEGREE_HELP)
     sp.add_argument("--bound", type=int)
 
     sp = sub.add_parser("complex", help="build a Scarf chain complex")
@@ -585,7 +596,7 @@ def _build_parser():
 
     sp = sub.add_parser("export-dot", help="DOT for a fiber's 1-skeleton")
     add_source(sp)
-    sp.add_argument("--degree", required=True)
+    sp.add_argument("--degree", required=True, help=_DEGREE_HELP)
     sp.add_argument("--kind")
     sp.add_argument("--out")
 

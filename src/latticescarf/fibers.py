@@ -8,7 +8,7 @@ built on fibers is deterministic.
 """
 
 from .lattice_core import _same_lattice, class_of
-from .linalg import integer_points
+from .linalg import integer_solutions
 
 
 def canonical_order(monomials):
@@ -23,20 +23,29 @@ class Fiber:
     complex, its components and the homology of the fiber depend on the
     masks alone."""
 
-    __slots__ = ("degree", "members", "masks")
+    __slots__ = ("degree", "members", "_masks")
 
     def __init__(self, degree, members):
         self.degree = degree
         self.members = canonical_order(members)
-        self.masks = tuple(map(support_mask, self.members))
+        self._masks = None
 
     @classmethod
     def _with_masks(cls, degree, members, masks):
         """The fiber whose members, a tuple in canonical order, have the
         tuple of masks."""
         fib = cls.__new__(cls)
-        fib.degree, fib.members, fib.masks = degree, members, masks
+        fib.degree, fib.members, fib._masks = degree, members, masks
         return fib
+
+    @property
+    def masks(self):
+        """The members' support masks, computed on first read unless the
+        fiber was built with them: a fiber query that prints only the
+        members computes none."""
+        if self._masks is None:
+            self._masks = tuple(map(support_mask, self.members))
+        return self._masks
 
     def __len__(self):
         return len(self.members)
@@ -65,25 +74,22 @@ def enumerate_fiber(L, u0):
     """All monomials congruent to u0 mod L, as a Fiber.
 
     u0 may have negative entries (any class representative).  Each call
-    runs a Fourier-Motzkin enumeration; a degree scan builds its fibers
-    without one (see homology.scan_degree_classes).
+    runs a Fourier-Motzkin enumeration of the z in Z^r with
+    u = u0 + z * B >= 0, whose descent (linalg.integer_solutions) carries
+    each member u along with z; a degree scan builds its fibers without
+    one (see homology.scan_degree_classes).  The fiber's masks are
+    computed on first read.
     """
     u0 = tuple(u0)
     n, r = L.n, L.r
     if len(u0) != n:
         raise ValueError("vector has wrong dimension")
-    # u = u0 + z * B >= 0, coordinatewise, over z in Z^r
-    rows = []
-    for j in range(n):
-        a = tuple(L.rows[i][j] for i in range(r))
-        rows.append((a, u0[j]))
-    members = []
-    for z in integer_points(rows, r):
-        u = tuple(u0[j] + sum(z[i] * L.rows[i][j] for i in range(r)) for j in range(n))
-        members.append(u)
+    # row j is (column j of B, u0[j]): its value at z is u_j
+    rows = [(tuple(row[j] for row in L.rows), x) for j, x in enumerate(u0)]
+    members = [u for z, u in integer_solutions(rows, r)]
     fib = Fiber(class_of(L, u0), members)
     for m in fib.members:
-        if any(x < 0 for x in m):
+        if min(m, default=0) < 0:
             raise RuntimeError("fiber member %r has a negative entry" % (m,))
     return fib
 

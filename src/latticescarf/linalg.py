@@ -9,18 +9,20 @@ The pieces:
   integer linear solves) and a diagonal form built from it (the coset
   coordinates of a lattice with torsion),
 * Fourier-Motzkin elimination over the integers/rationals: integer
-  points for single-degree fiber queries (fibers.enumerate_fiber), and
-  a rational point of the one system that decides pointedness and gives
-  the positive functional (lattice_core); degree scans run none.  Both
-  descents take each variable's exact rational bounds from one routine,
-  _bounds,
+  points for single-degree fiber queries (fibers.enumerate_fiber), each
+  carried down the descent with the values of the input rows, which for
+  a fiber are its members; and a rational point of the one system that
+  decides pointedness and gives the positive functional (lattice_core);
+  degree scans run none.  Both descents take each variable's exact
+  rational bounds from one routine, _bounds, except the integer
+  descent's last variable, whose bounds the carried values give,
 * fraction-free (Bareiss) and mod-p rank for homology, with the
   primality check that guards the latter.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, floordiv, mul
 
 
 def row_hermite(rows, ncols):
@@ -228,37 +230,80 @@ def _projections(rows, nvars):
     return systems
 
 
-def integer_points(rows, nvars):
-    """All integer solutions of a . z + c >= 0, via elimination + descent.
+def integer_solutions(rows, nvars):
+    """All integer solutions z of a . z + c >= 0, each with the values of
+    the input rows at it: pairs (z, s), s[j] = a_j . z + c_j for the rows
+    in input order, in increasing lexicographic order of z.
 
-    Each level takes the integers between _bounds' exact ends, with the
-    prefix over denominator 1.  Raises ValueError if the solution set is
-    unbounded in some direction (callers use this only for systems known
-    to be bounded -- fibers of a pointed lattice).
+    A descent over z_0, z_1, ...  that carries s along with z: entering
+    level v at its lowest value adds that value times the column of z_v's
+    coefficients, and each later value adds the column once.  An inner
+    level takes the integers between _bounds' exact ends on its
+    projection, with the prefix over denominator 1.  The last level reads
+    its ends from s and the rows' last coefficients, with no _bounds and
+    no inner products; this is exact because the normalized input has the
+    same integer points as the input.  Raises ValueError if the solution
+    set is unbounded in some direction (callers use this only for systems
+    known to be bounded -- fibers of a pointed lattice).
     """
-    systems = _projections(rows, nvars)
+    rows = list(rows)
+    start = tuple(c for a, c in rows)
     if nvars == 0:
-        return [()] if all(c >= 0 for a, c in systems[0]) else []
+        return [((), start)] if all(c >= 0 for c in start) else []
+    systems = _projections(rows, nvars)  # read by the inner levels only
+    cols = [tuple(a[v] for a, c in rows) for v in range(nvars)]
+    # the last level's rows by the sign of their z coefficient
+    last = cols[-1]
+    zero = [j for j, b in enumerate(last) if b == 0]
+    pos = [j for j, b in enumerate(last) if b > 0]
+    neg = [j for j, b in enumerate(last) if b < 0]
+    pos_b = [last[j] for j in pos]
+    neg_b = [-last[j] for j in neg]
     out = []
     prefix = []
 
-    def descend(v):
-        bounds = _bounds(systems[v + 1], v, prefix, 1)
-        if bounds is None:
+    def descend(v, s):
+        if v == nvars - 1:
+            # s_j + z b_j >= 0: z >= ceil(-s_j / b_j) where b_j > 0,
+            # z <= floor(s_j / -b_j) where b_j < 0, and s_j >= 0 where b_j = 0
+            if min(map(s.__getitem__, zero), default=0) < 0:
+                return
+            if not pos or not neg:
+                raise ValueError("unbounded solution set")
+            lo = -min(map(floordiv, map(s.__getitem__, pos), pos_b))
+            hi = min(map(floordiv, map(s.__getitem__, neg), neg_b))
+        else:
+            bounds = _bounds(systems[v + 1], v, prefix, 1)
+            if bounds is None:
+                return
+            lo, hi = bounds
+            if lo is None or hi is None:
+                raise ValueError("unbounded solution set")
+            lo, hi = -(-lo[0] // lo[1]), hi[0] // hi[1]
+        if lo > hi:
             return
-        lo, hi = bounds
-        if lo is None or hi is None:
-            raise ValueError("unbounded solution set")
-        for z in range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1):
+        col = cols[v]
+        s = tuple(map(add, s, map(lo.__mul__, col)))
+        if v == nvars - 1:
+            head = tuple(prefix)
+            for z in range(lo, hi + 1):
+                out.append((head + (z,), s))
+                s = tuple(map(add, s, col))
+            return
+        for z in range(lo, hi + 1):
             prefix.append(z)
-            if v == nvars - 1:
-                out.append(tuple(prefix))
-            else:
-                descend(v + 1)
+            descend(v + 1, s)
             prefix.pop()
+            s = tuple(map(add, s, col))
 
-    descend(0)
+    descend(0, start)
     return out
+
+
+def integer_points(rows, nvars):
+    """All integer solutions of a . z + c >= 0, in increasing
+    lexicographic order: the points of integer_solutions."""
+    return [z for z, s in integer_solutions(rows, nvars)]
 
 
 def rational_point(rows, nvars):

@@ -13,7 +13,7 @@ from latticescarf.cli import (
     problem_from_dict,
     run_command,
 )
-from latticescarf.fibers import enumerate_fiber
+from latticescarf.fibers import enumerate_fiber, support_mask
 from latticescarf.fixtures import fixture_names, fixture_problem
 from latticescarf.lattice_core import NotPointedError
 
@@ -617,6 +617,91 @@ def test_cli_argparse_failures(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_parser_built_once(capsys, monkeypatch):
+    """main builds its argument parser on the first call only, and reuses
+    it: an argparse error (exit 2) between two calls leaves what they print
+    byte-identical."""
+    import argparse
+
+    import latticescarf.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "latticescarf":
+            built.append(self)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ("components", "--fixture", "ex63", "--degree", "10,8")
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber", "--fixture", "ex63"])  # missing --degree
+    assert exc.value.code == 2
+    assert "--degree" in capsys.readouterr().err
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1].startswith("{")
+    assert second == first
+    assert len(built) == 1
+
+
+def test_cli_negative_degree_needs_equals_form(capsys, tmp_path):
+    """argparse takes '-1,3,0' after a space for an option, so a degree
+    whose first value is negative is written --degree=-1,3,0, as the
+    --degree help of fiber, components and export-dot says."""
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"lattice": [[1, -1, 0], [0, 1, -1]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber", "--spec", str(path), "--degree", "-1,3,0"])
+    assert exc.value.code == 2
+    assert "argument --degree: expected one argument" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "fiber", "--spec", str(path), "--degree=-1,3,0")
+    assert code == 0 and err == ""
+    rep = json.loads(out)["result"]
+    assert rep["count"] == 6 and rep["degree"] == {"representative": [2, 0, 0]}
+    for command in ("fiber", "components", "export-dot"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--degree=-1,3,0" in capsys.readouterr().out
+
+
+def test_cli_fiber_queries_build_masks_only_where_read(capsys, monkeypatch):
+    """fiber and export-dot --kind support print members alone and compute
+    no support mask; export-dot --kind gcd and components --degree compute
+    one per member of the 4-member fiber, under any module's binding of
+    support_mask."""
+    from latticescarf import cli, fibers, homology, scarf
+
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return support_mask(u)
+
+    for module in (fibers, homology, scarf, cli):
+        monkeypatch.setattr(module, "support_mask", counted, raising=False)
+    counts = {}
+    for command, extra in (
+        ("fiber", ()),
+        ("export-dot", ("--kind", "support")),
+        ("export-dot", ("--kind", "gcd")),
+        ("components", ()),
+    ):
+        del calls[:]
+        code, _, _ = run_cli(capsys, command, "--fixture", "ex63", "--degree", "10,8", *extra)
+        assert code == 0
+        counts[(command,) + extra] = len(calls)
+    assert counts == {
+        ("fiber",): 0,
+        ("export-dot", "--kind", "support"): 0,
+        ("export-dot", "--kind", "gcd"): 4,
+        ("components",): 4,
+    }
 
 
 def test_run_command_unknown():

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from helpers import catalog_fibers, enumerate_fiber_box_oracle, random_pointed_lattice
+from helpers import (
+    catalog_fibers,
+    enumerate_fiber_box_oracle,
+    full_fibers,
+    random_pointed_lattice,
+)
 from latticescarf.fibers import (
     Fiber,
     canonical_order,
@@ -15,7 +20,7 @@ from latticescarf.fibers import (
     support_mask,
 )
 from latticescarf.homology import betti_at
-from latticescarf.lattice_core import LatticeBasis, class_of
+from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
 from latticescarf.scarf import basic_components
 
 ABD = (1, 1, 0, 1, 0)
@@ -159,6 +164,38 @@ def test_box_oracle_random_lattices():
         fib = enumerate_fiber(L, u0)
         box = max((max(m) for m in fib.members), default=0) + 4
         assert enumerate_fiber_box_oracle(L, u0, box) == fib
+
+
+def test_full_fibers_oracle_random_lattices():
+    """enumerate_fiber against helpers.full_fibers, which lists every
+    monomial up to a functional bound and shares no code with
+    Fourier-Motzkin, on seeded pointed lattices of rank 1 (where the first
+    level of the descent is the last), 2 and 3.  Every fiber up to the
+    bound comes back from its first member.  Random representatives of
+    value up to the bound, most with negative entries, give their class's
+    fiber, or the empty fiber when full_fibers reached no monomial of it."""
+    rng = random.Random(16)
+    seen = {"fibers": 0, "multi": 0, "negative": 0, "empty": 0}
+    for r, n in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)):
+        for _ in range(4):
+            L = random_pointed_lattice(rng, r, n)
+            w = positive_functional(L)
+            bound = 3 * max(w)
+            fibers = {b.key: fib for b, _, fib in full_fibers(L, bound, w)}
+            for fib in fibers.values():
+                assert enumerate_fiber(L, fib.members[0]).members == fib.members
+                seen["fibers"] += 1
+                seen["multi"] += len(fib) > 1
+            for _ in range(30):
+                u = tuple(rng.randint(-4, 6) for _ in range(n))
+                if sum(map(int.__mul__, w, u)) > bound:
+                    continue
+                want = fibers.get(class_of(L, u).key)
+                assert enumerate_fiber(L, u).members == (want.members if want else ())
+                seen["negative"] += min(u) < 0
+                seen["empty"] += want is None
+    assert seen["fibers"] >= 10000 and seen["multi"] >= 5000
+    assert seen["negative"] >= 300 and seen["empty"] >= 300
 
 
 def test_gcd_of():
