@@ -15,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -287,31 +288,45 @@ def _render_dot(fiber, variables, kind):
     if not fiber.members:
         raise ValueError("empty fiber")
     lines = ["graph fiber {"]
-    edges = []
     if kind == "gcd":
         ms = fiber.members
         for k, m in enumerate(ms):
             label = _dot_label(monomial_str(m, variables))
             lines.append('  n%d [label="%s"];' % (k, label))
+        nodes = len(ms)
         masks = fiber.masks
-        tails = ["%d;" % b for b in range(len(ms))]
+        tails = ["%d;" % b for b in range(nodes)]
+        # sel flags the later members whose masks meet row a's; built over
+        # masks[a0 + 1:] at a mask's first row a0, later rows slice it
+        sels = {}
+        edges = 0
         for a, mask in enumerate(masks):
-            head = "  n%d -- n" % a
-            edges.extend(
-                [head + tails[b] for b in range(a + 1, len(ms)) if mask & masks[b]]
-            )
+            if mask in sels:
+                a0, sel = sels[mask]
+                sel = sel[a - a0 :]
+            else:
+                meets = map(operator.and_, itertools.repeat(mask), masks[a + 1 :])
+                sel = bytes(map(bool, meets))
+                sels[mask] = a, sel
+            row = tails[a + 1 :]
+            if 0 in sel:
+                row = list(itertools.compress(row, sel))
+            if row:
+                head = "  n%d -- n" % a
+                lines.append(head + ("\n" + head).join(row))
+                edges += len(row)
     elif kind == "support":
         sups = [[i for i, x in enumerate(m) if x > 0] for m in fiber.members]
         for i in sorted(set().union(*sups)):
             lines.append('  v%d [label="%s"];' % (i, _dot_label(variables[i])))
+        nodes = len(lines) - 1
         pairs = {p for s in sups for p in itertools.combinations(s, 2)}
-        edges = sorted("  v%d -- v%d;" % p for p in pairs)
+        lines.extend(sorted("  v%d -- v%d;" % p for p in pairs))
+        edges = len(pairs)
     else:
         raise ParseError("--kind must be 'gcd' or 'support'")
-    nodes = len(lines) - 1
-    lines.extend(edges)
     lines.append("}")
-    return "\n".join(lines) + "\n", nodes, len(edges)
+    return "\n".join(lines) + "\n", nodes, edges
 
 
 def export_dot(fiber, variables, kind="gcd"):
@@ -319,6 +334,8 @@ def export_dot(fiber, variables, kind="gcd"):
 
     kind="gcd": vertices are the fiber monomials, edges join pairs with a
     common divisor, that is pairs whose support masks (Fiber.masks) meet.
+    Each member's row of edges to later members is read from a selector
+    built once per distinct mask and written with one join.
     kind="support": vertices are the variables that occur, edges join
     variables appearing in a common monomial support.  Labels escape '"'
     and '\\'.

@@ -88,9 +88,9 @@ def enumerate_fiber(L, u0):
     rows = [(tuple(row[j] for row in L.rows), x) for j, x in enumerate(u0)]
     members = [u for z, u in integer_solutions(rows, r)]
     fib = Fiber(class_of(L, u0), members)
-    for m in fib.members:
-        if min(m, default=0) < 0:
-            raise RuntimeError("fiber member %r has a negative entry" % (m,))
+    if n and min(map(min, fib.members), default=0) < 0:
+        m = next(m for m in fib.members if min(m) < 0)
+        raise RuntimeError("fiber member %r has a negative entry" % (m,))
     return fib
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -13,9 +14,9 @@ from latticescarf.cli import (
     problem_from_dict,
     run_command,
 )
-from latticescarf.fibers import enumerate_fiber, support_mask
+from latticescarf.fibers import Fiber, enumerate_fiber, support_mask
 from latticescarf.fixtures import fixture_names, fixture_problem
-from latticescarf.lattice_core import NotPointedError
+from latticescarf.lattice_core import LatticeBasis, NotPointedError, class_of
 
 EX63 = {
     "name": "ex63",
@@ -541,6 +542,62 @@ def test_export_dot_gcd_matches_pairwise_gcd(name, degree, size):
 
 # a DOT node line whose label is a quoted string with only \" and \\ escapes
 DOT_NODE = re.compile(r'^  [nv]\d+ \[label="(?:[^"\\]|\\["\\])*"\];$')
+# a DOT edge line
+DOT_EDGE = re.compile(r"^  ([nv])\d+ -- \1\d+;$")
+
+
+def hand_fiber(members):
+    """A Fiber of the given monomials: export_dot reads only the members
+    and their masks, so the class is taken over the zero lattice."""
+    n = len(members[0])
+    return Fiber(class_of(LatticeBasis([], n=n), members[0]), members)
+
+
+def sparse_fiber(seed, n=14, size=300):
+    """size distinct monomials over n variables, each variable occurring
+    with probability 0.2 (exponent 1 or 2)."""
+    rng = random.Random(seed)
+    ms = set()
+    while len(ms) < size:
+        ms.add(
+            tuple(rng.choice((1, 2)) if rng.random() < 0.2 else 0 for _ in range(n))
+        )
+    return hand_fiber(sorted(ms))
+
+
+def test_export_dot_gcd_matches_pairwise_gcd_on_hand_built_fibers():
+    fib = sparse_fiber(3)
+    masks = fib.masks
+    later = [set(masks[a + 1 :]) for a in range(len(masks))]
+    # many distinct masks; rows with no edge although later members exist;
+    # equal masks far apart, whose rows read one selector at an offset;
+    # no row that meets every later member
+    assert len(set(masks)) > 200
+    assert sum(not any(m & x for x in later[a]) for a, m in enumerate(masks[:-1])) > 5
+    first = {}
+    assert max(a - first.setdefault(m, a) for a, m in enumerate(masks)) > 30
+    assert not any(all(m & x for x in later[a]) for a, m in enumerate(masks[:-1]))
+    variables = ["x%d" % i for i in range(14)]
+    assert export_dot(fib, variables, "gcd") == export_dot_gcd_oracle(fib, variables)
+
+    # the zero monomial: mask 0 meets nothing, and its label is 1
+    zero = hand_fiber([(2, 0, 1), (1, 1, 1), (0, 2, 0), (0, 1, 0), (0, 0, 0)])
+    dot = export_dot(zero, "abc", "gcd")
+    assert dot == export_dot_gcd_oracle(zero, "abc")
+    assert '  n4 [label="1"];' in dot and "n4;" not in dot
+
+
+@pytest.mark.parametrize("kind", ["gcd", "support"])
+@pytest.mark.parametrize("name, degree", [("ex63", "10,8"), ("ex64", "800")])
+def test_cli_export_dot_counts_match_the_drawing(capsys, name, degree, kind):
+    code, out, _ = run_cli(
+        capsys, "export-dot", "--fixture", name, "--degree", degree, "--kind", kind
+    )
+    assert code == 0
+    res = json.loads(out)["result"]
+    lines = res["dot"].splitlines()
+    assert res["nodes"] == sum(map(bool, map(DOT_NODE.match, lines)))
+    assert res["edges"] == sum(map(bool, map(DOT_EDGE.match, lines))) > 0
 
 
 def test_cli_export_dot_escapes_labels(capsys, tmp_path):

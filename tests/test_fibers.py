@@ -133,6 +133,23 @@ def test_zero_lattice_fibers():
     assert enumerate_fiber(L, (2, -1, 1)).members == ()
 
 
+def test_enumerate_fiber_names_a_negative_member(monkeypatch):
+    """A descent member with a negative entry raises RuntimeError naming
+    the first such member in canonical order; monomials over no variables
+    pass the check."""
+    import latticescarf.fibers as fibers
+
+    bad = [(1, 0, 2), (0, 3, -1), (2, -2, 0), (0, 0, 1)]
+    monkeypatch.setattr(
+        fibers, "integer_solutions", lambda rows, r: [((), u) for u in bad]
+    )
+    with pytest.raises(RuntimeError) as err:
+        enumerate_fiber(LatticeBasis([], n=3), (1, 0, 2))
+    assert str(err.value) == "fiber member (2, -2, 0) has a negative entry"
+    monkeypatch.undo()
+    assert enumerate_fiber(LatticeBasis([], n=0), ()).members == ((),)
+
+
 def test_coset_invariance(suite):
     rng = random.Random(7)
     for data in suite.values():
