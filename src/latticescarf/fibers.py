@@ -23,12 +23,12 @@ class Fiber:
     complex, its components and the homology of the fiber depend on the
     masks alone."""
 
-    __slots__ = ("degree", "members", "_masks")
+    __slots__ = ("degree", "members", "_masks", "_components")
 
     def __init__(self, degree, members):
         self.degree = degree
         self.members = canonical_order(members)
-        self._masks = None
+        self._masks = self._components = None
 
     @classmethod
     def _with_masks(cls, degree, members, masks):
@@ -36,6 +36,7 @@ class Fiber:
         tuple of masks."""
         fib = cls.__new__(cls)
         fib.degree, fib.members, fib._masks = degree, members, masks
+        fib._components = None
         return fib
 
     @property
@@ -46,6 +47,38 @@ class Fiber:
         if self._masks is None:
             self._masks = tuple(map(support_mask, self.members))
         return self._masks
+
+    @property
+    def components(self):
+        """The connected components of the gcd complex: tuples of members
+        in fiber order, ordered by their first member.  Computed on first
+        read, so the basic components and the binomials of one atlas
+        share one pass.
+
+        Two members are joined when their support masks meet, so each
+        component covers a union of supports disjoint from the others'
+        unions.  Each distinct support mask absorbs every union it meets,
+        so the unions stay disjoint; a member belongs to the union its mask
+        meets.  The monomial 1 lies in no component.
+        """
+        if self._components is None:
+            distinct = set(self.masks) - {0}
+            unions = []
+            for s in distinct:
+                rest = []
+                for u in unions:
+                    if u & s:
+                        s |= u
+                    else:
+                        rest.append(u)
+                unions = rest + [s]
+            union_of = {s: u for u in unions for s in distinct if s & u}
+            groups = {}
+            for m, s in zip(self.members, self.masks):
+                if s:
+                    groups.setdefault(union_of[s], []).append(m)
+            self._components = tuple(tuple(g) for g in groups.values())
+        return self._components
 
     def __len__(self):
         return len(self.members)

@@ -2,7 +2,7 @@
 
 beta_{i,b} is the reduced homology of the complex on the variables whose
 faces are the subsets of the fiber's monomial supports (Miller-Sturmfels'
-squarefree divisor complex, Combinatorial Commutative Algebra, ch. 9).
+squarefree divisor complex, Combinatorial Commutative Algebra, Thm 9.2).
 reduced_homology_dims reads that complex from the support masks
 (Fiber.masks) alone, with faces as vertex bitmasks.  The complex
 is the nerve of the cover of the gcd complex (vertices = fiber
@@ -10,7 +10,14 @@ monomials, faces = subsets with a nontrivial common divisor) by the full
 simplices V_i = {m : x_i divides m}, so the two have the same reduced
 homology; the gcd complex itself survives only as a test oracle.  The
 connected components of a gcd complex need no complex at all:
-gcd_components merges the support masks that meet.
+Fiber.components merges the support masks that meet.
+
+The ranks are exact and taken over GF(2) first, each boundary row an int
+bitset.  Reducing an integer matrix mod 2 can only lower its rank, and no
+Q homology is negative, so by universal coefficients (Hatcher, Algebraic
+Topology, 3.A) a map's Q rank exceeds its GF(2) rank by at most the GF(2)
+homology on either side of it.  Over Q only a map with GF(2) homology on
+both sides is ranked again, by Bareiss.
 
 When the monomials of a fiber share a variable x_k, every support
 contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  A
@@ -32,16 +39,46 @@ from .lattice_core import (
     _same_lattice,
     positive_functional,
 )
-from .linalg import is_prime, rank_mod_p, rank_rational
+from .linalg import is_prime, rank_gf2, rank_mod_p, rank_rational
 
 
 def _maximal_masks(masks):
-    """The distinct nonzero masks not contained in another."""
+    """The distinct nonzero masks not contained in another, largest first."""
     out = []
-    for s in sorted(set(masks), key=lambda s: (-s.bit_count(), s)):
-        if s and all(s & t != s for t in out):
+    for s in sorted(set(masks), key=int.bit_count, reverse=True):
+        # s & t == s for a kept t: s lies in t
+        if s and s not in map(s.__and__, out):
             out.append(s)
     return out
+
+
+def _boundary(lower, upper):
+    """The boundary map from the faces upper to the faces lower, one
+    dimension down: for each face f of upper, its facets f minus a vertex
+    in vertex order, each as the bit 1 << (its position in lower).  Their
+    signs alternate +1, -1, ...; over GF(2) the row is the sum."""
+    bit = {g: 1 << k for k, g in enumerate(lower)}
+    out = []
+    for f in upper:
+        rest, row = f, []
+        while rest:
+            low = rest & -rest
+            row.append(bit[f ^ low])
+            rest ^= low
+        out.append(row)
+    return out
+
+
+def _signed_rows(boundary, width):
+    """The integer matrix of a _boundary map over width lower faces."""
+    rows = []
+    for bits in boundary:
+        row, sign = [0] * width, 1
+        for b in bits:
+            row[b.bit_length() - 1] = sign
+            sign = -sign
+        rows.append(row)
+    return rows
 
 
 def reduced_homology_dims(facets, field="q"):
@@ -60,6 +97,19 @@ def reduced_homology_dims(facets, field="q"):
     each vertex v the face {k : v in F_k}.  Nonempty intersections of
     facets are simplices, so the nerve has the same reduced homology
     (nerve lemma).
+
+    Over Q and GF(2) each boundary map d_j (from the j-faces to the
+    (j-1)-faces) is first ranked over GF(2), every row an int bitset
+    (linalg.rank_gf2).  A nonzero minor mod 2 is a nonzero integer minor,
+    so rank_Q d_j >= rank_2 d_j; and the Q homology, the GF(2) homology
+    less these gaps, is never negative.  So
+    0 <= rank_Q d_j - rank_2 d_j <= min(dim H~_{j-1}, dim H~_j) over GF(2)
+    (universal coefficients: Hatcher, Algebraic Topology, 3.A).  Over Q
+    only a map with homology on both sides is ranked again, by Bareiss,
+    going up in j, with the dimensions that the gaps below it left: its
+    gap comes off both degrees, and every other GF(2) rank is its Q rank.
+    GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
+    mod p, since GF(2) bounds its ranks in neither direction.
     """
     if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
         raise ValueError("field must be 'q' or a prime integer")
@@ -68,11 +118,13 @@ def reduced_homology_dims(facets, field="q"):
     for f in facets:
         verts |= f
     if len(facets) < verts.bit_count():
-        facets = _maximal_masks(
-            sum(1 << k for k, f in enumerate(facets) if f >> v & 1)
-            for v in range(verts.bit_length())
-            if verts >> v & 1
-        )
+        nerve = {}  # vertex bit -> the facets that contain it
+        for k, f in enumerate(facets):
+            while f:
+                low = f & -f
+                nerve[low] = nerve.get(low, 0) | 1 << k
+                f ^= low
+        facets = _maximal_masks(nerve.values())
     faces = set()
     for f in facets:
         s = f
@@ -81,58 +133,35 @@ def reduced_homology_dims(facets, field="q"):
             s = (s - 1) & f
     if not faces:
         return {-1: 1}
-    fs = {}
-    for s in sorted(faces):
-        fs.setdefault(s.bit_count() - 1, []).append(s)
-    maxd = max(fs)
-    ranks = {0: 1}  # augmentation C_0 -> C_{-1}
-    for d in range(1, maxd + 1):
-        index = {g: k for k, g in enumerate(fs[d - 1])}
-        rows = []
-        for f in fs[d]:
-            row = [0] * len(index)
-            sign, rest = 1, f
-            while rest:
-                low = rest & -rest
-                row[index[f ^ low]] = sign
-                sign, rest = -sign, rest ^ low
-            rows.append(row)
-        if field in ("q", "Q"):
-            ranks[d] = rank_rational(rows)
+    # size[k]: the faces of k vertices (dimension k - 1); size[0] holds
+    # the empty face, so the augmentation is the map out of size[1]
+    size = [[0]] + [[] for _ in range(facets[0].bit_count())]
+    for s in faces:
+        size[s.bit_count()].append(s)
+    top = len(size)
+    maps = [None] + [_boundary(size[k - 1], size[k]) for k in range(1, top)]
+    ranks = [0] * (top + 1)  # ranks[k]: the rank of the map out of size[k]
+    for k in range(1, top):
+        if field in ("q", "Q", 2):
+            ranks[k] = rank_gf2(map(sum, maps[k]))
         else:
-            ranks[d] = rank_mod_p(rows, field)
-    dims = {-1: 0}
-    for d in range(0, maxd + 1):
-        dims[d] = len(fs[d]) - ranks[d] - ranks.get(d + 1, 0)
+            ranks[k] = rank_mod_p(_signed_rows(maps[k], len(size[k - 1])), field)
+    dims = {k - 1: len(size[k]) - ranks[k] - ranks[k + 1] for k in range(top)}
+    if field in ("q", "Q"):
+        for k in range(2, top):
+            if dims[k - 2] and dims[k - 1]:
+                rows = _signed_rows(maps[k], len(size[k - 1]))
+                extra = rank_rational(rows) - ranks[k]
+                dims[k - 2] -= extra
+                dims[k - 1] -= extra
     return dims
 
 
 def gcd_components(F):
-    """The connected components of the gcd complex of F: tuples of
-    monomials in fiber order, ordered by their first monomial.
-
-    Two monomials are joined when their support masks (F.masks) meet, so
-    each component covers a union of supports disjoint from the others'
-    unions.  Each distinct support mask absorbs every union it meets, so
-    the unions stay disjoint; a monomial belongs to the union its mask
-    meets.  The monomial 1 lies in no component.
-    """
-    distinct = set(F.masks) - {0}
-    unions = []
-    for s in distinct:
-        rest = []
-        for u in unions:
-            if u & s:
-                s |= u
-            else:
-                rest.append(u)
-        unions = rest + [s]
-    union_of = {s: u for u in unions for s in distinct if s & u}
-    groups = {}
-    for m, s in zip(F.members, F.masks):
-        if s:
-            groups.setdefault(union_of[s], []).append(m)
-    return tuple(tuple(g) for g in groups.values())
+    """The connected components of the gcd complex of the Fiber F, as
+    F.components gives them: tuples of monomials in fiber order, ordered
+    by their first monomial."""
+    return F.components
 
 
 def betti_at(L, i, b, field="q"):

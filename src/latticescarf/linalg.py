@@ -16,8 +16,9 @@ The pieces:
   degree scans run none.  Both descents take each variable's exact
   rational bounds from one routine, _bounds, except the integer
   descent's last variable, whose bounds the carried values give,
-* fraction-free (Bareiss) and mod-p rank for homology, with the
-  primality check that guards the latter.
+* ranks for homology: over GF(2) by XOR elimination of int bitset rows,
+  over GF(p) by forward elimination, and over Q fraction-free (Bareiss);
+  with the primality check that guards GF(p).
 """
 
 from fractions import Fraction
@@ -409,7 +410,8 @@ def is_prime(n):
 
 
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p)."""
+    """Rank of an integer matrix over GF(p), by forward elimination: each
+    pivot clears its column in the rows below it only."""
     m = [[x % p for x in r] for r in rows]
     if not m or not m[0]:
         return 0
@@ -424,13 +426,30 @@ def rank_mod_p(rows, p):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(nr):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        row = m[rank]
+        inv = pow(row[col], -1, p)
+        for i in range(rank + 1, nr):
+            f = m[i][col]
+            if f:
+                f = f * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
         rank += 1
         if rank == nr:
             break
     return rank
+
+
+def rank_gf2(rows):
+    """Rank over GF(2) of the matrix whose rows are int bitsets (bit j is
+    column j).  Each row is XOR-reduced against the rows kept so far, one
+    per leading bit, until it is 0 or has a new leading bit."""
+    basis = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
+                break
+            r ^= b
+    return len(basis)

@@ -24,12 +24,7 @@ from .fibers import (
     gcd_of,
     reduce_by_gcd,
 )
-from .homology import (
-    BettiTable,
-    gcd_components,
-    minimal_betti_degrees,
-    scan_degree_classes,
-)
+from .homology import BettiTable, minimal_betti_degrees, scan_degree_classes
 from .lattice_core import _same_lattice, contains
 
 
@@ -194,7 +189,7 @@ def basic_components(L, b):
     out = []
     if len(fib) > 2:
         mask_of = dict(zip(fib.members, fib.masks))
-        parts = [(G, [mask_of[m] for m in G]) for G in gcd_components(fib)]
+        parts = [(G, [mask_of[m] for m in G]) for G in fib.components]
     else:
         parts = [(fib.members, fib.masks)]
     for G, masks in parts:
@@ -482,12 +477,13 @@ def minimal_generators(L, bound, functional=None):
 
 def binomials(atlas):
     """(generators, indispensables) of an Atlas, as minimal_generators and
-    indispensable_binomials give them, from one gcd_components pass over
-    the fibers it carries (a cone is connected, so beta_1 = 0 there).
-    beta_1 of a class is its number of gcd components less one."""
+    indispensable_binomials give them, from the gcd components
+    (Fiber.components) of the fibers it carries (a cone is connected, so
+    beta_1 = 0 there).  beta_1 of a class is its number of gcd components
+    less one."""
     generators, pairs, entries = [], [], {}
     for fib in atlas.fibers:
-        comps = gcd_components(fib)
+        comps = fib.components
         if len(comps) < 2:
             continue
         b = fib.degree

@@ -424,6 +424,25 @@ def test_one_scan_per_command(capsys, monkeypatch):
         assert len(calls) == 1, (argv, len(calls))
 
 
+def test_cli_verify_merges_each_fiber_once(capsys, monkeypatch):
+    """verify reads the basic components and the binomials from one
+    atlas, and both read Fiber.components: each of ex64's 343 carried
+    fibers gets one mask-union pass, not one per reader."""
+    prop = Fiber.components
+    reads = []
+
+    def counted(fib):
+        reads.append((fib, prop.fget(fib)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(Fiber, "components", property(counted))
+    code, out, _ = run_cli(capsys, "verify", "--fixture", "ex64")
+    assert code == 0, out
+    fibers = {id(fib) for fib, _comps in reads}
+    passes = {(id(fib), id(comps)) for fib, comps in reads}
+    assert len(fibers) == len(passes) == 343
+
+
 def test_cli_verify_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "verify", "--fixture", "nope")
     assert code == 2 and "error:" in err

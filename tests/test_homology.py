@@ -29,6 +29,7 @@ from latticescarf.homology import (
     scan_degree_classes,
 )
 from latticescarf.lattice_core import LatticeBasis, class_of
+from latticescarf.linalg import rank_rational
 
 ABD = (1, 1, 0, 1, 0)
 
@@ -182,15 +183,28 @@ def test_reduced_homology_small_cases():
     assert reduced_homology_dims([0, 0]) == {-1: 1}
 
 
-def test_homology_field_dependence_rp2():
+def test_homology_field_dependence_rp2(monkeypatch):
+    """Over GF(2), RP^2 has homology in degrees 1 and 2, so over Q the map
+    between them is ranked again by Bareiss, which finds one rank more
+    and clears both degrees."""
+    from latticescarf import homology
+
     K = SimplicialComplex(tuple(range(6)), RP2_FACETS)
     assert K.f_vector() == (6, 15, 10)
+    bareiss = []
+
+    def counted(rows):
+        bareiss.append((len(rows), len(rows[0])))
+        return rank_rational(rows)
+
+    monkeypatch.setattr(homology, "rank_rational", counted)
     # 10 facets on 6 vertices: no nerve, whose faces would reach dimension 4
-    over_q = both_homologies(RP2_FACETS, "q")
-    assert max(over_q) == 2
-    assert all(v == 0 for v in over_q.values())
     over_2 = both_homologies(RP2_FACETS, 2)
-    assert over_2[1] == 1 and over_2[2] == 1
+    assert over_2 == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert bareiss == []
+    over_q = both_homologies(RP2_FACETS, "q")
+    assert over_q == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert bareiss == [(10, 15)]
 
 
 def test_field_validation():
@@ -437,6 +451,23 @@ def test_rational_vs_finite_field_scans(ex61, ex63):
         assert {(i, b.key): v for (i, b), v in Tq.entries.items()} == {
             (i, b.key): v for (i, b), v in Tp.entries.items()
         }
+
+
+@pytest.mark.parametrize("field", ["q", 2, 32003])
+def test_mask_homology_matches_face_oracle_on_carried_fibers(suite, field):
+    """On every carried fiber of the three fixtures at their bounds, the
+    mask routine (GF(2) bitset ranks with Bareiss corrections over Q,
+    bitset ranks alone over GF(2), forward elimination over GF(32003))
+    equals the face-tuple oracle key for key."""
+    for name, data in suite.items():
+        atlas = scan_degree_classes(data.lattice, data.bound, data.functional)
+        for fib in atlas.fibers:
+            want = complex_homology_dims(support_complex(fib), field)
+            got = reduced_homology_dims(fib.masks, field)
+            assert list(got.items()) == list(want.items()), (
+                name,
+                fib.degree.representative,
+            )
 
 
 def test_rational_vs_finite_field_ex64_catalog(ex64):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from latticescarf.linalg import (
     _normalize_row,
@@ -11,6 +12,7 @@ from latticescarf.linalg import (
     fm_eliminate,
     integer_kernel,
     integer_points,
+    rank_gf2,
     rank_mod_p,
     rank_rational,
     rational_point,
@@ -262,3 +264,37 @@ def test_rank_mod_p_small_entries_match_rational():
 def test_rank_mod_p_can_differ_from_rational():
     assert rank_rational([(2,)]) == 1
     assert rank_mod_p([(2,)], 2) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 32003])
+def test_rank_mod_p_against_sympy(p):
+    """Forward elimination against sympy's GF(p) rank, on small-entry
+    matrices and on matrices whose last row is the first plus p times a
+    random row: dependent mod p, and over Q most often not."""
+    field = sympy.GF(p)
+    drops = 0
+    for _ in range(60):
+        r = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        A = random_matrix(r, n, -4, 4)
+        if r >= 2 and rng.random() < 0.5:
+            A[-1] = tuple(x + p * rng.randint(-2, 2) for x in A[0])
+        want = DomainMatrix.from_list(A, sympy.ZZ).convert_to(field).rank()
+        assert rank_mod_p(A, p) == want, (p, A)
+        drops += want < rank_rational(A)
+    assert drops >= 5
+
+
+def test_rank_gf2_matches_rank_mod_2():
+    """The bitset rank (bit j of a row is column j) against rank_mod_p over
+    GF(2) on 0/1 matrices, wide, tall and with repeated rows."""
+    for _ in range(200):
+        r = rng.randint(0, 9)
+        n = rng.randint(1, 9)
+        A = random_matrix(r, n, 0, 1)
+        if r >= 3 and rng.random() < 0.3:
+            A[-1] = tuple(x ^ y for x, y in zip(A[0], A[1]))
+        rows = [sum(x << j for j, x in enumerate(row)) for row in A]
+        assert rank_gf2(rows) == rank_mod_p(A, 2), A
+    assert rank_gf2([]) == rank_gf2([0, 0]) == 0
+    assert rank_gf2([0b11, 0b101, 0b110]) == 2
