@@ -7,6 +7,10 @@ lexicographic, first coordinate most significant) so that every structure
 built on fibers is deterministic.
 """
 
+import struct
+from itertools import repeat
+from operator import rshift
+
 from .lattice_core import _same_lattice, class_of
 from .linalg import integer_solutions
 
@@ -16,72 +20,144 @@ def canonical_order(monomials):
     return tuple(sorted(monomials, reverse=True))
 
 
+class MemberPacking:
+    """Monomials of n variables with exponents up to top, one int each:
+    u packs as (u_0 ... u_{n-1} in fixed-width byte fields, u_0 most
+    significant) << n | support_mask(u).  Distinct monomials differ above
+    the mask, so descending int order is canonical order, and 0 packs the
+    monomial 1.  A field takes the fewest bytes of a struct code (1, 2, 4
+    or 8) that hold top; wider exponents raise ValueError."""
+
+    __slots__ = ("n", "units", "_struct")
+
+    def __init__(self, n, top):
+        for code in "BHIQ":
+            width = 8 * struct.calcsize(code)
+            if not top >> width:
+                break
+        else:
+            raise ValueError("exponents up to %d do not fit 8-byte fields" % top)
+        self.n, self._struct = n, struct.Struct(">%d%s" % (n, code))
+        # units[j] adds 1 to u_j
+        self.units = tuple(1 << n + width * (n - 1 - j) for j in range(n))
+
+    def step(self, packed, j):
+        """u + e_j for each packed u, in their order: one C-level map."""
+        return list(map((1 << j).__or__, map(self.units[j].__add__, packed)))
+
+    def step_last(self, packed, j):
+        """u + e_j for each packed u with u_k = 0 for every k > j (its mask
+        below 2 << j), so that j is the last positive index of u + e_j."""
+        unit, bit, high = self.units[j], 1 << j, (1 << self.n) - (2 << j)
+        return [x + unit | bit for x in packed if not x & high]
+
+    def masks(self, packed):
+        """The support masks of the packed members: their low n bits."""
+        return tuple(map(((1 << self.n) - 1).__and__, packed))
+
+    def unpack(self, packed):
+        """The exponent tuples of the packed members, in their order: one
+        join of their field bytes and one struct.iter_unpack."""
+        st = self._struct
+        if not st.size:
+            return ((),) * len(packed)
+        shifted = map(rshift, packed, repeat(self.n))
+        data = b"".join(map(int.to_bytes, shifted, repeat(st.size), repeat("big")))
+        return tuple(st.iter_unpack(data))
+
+
 class Fiber:
     """The set of monomials in one degree class, canonically ordered.
 
     masks[k] is the support mask (support_mask) of members[k]: the gcd
     complex, its components and the homology of the fiber depend on the
-    masks alone."""
+    masks alone.  A scanned fiber holds its members packed
+    (MemberPacking) and decodes them on the first read of members, or of
+    iteration, `in`, == or hash; len() and masks need no decode, and the
+    packed ints are dropped once decoded.  mask_unions, the one pass over
+    the distinct masks, is computed on first read and shared by the gcd
+    components, the basic components and the binomials."""
 
-    __slots__ = ("degree", "members", "_masks", "_components")
+    __slots__ = ("degree", "_members", "_packed", "_layout", "_masks", "_unions")
 
     def __init__(self, degree, members):
         self.degree = degree
-        self.members = canonical_order(members)
-        self._masks = self._components = None
+        self._members = canonical_order(members)
+        self._packed = self._layout = self._masks = self._unions = None
 
     @classmethod
-    def _with_masks(cls, degree, members, masks):
-        """The fiber whose members, a tuple in canonical order, have the
-        tuple of masks."""
+    def _from_packed(cls, degree, packed, layout):
+        """The fiber of the members packed by the MemberPacking layout, in
+        descending int order."""
         fib = cls.__new__(cls)
-        fib.degree, fib.members, fib._masks = degree, members, masks
-        fib._components = None
+        fib.degree, fib._packed, fib._layout = degree, packed, layout
+        fib._members = fib._masks = fib._unions = None
         return fib
 
     @property
+    def members(self):
+        """The members in canonical order, decoded on first read."""
+        if self._members is None:
+            self.masks  # read from the packed ints before they go
+            self._members = self._layout.unpack(self._packed)
+            self._packed = self._layout = None
+        return self._members
+
+    @property
     def masks(self):
-        """The members' support masks, computed on first read unless the
-        fiber was built with them: a fiber query that prints only the
-        members computes none."""
+        """The members' support masks, computed on first read: a fiber
+        query that prints only the members computes none."""
         if self._masks is None:
-            self._masks = tuple(map(support_mask, self.members))
+            if self._members is None:
+                self._masks = self._layout.masks(self._packed)
+            else:
+                self._masks = tuple(map(support_mask, self._members))
         return self._masks
+
+    @property
+    def mask_unions(self):
+        """(distinct, unions), the one pass over the distinct masks:
+        distinct holds the members' masks once each, in member order, and
+        unions lists (k, u) for each union u of distinct nonzero masks
+        that meet, k the index of its first member, in member order.
+
+        Two members are joined in the gcd complex when their support masks
+        meet, so each connected component covers one such union, disjoint
+        from the others.  Each distinct mask absorbs every union it meets,
+        so the unions stay disjoint.  The monomial 1 lies in no union."""
+        if self._unions is None:
+            masks = self.masks
+            distinct = tuple(dict.fromkeys(masks))
+            unions = []
+            for s in distinct:
+                if s:
+                    rest = []
+                    for u in unions:
+                        if u & s:
+                            s |= u
+                        else:
+                            rest.append(u)
+                    unions = rest + [s]
+            # a union's first member has the first of its distinct masks
+            firsts = [masks.index(next(filter(u.__and__, distinct))) for u in unions]
+            self._unions = distinct, sorted(zip(firsts, unions))
+        return self._unions
 
     @property
     def components(self):
         """The connected components of the gcd complex: tuples of members
-        in fiber order, ordered by their first member.  Computed on first
-        read, so the basic components and the binomials of one atlas
-        share one pass.
-
-        Two members are joined when their support masks meet, so each
-        component covers a union of supports disjoint from the others'
-        unions.  Each distinct support mask absorbs every union it meets,
-        so the unions stay disjoint; a member belongs to the union its mask
-        meets.  The monomial 1 lies in no component.
-        """
-        if self._components is None:
-            distinct = set(self.masks) - {0}
-            unions = []
-            for s in distinct:
-                rest = []
-                for u in unions:
-                    if u & s:
-                        s |= u
-                    else:
-                        rest.append(u)
-                unions = rest + [s]
-            union_of = {s: u for u in unions for s in distinct if s & u}
-            groups = {}
-            for m, s in zip(self.members, self.masks):
-                if s:
-                    groups.setdefault(union_of[s], []).append(m)
-            self._components = tuple(tuple(g) for g in groups.values())
-        return self._components
+        in fiber order, one per union of mask_unions, ordered by their
+        first member."""
+        distinct, unions = self.mask_unions
+        union_of = {s: u for _k, u in unions for s in filter(u.__and__, distinct)}
+        groups = {u: [] for _k, u in unions}
+        for m, s in zip(self.members, self.masks):
+            if s:
+                groups[union_of[s]].append(m)
+        return tuple(map(tuple, groups.values()))
 
     def __len__(self):
-        return len(self.members)
+        return len(self._packed if self._members is None else self._members)
 
     def __iter__(self):
         return iter(self.members)

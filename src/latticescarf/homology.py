@@ -31,7 +31,7 @@ Multigraded Betti numbers follow the convention
     i >= 1.
 """
 
-from .fibers import Fiber, fiber_of
+from .fibers import Fiber, MemberPacking, fiber_of
 from .lattice_core import (
     CosetPacking,
     DegreeClass,
@@ -81,7 +81,13 @@ def _signed_rows(boundary, width):
     return rows
 
 
-def reduced_homology_dims(facets, field="q"):
+def check_field(field):
+    """Raise ValueError unless field is "q" (or "Q") or a prime int."""
+    if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
+        raise ValueError("field must be 'q' or a prime integer")
+
+
+def reduced_homology_dims(facets, field="q", checked=False):
     """Reduced homology dimensions {j: dim}, from j = -1 up to the
     dimension of the complex whose faces are built, of the complex
     generated by facets, an iterable of int vertex bitmasks (vertex v is
@@ -110,9 +116,12 @@ def reduced_homology_dims(facets, field="q"):
     gap comes off both degrees, and every other GF(2) rank is its Q rank.
     GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
     mod p, since GF(2) bounds its ranks in neither direction.
+
+    checked=True skips check_field, for a caller that ran it once for
+    many complexes (betti_table).
     """
-    if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
-        raise ValueError("field must be 'q' or a prime integer")
+    if not checked:
+        check_field(field)
     facets = _maximal_masks(facets)
     verts = 0
     for f in facets:
@@ -214,14 +223,19 @@ def scan_degree_classes(L, bound, functional=None):
     classes it steps from.
     The cone masks need no members: cone(0) = 0 and cone(b) = AND over
     the steps of (cone(b - e_j) | 1 << j).  Members are built from
-    fiber(0) = {0} up, without Fourier-Motzkin, in canonical order beside
-    their support masks (mask(u + e_j) = mask(u) | 1 << j), and only where
-    a carried fiber needs them.  For bit k of cone(b), every monomial has
-    u_k >= 1, so fiber(b) = fiber(b - e_k) + e_k.  A carried class takes
-    the union over its steps e_j of u + e_j for the u of mask below
-    2 << j (j is the last index where u + e_j is positive), so each
-    monomial is built once.  Only the carried classes become DegreeClass
-    objects, and the Atlas holds their Fibers in (value, key) order.
+    fiber(0) = {0} up, without Fourier-Motzkin, and only where a carried
+    fiber needs them.  Each member is one int that packs its exponents
+    above its support mask (fibers.MemberPacking, with fields wide enough
+    for the largest exponent bound // w_j), so u + e_j is one addition and
+    one OR, and descending int order is canonical order.  For bit k of
+    cone(b), every monomial has u_k >= 1, so fiber(b) = fiber(b - e_k) +
+    e_k, one C-level map (MemberPacking.step).  A carried class takes the
+    union over its steps e_j of u + e_j for the u of mask below 2 << j (j
+    is the last index where u + e_j is positive; MemberPacking.step_last),
+    so each monomial is built once, and sorts the ints.  Only the carried
+    classes become DegreeClass objects, and the Atlas holds their Fibers
+    in (value, key) order; each decodes its members on first read, and its
+    masks, the low bits, need no decode.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -231,10 +245,11 @@ def scan_degree_classes(L, bound, functional=None):
     if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
         raise ValueError("functional must vanish on the lattice")
     n = L.n
-    zero = (0,) * n
+    # u_j <= bound // w_j for a monomial of value <= bound
+    layout = MemberPacking(n, max((bound // x for x in w), default=0))
     packing = CosetPacking(L, bound, w)
     torsion = packing.torsion
-    start = packing.pack(zero)
+    start = packing.pack((0,) * n)
     ids = {start: 0}
     keys, values, into = [start], [0], [[]]  # into[i] = [pred id, j, ...]
     stack = [0]
@@ -286,33 +301,24 @@ def scan_degree_classes(L, bound, functional=None):
             p, j = e[k - 1], e[k]
             pred[i] = p, j
             needed[p] = 1
-    # members[i] holds fiber i in canonical order (a tuple when carried),
-    # masks[i] their support masks
+    # members[i] holds fiber i packed (fibers.MemberPacking), in
+    # descending int order: canonical order
     members = [None] * len(keys)
-    masks = [None] * len(keys)
-    members[0], masks[0] = (zero,), (0,)
+    members[0] = [0]  # the monomial 1
     for i in order[1:]:
         if not needed[i]:
             continue
         if pred[i]:
             p, j = pred[i]
-            bit = bits[j]
-            members[i] = [m[:j] + (m[j] + 1,) + m[j + 1 :] for m in members[p]]
-            masks[i] = [s | bit for s in masks[p]]
+            members[i] = layout.step(members[p], j)
             continue
-        ms, ks = [], []
+        ms = []
         e = into[i]
         for k in range(0, len(e), 2):
-            p, j = e[k], e[k + 1]
-            bit, top = bits[j], 2 << j
-            for m, s in zip(members[p], masks[p]):
-                if s < top:
-                    ms.append(m[:j] + (m[j] + 1,) + m[j + 1 :])
-                    ks.append(s | bit)
+            ms += layout.step_last(members[e[k]], e[k + 1])
         # each step's part is already in order: sorting merges the runs
-        by = sorted(range(len(ms)), key=ms.__getitem__, reverse=True)
-        members[i] = tuple([ms[t] for t in by])
-        masks[i] = tuple([ks[t] for t in by])
+        ms.sort(reverse=True)
+        members[i] = ms
     carried = []
     for i in order:
         if not cone[i]:
@@ -321,7 +327,7 @@ def scan_degree_classes(L, bound, functional=None):
                 rep[into[k][1]] += 1
                 k = into[k][0]
             b = DegreeClass(L, rep)
-            fib = Fiber._with_masks(b, members[i], masks[i])
+            fib = Fiber._from_packed(b, members[i], layout)
             carried.append((values[i], b.key, fib))
     carried.sort(key=lambda c: c[:2])
     fibers = tuple(fib for _s, _key, fib in carried)
@@ -385,10 +391,11 @@ def betti_scan(L, bound, field="q", functional=None):
 
 def betti_table(atlas, field="q"):
     """The BettiTable of an Atlas, read from the fibers it carries (a cone
-    has no homology)."""
+    has no homology).  The field is checked once for the whole table."""
+    check_field(field)
     entries = {}
     for fib in atlas.fibers:
-        for j, dim in reduced_homology_dims(fib.masks, field).items():
+        for j, dim in reduced_homology_dims(fib.masks, field, checked=True).items():
             if j >= 0 and dim:
                 entries[(j + 1, fib.degree)] = dim
     return BettiTable(atlas, entries, field)

@@ -181,35 +181,52 @@ def basic_components(L, b):
     puncture is the AND of a prefix and a suffix of G's masks, so all
     punctures cost O(|G|) together.  So the zero class contributes the
     single component {1}, and an empty fiber or a single monomial other
-    than 1 contributes none.  Every returned component is cross-checked
-    through the scarf membership test of its recovered witness, and is
-    marked whole when it is the entire fiber.
+    than 1 contributes none.
+
+    A component is read from the fiber's distinct masks
+    (Fiber.mask_unions), and two rejections need no member: a component
+    with a repeated mask, since dropping one copy leaves the AND as it
+    was, zero or not; and one of more than n distinct masks, since each
+    member m of a qualifying G has a variable in every other member's
+    support but not in m's, and no two members share it.  Members are
+    gathered only for a component that passes the AND tests.  Every
+    returned component is cross-checked through the scarf membership test
+    of its recovered witness, and is marked whole when it is the entire
+    fiber.
     """
     fib = fiber_of(L, b)
-    out = []
+    masks = fib.masks
     if len(fib) > 2:
-        mask_of = dict(zip(fib.members, fib.masks))
-        parts = [(G, [mask_of[m] for m in G]) for G in fib.components]
+        distinct, unions = fib.mask_unions
+        parts = []
+        for _k, u in unions:
+            mine = list(filter(u.__and__, distinct))
+            # no repeated mask: as many members as distinct masks
+            if len(mine) <= L.n and sum(map(masks.count, mine)) == len(mine):
+                parts.append(sorted(map(masks.index, mine)))
     else:
-        parts = [(fib.members, fib.masks)]
-    for G, masks in parts:
-        # suffix[k] is the AND of masks[k:], prefix the AND of masks[:k]
-        suffix = [-1] * (len(masks) + 1)
-        for k in range(len(masks) - 1, -1, -1):
-            suffix[k] = suffix[k + 1] & masks[k]
+        parts = [range(len(fib))]
+    out = []
+    for part in parts:
+        ands = [masks[k] for k in part]
+        # suffix[k] is the AND of ands[k:], prefix the AND of ands[:k]
+        suffix = [-1] * (len(ands) + 1)
+        for k in range(len(ands) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] & ands[k]
         if suffix[0]:
             continue  # a common divisor
         prefix = -1
-        for k, mask in enumerate(masks):
+        for k, mask in enumerate(ands):
             if not prefix & suffix[k + 1]:
-                break  # dropping G[k] leaves a gcd-free set
+                break  # dropping member k leaves a gcd-free set
             prefix &= mask
         else:
-            c = _recover_witness(L, fib.degree, G)
-            # bmax(witness) = G[0], a member of fib
+            ms = fib.members
+            c = _recover_witness(L, fib.degree, [ms[k] for k in part])
+            # bmax(witness) = the first member of the part, a member of fib
             if not _in_generalized_scarf(c.witness, fib):
                 raise RuntimeError("recovered witness failed membership")
-            c.whole = len(G) == len(fib)
+            c.whole = len(part) == len(fib)
             out.append(c)
     return out
 
@@ -483,16 +500,15 @@ def binomials(atlas):
     less one."""
     generators, pairs, entries = [], [], {}
     for fib in atlas.fibers:
-        comps = fib.components
-        if len(comps) < 2:
+        unions = fib.mask_unions[1]
+        if len(unions) < 2:
             continue
         b = fib.degree
-        entries[(1, b)] = len(comps) - 1
+        entries[(1, b)] = len(unions) - 1
         if len(fib) == 2:
             pairs.append(fib)
-        base = comps[0][0]
-        for comp in comps[1:]:
-            m = comp[0]
+        base, *rest = [fib.members[k] for k, _u in unions]
+        for m in rest:
             generators.append((b, (m, base) if m > base else (base, m)))
     minimal = set(minimal_betti_degrees(BettiTable(atlas, entries, "q"), 1))
     indispensables = [(f.degree, f.members) for f in pairs if f.degree in minimal]

@@ -27,6 +27,7 @@ from latticescarf.homology import (
 from latticescarf.lattice_core import (
     DegreeClass,
     LatticeBasis,
+    class_leq,
     class_of,
     positive_functional,
 )
@@ -447,6 +448,51 @@ def check_gcd_components(suite, rng, random_count=10):
             )
             checked += 1
     return "%d fibers" % checked
+
+
+def _has_common_divisor(ms):
+    """Do the monomials ms share a variable?  True for no monomials."""
+    return not ms or any(min(col) > 0 for col in zip(*ms))
+
+
+def basic_components_oracle(L, fib):
+    """(monomials, witness members, whole) for each basic component of the
+    Fiber fib, in basic_components' order: the parts are the components of
+    the gcd complex itself (the whole fiber when it has at most two
+    members), tested by componentwise minima, with no support mask."""
+    ms = fib.members
+    parts = connected_components(gcd_complex(fib)) if len(ms) > 2 else [ms]
+    out = []
+    for G in parts:
+        if not G or _has_common_divisor(G):
+            continue
+        if all(_has_common_divisor(G[:k] + G[k + 1 :]) for k in range(len(G))):
+            witness = {tuple(a - b for a, b in zip(G[0], u)) for u in G}
+            witness = tuple(sorted(witness, reverse=True))
+            out.append((tuple(G), witness, len(G) == len(ms)))
+    return out
+
+
+def binomials_oracle(atlas):
+    """(generators, indispensables) as scarf.binomials gives them, from the
+    components of each carried fiber's gcd complex, with minimality among
+    the 1-Betti degrees decided by lattice_core.class_leq."""
+    generators, betti_1 = [], {}
+    for fib in atlas.fibers:
+        comps = connected_components(gcd_complex(fib))
+        if len(comps) < 2:
+            continue
+        b = fib.degree
+        betti_1[b] = fib
+        base = comps[0][0]
+        for comp in comps[1:]:
+            generators.append((b, tuple(sorted((comp[0], base), reverse=True))))
+    indispensables = [
+        (b, fib.members)
+        for b, fib in betti_1.items()
+        if len(fib) == 2 and not any(d != b and class_leq(d, b) for d in betti_1)
+    ]
+    return generators, indispensables
 
 
 def export_dot_gcd_oracle(fiber, variables):

@@ -14,7 +14,7 @@ from latticescarf.cli import (
     problem_from_dict,
     run_command,
 )
-from latticescarf.fibers import Fiber, enumerate_fiber, support_mask
+from latticescarf.fibers import Fiber, MemberPacking, enumerate_fiber, support_mask
 from latticescarf.fixtures import fixture_names, fixture_problem
 from latticescarf.lattice_core import LatticeBasis, NotPointedError, class_of
 
@@ -426,21 +426,39 @@ def test_one_scan_per_command(capsys, monkeypatch):
 
 def test_cli_verify_merges_each_fiber_once(capsys, monkeypatch):
     """verify reads the basic components and the binomials from one
-    atlas, and both read Fiber.components: each of ex64's 343 carried
-    fibers gets one mask-union pass, not one per reader."""
-    prop = Fiber.components
+    atlas, and both read Fiber.mask_unions: each of ex64's 343 carried
+    fibers gets one distinct-mask pass, not one per reader."""
+    prop = Fiber.mask_unions
     reads = []
 
     def counted(fib):
         reads.append((fib, prop.fget(fib)))
         return reads[-1][1]
 
-    monkeypatch.setattr(Fiber, "components", property(counted))
+    monkeypatch.setattr(Fiber, "mask_unions", property(counted))
     code, out, _ = run_cli(capsys, "verify", "--fixture", "ex64")
     assert code == 0, out
     fibers = {id(fib) for fib, _comps in reads}
     passes = {(id(fib), id(comps)) for fib, comps in reads}
     assert len(fibers) == len(passes) == 343
+
+
+def test_cli_betti_decodes_no_fiber(capsys, monkeypatch):
+    """betti reads support masks alone, so none of ex64's scanned fibers
+    decodes its packed members; components decodes only the fibers where
+    a component survives the mask tests, not all 343."""
+    unpack = MemberPacking.unpack
+    decoded = []
+
+    def counted(self, packed):
+        decoded.append(len(packed))
+        return unpack(self, packed)
+
+    monkeypatch.setattr(MemberPacking, "unpack", counted)
+    code, out, _ = run_cli(capsys, "betti", "--fixture", "ex64", "--bound", "600")
+    assert code == 0 and json.loads(out)["result"] and decoded == []
+    code, _, _ = run_cli(capsys, "components", "--fixture", "ex64", "--bound", "600")
+    assert code == 0 and 0 < len(decoded) < 343, len(decoded)
 
 
 def test_cli_verify_unknown_fixture(capsys):

@@ -11,6 +11,7 @@ from helpers import (
     complex_homology_dims,
     connected_components,
     euler_characteristic_checks,
+    full_fibers,
     gcd_complex,
     reference_scan,
     same_classes,
@@ -19,17 +20,18 @@ from helpers import (
     suite_b_lattices,
     support_complex,
 )
-from latticescarf.fibers import enumerate_fiber, support_mask
+from latticescarf.fibers import MemberPacking, enumerate_fiber, support_mask
 from latticescarf.homology import (
     betti_at,
     betti_scan,
+    betti_table,
     gcd_components,
     minimal_betti_degrees,
     reduced_homology_dims,
     scan_degree_classes,
 )
 from latticescarf.lattice_core import LatticeBasis, class_of
-from latticescarf.linalg import rank_rational
+from latticescarf.linalg import is_prime, rank_rational
 
 ABD = (1, 1, 0, 1, 0)
 
@@ -220,6 +222,30 @@ def test_field_validation():
         assert both_homologies([(0,)], good) == {-1: 0, 0: 0}
 
 
+def test_betti_table_checks_the_field_once(monkeypatch, ex63):
+    """betti_table runs is_prime once for the whole table, not once per
+    fiber; a composite field still raises, from the table and from
+    reduced_homology_dims called directly."""
+    from latticescarf import homology
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(homology, "is_prime", counted)
+    atlas = scan_degree_classes(ex63.lattice, ex63.bound, ex63.functional)
+    T = betti_table(atlas, 32003)
+    assert calls == [32003] and len(atlas.fibers) > 1
+    assert T.entries == betti_table(atlas, "q").entries
+    for bad in (4, 32001):
+        with pytest.raises(ValueError):
+            betti_table(atlas, bad)
+        with pytest.raises(ValueError):
+            reduced_homology_dims([1, 2], bad)
+
+
 def test_betti_scan_composite_field(ex63):
     with pytest.raises(ValueError):
         betti_scan(ex63.lattice, 40, field=4, functional=ex63.functional)
@@ -341,7 +367,8 @@ def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
 def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
     """The scan hands each fiber its support masks, so neither the scan nor
     the Betti table, the poset and the 1-Betti classes read from ex64's
-    atlas call support_mask, under any module's binding of it."""
+    atlas, nor decoding the members, call support_mask, under any module's
+    binding of it."""
     from latticescarf import cli, fibers, homology, scarf
 
     calls = []
@@ -356,6 +383,9 @@ def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
     T = homology.betti_table(atlas)
     poset = scarf.scarf_poset(atlas)
     generators, indispensables = scarf.binomials(atlas)
+    # a fiber that decodes its members first reads its masks from the packed ints
+    for fib in scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional).fibers:
+        assert fib.members and fib.masks
     assert calls == []
     assert T.entries and len(poset) and generators and indispensables
 
@@ -394,6 +424,74 @@ def test_scan_matches_reference_scan(suite):
         want = reference_scan(L, bound, w)
         assert same_classes(got.scanned, want.scanned), where
         assert scan_summary(got) == scan_summary(want), where
+
+
+@pytest.mark.parametrize(
+    "top, width",
+    [
+        (0, 8),
+        (255, 8),
+        (256, 16),
+        (65535, 16),
+        (65536, 32),
+        (2**32, 64),
+        (2**64 - 1, 64),
+    ],
+)
+def test_member_packing_round_trip(top, width):
+    """Packed members decode to themselves, their masks are the low n
+    bits, descending int order is canonical order, and a field is the
+    narrowest struct code that holds top."""
+    layout = MemberPacking(3, top)
+    assert layout.units == (1 << 3 + 2 * width, 1 << 3 + width, 1 << 3)
+    us = {(0, 0, 0), (top, 0, 1), (0, top, 0), (1, 1, top), (top, top, top)}
+    us = sorted(u for u in us if max(u) <= top)
+    random.Random(top).shuffle(us)
+    packed = [sum(map(int.__mul__, u, layout.units)) | support_mask(u) for u in us]
+    assert layout.unpack(packed) == tuple(us)
+    assert layout.masks(packed) == tuple(map(support_mask, us))
+    order = sorted(range(len(us)), key=packed.__getitem__, reverse=True)
+    assert [us[k] for k in order] == sorted(us, reverse=True)
+
+
+def test_too_wide_member_fields_fail_before_the_scan(monkeypatch):
+    """Exponents past 8-byte fields raise ValueError before any class is
+    packed, so a huge bound starts no search."""
+    from latticescarf import homology
+
+    def no_search(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(homology, "CosetPacking", no_search)
+    L = LatticeBasis([(1, -1)])
+    with pytest.raises(ValueError, match="8-byte fields"):
+        scan_degree_classes(L, 2**64, (1, 1))
+    with pytest.raises(ValueError, match="8-byte fields"):
+        MemberPacking(2, 2**64)
+    with pytest.raises(AssertionError, match="the scan started"):
+        scan_degree_classes(L, 2**64 - 1, (1, 1))
+
+
+def test_scanned_fibers_decode_to_the_full_fibers():
+    """Each carried fiber's masks, read from its packed members, and then
+    its decoded members and masks equal those of helpers.full_fibers,
+    values and order: on suite (b)'s first 8 lattices and on two lattices
+    whose exponents need 2-byte fields.  len() needs no decode."""
+    lattices = itertools.islice(suite_b_lattices(random.Random(103)), 8)
+    problems = scan_problems({}, lattices)
+    wide = (([(1, -1)], 300, (1, 1)), ([(1, -1, 0), (0, 300, -1)], 320, (1, 1, 300)))
+    for rows, bound, w in wide:
+        problems.append((repr(rows), LatticeBasis(rows), bound, w))
+    widest = 0
+    for where, L, bound, w in problems:
+        full = {b.key: fib for b, _s, fib in full_fibers(L, bound, w)}
+        for fib in scan_degree_classes(L, bound, w).fibers:
+            want = full[fib.degree.key]
+            packed = (len(fib), fib.masks)
+            assert packed == (len(want), want.masks), (where, fib.degree)
+            assert fib.members == want.members and fib.masks == want.masks, where
+            widest = max(widest, max(map(max, fib.members)))
+    assert widest >= 256
 
 
 def test_scan_work_does_not_grow_with_the_weights():

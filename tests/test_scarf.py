@@ -9,20 +9,23 @@ import pytest
 
 import latticescarf
 
-from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of
+from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of, support_mask
 from helpers import (
+    basic_components_oracle,
+    binomials_oracle,
     connected_components,
     full_fibers,
     gcd_complex,
     scan_problems,
     suite_b_lattices,
 )
-from latticescarf.homology import scan_degree_classes
+from latticescarf.homology import gcd_components, scan_degree_classes
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
     BasicComponent,
     LatticeSubset,
     basic_components,
+    binomials,
     bmax,
     enumerate_scarf_poset,
     in_generalized_scarf,
@@ -264,6 +267,37 @@ def test_scarf_poset_inherits_the_scan_order(suite):
         assert got == sorted(full), where
         Q = enumerate_scarf_poset(L, bound, w)
         assert (Q.elements, Q.leq) == (P.elements, P.leq), where
+
+
+def test_distinct_mask_readers_match_the_gcd_complex_oracle(suite):
+    """basic_components (monomials, witnesses, whole flags, order),
+    binomials and gcd_components read a scanned fiber's distinct masks
+    (Fiber.mask_unions), and equal oracles built on the gcd complex itself:
+    on every carried fiber of the fixtures at their bounds and of suite
+    (b)'s first 10 lattices, each reader on fibers fresh from a scan.
+    Among the components are some with a repeated mask and at most n
+    distinct ones, and some of more than n masks, none repeated: each of
+    the two rejections basic_components takes before it gathers a member
+    is met alone."""
+    lattices = itertools.islice(suite_b_lattices(random.Random(109)), 10)
+    repeated = wide = 0
+    for where, L, bound, w in scan_problems(suite, lattices):
+        atlas = scan_degree_classes(L, bound, w)
+        assert binomials(atlas) == binomials_oracle(atlas), where
+        for fib in scan_degree_classes(L, bound, w).fibers:
+            got = [
+                (c.monomials, c.witness.members, c.whole)
+                for c in basic_components(L, fib)
+            ]
+            assert got == basic_components_oracle(L, fib), (where, fib.degree)
+        for fib in scan_degree_classes(L, bound, w).fibers:
+            comps = connected_components(gcd_complex(fib))
+            assert gcd_components(fib) == comps, (where, fib.degree)
+            for comp in comps if len(fib) > 2 else ():
+                distinct = len({support_mask(m) for m in comp})
+                repeated += distinct < len(comp) and distinct <= L.n
+                wide += distinct == len(comp) > L.n
+    assert repeated and wide, (repeated, wide)
 
 
 def test_scarf_poset_deterministic(ex64):
