@@ -12,7 +12,7 @@ from itertools import repeat
 from operator import rshift
 
 from .lattice_core import _same_lattice, class_of
-from .linalg import integer_solutions
+from .linalg import integer_solutions, size_reduce
 
 
 def canonical_order(monomials):
@@ -73,10 +73,11 @@ class Fiber:
     complex, its components and the homology of the fiber depend on the
     masks alone.  A scanned fiber holds its members packed
     (MemberPacking) and decodes them on the first read of members, or of
-    iteration, `in`, == or hash; len() and masks need no decode, and the
-    packed ints are dropped once decoded.  mask_unions, the one pass over
-    the distinct masks, is computed on first read and shared by the gcd
-    components, the basic components and the binomials."""
+    iteration, `in`, == or hash; len() and masks need no decode,
+    members_at decodes only the members it returns, and the packed ints
+    are dropped once the whole fiber is decoded.  mask_unions, the one
+    pass over the distinct masks, is computed on first read and shared by
+    the gcd components, the basic components and the binomials."""
 
     __slots__ = ("degree", "_members", "_packed", "_layout", "_masks", "_unions")
 
@@ -102,6 +103,13 @@ class Fiber:
             self._members = self._layout.unpack(self._packed)
             self._packed = self._layout = None
         return self._members
+
+    def members_at(self, indices):
+        """The members at the given indices, in their order; a packed fiber
+        decodes those members only."""
+        if self._members is None:
+            return self._layout.unpack([self._packed[k] for k in indices])
+        return tuple(map(self._members.__getitem__, indices))
 
     @property
     def masks(self):
@@ -186,15 +194,19 @@ def enumerate_fiber(L, u0):
     runs a Fourier-Motzkin enumeration of the z in Z^r with
     u = u0 + z * B >= 0, whose descent (linalg.integer_solutions) carries
     each member u along with z; a degree scan builds its fibers without
-    one (see homology.scan_degree_classes).  The fiber's masks are
-    computed on first read.
+    one (see homology.scan_degree_classes).  B is linalg.size_reduce of
+    L.rows, so the last level of the descent runs along the shortest row
+    and yields more members per call; B spans the same lattice, so the
+    fiber, which Fiber orders canonically, is the same.  The fiber's
+    masks are computed on first read.
     """
     u0 = tuple(u0)
     n, r = L.n, L.r
     if len(u0) != n:
         raise ValueError("vector has wrong dimension")
+    B = size_reduce(L.rows)
     # row j is (column j of B, u0[j]): its value at z is u_j
-    rows = [(tuple(row[j] for row in L.rows), x) for j, x in enumerate(u0)]
+    rows = [(tuple(row[j] for row in B), x) for j, x in enumerate(u0)]
     members = [u for z, u in integer_solutions(rows, r)]
     fib = Fiber(class_of(L, u0), members)
     if n and min(map(min, fib.members), default=0) < 0:

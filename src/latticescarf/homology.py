@@ -31,6 +31,9 @@ Multigraded Betti numbers follow the convention
     i >= 1.
 """
 
+from bisect import bisect_left
+from operator import mul
+
 from .fibers import Fiber, MemberPacking, fiber_of
 from .lattice_core import (
     CosetPacking,
@@ -402,6 +405,14 @@ def betti_table(atlas, field="q"):
 
 
 def minimal_betti_degrees(T, i):
-    """Degrees minimal in the divisibility order among {b : beta_{i,b} > 0}."""
+    """Degrees minimal in the divisibility order among {b : beta_{i,b} > 0}.
+    d <= b with d != b makes b - d a nonzero monomial, of positive value,
+    so b is tested only against the degrees of smaller value: those before
+    it in T.degrees(i)."""
     degs = T.degrees(i)
-    return [b for b in degs if not any(d != b and T.leq(d, b) for d in degs)]
+    values = [sum(map(mul, T.functional, b.representative)) for b in degs]
+    return [
+        b
+        for b, s in zip(degs, values)
+        if not any(T.leq(d, b) for d in degs[: bisect_left(values, s)])
+    ]

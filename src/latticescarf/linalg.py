@@ -8,6 +8,9 @@ The pieces:
 * row-style Hermite normal form with transform (kernels, coset reduction,
   integer linear solves) and a diagonal form built from it (the coset
   coordinates of a lattice with torsion),
+* a size-reduced basis of a lattice, longest row first, the basis that
+  fiber queries descend over: the fiber does not depend on the basis,
+  and the shortest row at the last level yields more members per call,
 * Fourier-Motzkin elimination over the integers/rationals: integer
   points for single-degree fiber queries (fibers.enumerate_fiber), each
   carried down the descent with the values of the input rows, which for
@@ -22,6 +25,7 @@ The pieces:
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 from operator import add, floordiv, mul
 
@@ -73,6 +77,29 @@ def row_hermite(rows, ncols):
     H = tuple(tuple(r) for r in m)
     U = tuple(tuple(r) for r in u)
     return H, U, tuple(pivots)
+
+
+def size_reduce(rows):
+    """A basis of the lattice the independent rows span, size-reduced and
+    longest row first.  Row b_i takes off q = round(<b_i,b_k>/<b_k,b_k>)
+    times another row b_k whenever that lowers |b_i|^2, until no such step
+    is left; each step is unimodular and lowers a norm, so this ends.  The
+    rows are then ordered by norm, longest first, ties in row order."""
+    b = [list(r) for r in rows]
+    norms = [sum(map(mul, r, r)) for r in b]
+    changed = True
+    while changed:
+        changed = False
+        for i, k in permutations(range(len(b)), 2):
+            p, nk = sum(map(mul, b[i], b[k])), norms[k]
+            q = (2 * p + nk) // (2 * nk)
+            d = q * (q * nk - 2 * p)  # |b_i - q b_k|^2 - |b_i|^2
+            if d < 0:
+                b[i] = [x - q * y for x, y in zip(b[i], b[k])]
+                norms[i] += d
+                changed = True
+    order = sorted(range(len(b)), key=norms.__getitem__, reverse=True)
+    return tuple(tuple(b[i]) for i in order)
 
 
 def integer_kernel(rows, ncols):

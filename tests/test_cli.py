@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 import random
 import re
 
@@ -811,3 +813,21 @@ def test_report_provenance(capsys):
     assert prov["format"] == 1
     assert "version" in prov
     assert prov["functional"] == [4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("fixture, degree", [("ex64", "800"), ("ex63", "75,78")])
+def test_cli_point_queries_match_the_benchmark_digests(capsys, fixture, degree):
+    """fiber, components --degree and both export-dot kinds print, byte for
+    byte, the reports whose sha256 digests perfbench/expected.json records
+    for the queries workload (read here, never written)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    ops = json.loads(path.read_text())["ops"]
+    for label, argv in (
+        ("fiber", ["fiber"]),
+        ("components", ["components"]),
+        ("export-dot-gcd", ["export-dot", "--kind", "gcd"]),
+        ("export-dot-support", ["export-dot", "--kind", "support"]),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--fixture", fixture, "--degree", degree)
+        want = ops["queries/%s/%s/%s" % (fixture, degree, label)]["sha256"]
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, label

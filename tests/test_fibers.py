@@ -21,6 +21,7 @@ from latticescarf.fibers import (
 )
 from latticescarf.homology import betti_at
 from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
+from latticescarf.linalg import size_reduce
 from latticescarf.scarf import basic_components
 
 ABD = (1, 1, 0, 1, 0)
@@ -187,19 +188,25 @@ def test_full_fibers_oracle_random_lattices():
     """enumerate_fiber against helpers.full_fibers, which lists every
     monomial up to a functional bound and shares no code with
     Fourier-Motzkin, on seeded pointed lattices of rank 1 (where the first
-    level of the descent is the last), 2 and 3.  Every fiber up to the
-    bound comes back from its first member.  Random representatives of
-    value up to the bound, most with negative entries, give their class's
-    fiber, or the empty fiber when full_fibers reached no monomial of it."""
+    level of the descent is the last) to 5; ranks 4 and 5, where the
+    size-reduced basis the descent runs on departs most from L.rows, at
+    smaller bounds.  Every fiber up to the bound (on the one lattice with
+    over 3000 of them, every third) comes back from its first member.
+    Random representatives of value up to the bound, most with negative
+    entries, give their class's fiber, or the empty fiber when full_fibers
+    reached no monomial of it."""
     rng = random.Random(16)
-    seen = {"fibers": 0, "multi": 0, "negative": 0, "empty": 0}
-    for r, n in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)):
+    seen = {"fibers": 0, "multi": 0, "negative": 0, "empty": 0, "reduced": 0}
+    shapes = [(1, 3, 3), (1, 4, 3), (2, 4, 3), (2, 5, 3), (3, 4, 3), (3, 5, 3)]
+    for r, n, k in shapes + [(4, 5, 2), (4, 6, 1), (5, 6, 1)]:
         for _ in range(4):
             L = random_pointed_lattice(rng, r, n)
             w = positive_functional(L)
-            bound = 3 * max(w)
+            bound = k * max(w)
+            seen["reduced"] += size_reduce(L.rows) != L.rows
             fibers = {b.key: fib for b, _, fib in full_fibers(L, bound, w)}
-            for fib in fibers.values():
+            # at most 3000 fibers of a lattice, evenly spaced
+            for fib in list(fibers.values())[:: 1 + len(fibers) // 3000]:
                 assert enumerate_fiber(L, fib.members[0]).members == fib.members
                 seen["fibers"] += 1
                 seen["multi"] += len(fib) > 1
@@ -213,6 +220,7 @@ def test_full_fibers_oracle_random_lattices():
                 seen["empty"] += want is None
     assert seen["fibers"] >= 10000 and seen["multi"] >= 5000
     assert seen["negative"] >= 300 and seen["empty"] >= 300
+    assert seen["reduced"] >= 20
 
 
 def test_gcd_of():

@@ -290,6 +290,17 @@ def test_minimal_betti_degrees(ex63):
     assert got == {(6, 6), (8, 4), (4, 8)}
 
 
+def test_minimal_betti_degrees_match_all_pairs(suite):
+    """Testing each degree only against the degrees of smaller value loses
+    no divisor: the all-pairs definition gives the same degrees, in order."""
+    for data in suite.values():
+        T = data.table
+        for i in T.homological_degrees():
+            degs = T.degrees(i)
+            want = [b for b in degs if not any(d != b and T.leq(d, b) for d in degs)]
+            assert minimal_betti_degrees(T, i) == want, (data.name, i)
+
+
 def test_betti_scan_stability(ex61):
     T40 = ex61.table
     T52 = betti_scan(ex61.lattice, 52, functional=ex61.functional)

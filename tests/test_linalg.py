@@ -17,6 +17,7 @@ from latticescarf.linalg import (
     rank_rational,
     rational_point,
     row_hermite,
+    size_reduce,
     solve_combination,
 )
 
@@ -63,6 +64,38 @@ def test_row_hermite_known():
     assert H[0][0] > 0 and H[1][1] > 0
     # the row lattice of [[2,4],[1,1]] has determinant |2-4| = 2
     assert H[0][0] * H[1][1] == 2
+
+
+def test_size_reduce_properties():
+    """size_reduce of independent rows has the same Hermite form (so spans
+    the same lattice), row norms nonincreasing, and no row that another
+    row's nearest integer multiple would shorten: 2|<b_i,b_k>| <= |b_k|^2."""
+    local = random.Random(2024)
+    checked = 0
+    while checked < 60:
+        r = local.randint(2, 5)
+        rows = [tuple(local.randint(-7, 7) for _ in range(6)) for _ in range(r)]
+        if len(row_hermite(rows, 6)[2]) < r:
+            continue
+        B = size_reduce(rows)
+        assert row_hermite(B, 6)[0] == row_hermite(rows, 6)[0]
+        norms = [sum(x * x for x in b) for b in B]
+        assert norms == sorted(norms, reverse=True)
+        for bi, bk in itertools.permutations(B, 2):
+            assert 2 * abs(sum(map(int.__mul__, bi, bk))) <= sum(x * x for x in bk)
+        checked += 1
+
+
+def test_size_reduce_known(ex64):
+    assert size_reduce(()) == ()
+    assert size_reduce([(14, 0, -13)]) == ((14, 0, -13),)
+    assert size_reduce(ex64.lattice.rows) == (
+        (0, -1, -2, 0, 2, 1),
+        (2, 1, -2, 0, 0, 0),
+        (0, 0, 0, 2, 1, -2),
+        (1, -2, 1, 0, 0, 0),
+        (0, 0, 0, 1, -2, 1),
+    )
 
 
 def test_integer_kernel_against_sympy():

@@ -9,7 +9,13 @@ import pytest
 
 import latticescarf
 
-from latticescarf.fibers import Fiber, enumerate_fiber, gcd_of, support_mask
+from latticescarf.fibers import (
+    Fiber,
+    MemberPacking,
+    enumerate_fiber,
+    gcd_of,
+    support_mask,
+)
 from helpers import (
     basic_components_oracle,
     binomials_oracle,
@@ -345,3 +351,29 @@ def test_witness_check_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised: recovered witness failed membership"
+
+
+def test_binomials_decode_only_the_members_they_read(ex64, monkeypatch):
+    """binomials decodes, of each scanned fiber with beta_1 > 0, the first
+    member of each gcd component (Fiber.members_at), and whole only the
+    two-member fibers it returns as indispensable.  members_at reads a
+    decoded fiber's members too."""
+    atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
+    unpack = MemberPacking.unpack
+    decoded = []
+
+    def counted(self, packed):
+        decoded.append(len(packed))
+        return unpack(self, packed)
+
+    monkeypatch.setattr(MemberPacking, "unpack", counted)
+    generators, indispensables = binomials(atlas)
+    unions = [len(f.mask_unions[1]) for f in atlas.fibers]
+    want = [k for k in unions if k > 1] + [2] * len(indispensables)
+    assert sorted(decoded) == sorted(want)
+    assert len(generators) == sum(k - 1 for k in unions if k > 1)
+    fib = max(atlas.fibers, key=len)
+    ks = [len(fib) - 1, 0, 2]
+    packed = fib.members_at(ks)
+    assert decoded[-1] == 3 and packed == tuple(fib.members[k] for k in ks)
+    assert fib.members_at(ks) == packed and decoded[-1] == len(fib)
