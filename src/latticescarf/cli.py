@@ -566,7 +566,7 @@ _DEGREE_HELP = (
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first main call and reused:
-    parse_args leaves it unchanged, and building it costs about 1 ms."""
+    parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="latticescarf",
         description="Fibers, Betti numbers and Scarf complexes of pointed lattice ideals.",

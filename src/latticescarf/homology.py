@@ -8,9 +8,8 @@ reduced_homology_dims reads that complex from the support masks
 is the nerve of the cover of the gcd complex (vertices = fiber
 monomials, faces = subsets with a nontrivial common divisor) by the full
 simplices V_i = {m : x_i divides m}, so the two have the same reduced
-homology; the gcd complex itself survives only as a test oracle.  The
-connected components of a gcd complex need no complex at all:
-Fiber.components merges the support masks that meet.
+homology.  The connected components of a gcd complex need no complex
+at all: Fiber.components merges the support masks that meet.
 
 The ranks are exact and taken over GF(2) first, each boundary row an int
 bitset.  Reducing an integer matrix mod 2 can only lower its rank, and no
@@ -206,6 +205,15 @@ class Atlas:
         return len(self.scanned)
 
 
+class _Moves(dict):
+    """Torsion digits t (key & CosetPacking.low) -> make(t), the moves
+    out of a key with those digits, made on first use."""
+
+    def __missing__(self, t):
+        self[t] = out = self.make(t)
+        return out
+
+
 def scan_degree_classes(L, bound, functional=None):
     """The Atlas of all degree classes with a nonnegative representative
     of functional value <= bound.
@@ -213,32 +221,21 @@ def scan_degree_classes(L, bound, functional=None):
     The bound must be nonnegative (the zero class has value 0).  The
     functional must be strictly positive and orthogonal to L, so that it
     is constant on fibers; by default one is computed from the lattice.
-    A depth-first search steps b -> b + e_j from the zero class and
-    numbers each class by when it first reaches it: one dict lookup per
-    step, keyed by the class's packed coset coordinates
-    (lattice_core.CosetPacking), so the key of b + e_j is that of b plus
-    a column, with a compare and a subtraction per torsion coordinate.
-    The ids index every per-class list; into[i] records the steps into
-    class i, the first being the one that found it, so walking these
-    discovery steps back to class 0 rebuilds the search's representative,
-    which only the carried classes need; only they get a canonical key.
-    A step raises the value, so value order puts every class after the
-    classes it steps from.
-    The cone masks need no members: cone(0) = 0 and cone(b) = AND over
-    the steps of (cone(b - e_j) | 1 << j).  Members are built from
-    fiber(0) = {0} up, without Fourier-Motzkin, and only where a carried
-    fiber needs them.  Each member is one int that packs its exponents
-    above its support mask (fibers.MemberPacking, with fields wide enough
-    for the largest exponent bound // w_j), so u + e_j is one addition and
-    one OR, and descending int order is canonical order.  For bit k of
-    cone(b), every monomial has u_k >= 1, so fiber(b) = fiber(b - e_k) +
-    e_k, one C-level map (MemberPacking.step).  A carried class takes the
-    union over its steps e_j of u + e_j for the u of mask below 2 << j (j
-    is the last index where u + e_j is positive; MemberPacking.step_last),
-    so each monomial is built once, and sorts the ints.  Only the carried
-    classes become DegreeClass objects, and the Atlas holds their Fibers
-    in (value, key) order; each decodes its members on first read, and its
-    masks, the low bits, need no decode.
+    A depth-first search steps b -> b + e_j from the zero class, adding a
+    move to the packed key of b (lattice_core.CosetPacking).  Each class
+    keeps three ints: its key, its value and n * p + j, the step from
+    class p that found it, which carried classes walk back to class 0 for
+    their representatives.  The passes after it run in value order and
+    find the steps into b again, one lookup of the key of b plus the back
+    move of e_j each; a miss means that b - e_j was not scanned.
+    cone(0) = 0 and cone(b) = AND over the scanned b - e_j of (cone(b -
+    e_j) | 1 << j).  Members are packed ints (fibers.MemberPacking), built
+    only for the carried classes and the classes they read.  For bit j of
+    cone(b) every monomial has u_j >= 1, so fiber(b) = fiber(b - e_j) + e_j
+    (MemberPacking.step).  A carried class takes the union over its steps
+    of u + e_j for the u of mask below 2 << j (MemberPacking.step_last),
+    each monomial once, sorted; the Atlas holds the carried Fibers in
+    (value, key) order.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -251,87 +248,82 @@ def scan_degree_classes(L, bound, functional=None):
     # u_j <= bound // w_j for a monomial of value <= bound
     layout = MemberPacking(n, max((bound // x for x in w), default=0))
     packing = CosetPacking(L, bound, w)
-    torsion = packing.torsion
+    low, moves = packing.low, packing.moves
+    ups, downs = _Moves(), _Moves()
+    ups.make = lambda t: tuple(zip(range(n), w, moves(t, 1)))
+    downs.make = lambda t: tuple((m, 1 << j) for j, m in enumerate(moves(t, -1)))
+    # a key's digits are 0 when low is: then up and down serve every key
+    up, down = ups[0], downs[0]
     start = packing.pack((0,) * n)
     ids = {start: 0}
-    keys, values, into = [start], [0], [[]]  # into[i] = [pred id, j, ...]
+    keys, values, found = [start], [0], [0]
     stack = [0]
-    steps = list(zip(range(n), w, packing.cols))
     while stack:
         i = stack.pop()
         key, s = keys[i], values[i]
-        room = bound - s
-        for j, wj, col in steps:
-            if wj > room:
-                continue
-            key2 = key + col
-            for top, lim in torsion:
-                if key2 & top >= lim:
-                    key2 -= lim
-            i2 = ids.get(key2)
-            if i2 is None:
-                ids[key2] = i2 = len(keys)
-                keys.append(key2)
-                values.append(s + wj)
-                into.append([i, j])
-                stack.append(i2)
-            else:
-                into[i2].extend((i, j))
+        room, base = bound - s, n * i
+        for j, wj, move in ups[key & low] if low else up:
+            if wj <= room:
+                key2 = key + move
+                if key2 not in ids:
+                    ids[key2] = c = len(keys)
+                    stack.append(c)
+                    keys.append(key2)
+                    values.append(s + wj)
+                    found.append(base + j)
     order = sorted(range(len(keys)), key=values.__getitem__)
-    bits = [1 << j for j in range(n)]
+    get = ids.get
     cone = [0] * len(keys)
     for i in order[1:]:
-        e = into[i]
+        key = keys[i]
         mask = -1
-        for k in range(0, len(e), 2):
-            mask &= cone[e[k]] | bits[e[k + 1]]
+        for back, bit in downs[key & low] if low else down:
+            p = get(key + back)
+            if p is not None:
+                mask &= cone[p] | bit
         cone[i] = mask
-    # pred[i] = (p, j): a step into cone class i with bit j in cone[i].  It
-    # was recorded: a member minus e_j lies in class p within the bound.
-    pred = [None] * len(keys)
-    needed = bytearray(len(keys))  # carried, or read by a needed class
-    for i in reversed(order):
-        c = cone[i]
-        if not c:
-            needed[i] = 1
-            for p in into[i][::2]:
-                needed[p] = 1
-        elif needed[i]:
-            e = into[i]
-            k = 1
-            while not c >> e[k] & 1:
-                k += 2
-            p, j = e[k - 1], e[k]
-            pred[i] = p, j
-            needed[p] = 1
     # members[i] holds fiber i packed (fibers.MemberPacking), in
     # descending int order: canonical order
     members = [None] * len(keys)
     members[0] = [0]  # the monomial 1
-    for i in order[1:]:
-        if not needed[i]:
-            continue
-        if pred[i]:
-            p, j = pred[i]
-            members[i] = layout.step(members[p], j)
-            continue
-        ms = []
-        e = into[i]
-        for k in range(0, len(e), 2):
-            ms += layout.step_last(members[e[k]], e[k + 1])
-        # each step's part is already in order: sorting merges the runs
-        ms.sort(reverse=True)
-        members[i] = ms
-    carried = []
+
+    def packed(i):
+        # a cone class steps the members of b - e_j, j its lowest cone
+        # bit, down the chain to a class that has them
+        chain = []
+        while members[i] is None:
+            key, c = keys[i], cone[i]
+            j = (c & -c).bit_length() - 1
+            chain.append(n * i + j)
+            i = ids[key + (downs[key & low] if low else down)[j][0]]
+        ms = members[i]
+        for v in reversed(chain):
+            i, j = divmod(v, n)
+            members[i] = ms = layout.step(ms, j)
+        return ms
+
+    carried, step_last = [], layout.step_last
     for i in order:
-        if not cone[i]:
-            rep, k = [0] * n, i
-            while k:
-                rep[into[k][1]] += 1
-                k = into[k][0]
-            b = DegreeClass(L, rep)
-            fib = Fiber._from_packed(b, members[i], layout)
-            carried.append((values[i], b.key, fib))
+        if cone[i]:
+            continue
+        key = keys[i]
+        if i:
+            ms, j = [], 0
+            for back, _bit in downs[key & low] if low else down:
+                p = get(key + back)
+                if p is not None:
+                    ms += step_last(members[p] or packed(p), j)
+                j += 1
+            # each step's part is already in order: sorting merges the runs
+            ms.sort(reverse=True)
+            members[i] = ms
+        rep, k = [0] * n, i
+        while k:
+            v = found[k]
+            rep[v % n] += 1
+            k = v // n
+        b = DegreeClass(L, rep)
+        carried.append((values[i], b.key, Fiber._from_packed(b, members[i], layout)))
     carried.sort(key=lambda c: c[:2])
     fibers = tuple(fib for _s, _key, fib in carried)
     return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers)

@@ -137,48 +137,61 @@ def _torsion_rows(T, U, r, n):
     )
 
 
+def _guard(row):
+    """G_k = max_j |K[k][j]|, the most a unit step moves K[k] . u."""
+    return max(map(abs, row))
+
+
 class CosetPacking:
     """The classes of Z^n/L with a nonnegative member of value w . u <=
     bound, packed into ints for one scan.
 
     phi(u) = (K u, the torsion digits) is a group isomorphism from Z^n/L
-    onto Z^(n-r) + sum Z/d.  A monomial u of value <= bound has
-    |K[k] . u| <= R_k = max_j |K[k][j]| * bound // w_j, so free
-    coordinate k is stored as K[k] . u + R_k in a field of its own, above
-    the torsion digits, which sit in the lowest bits in [0, d).  The key of
-    u + e_j is then key + cols[j], followed, for each (top, lim) in
-    torsion, by one subtraction of lim when key & top >= lim; a saturated
-    lattice has no torsion, so a step is one integer addition.
+    onto Z^(n-r) + sum Z/d.  Each digit lies in [0, d) in the lowest bits,
+    which low masks (0 on a saturated lattice).  A monomial u of value <=
+    bound has |K[k] . u| <= R_k = max_j |K[k][j]| * bound // w_j; above
+    the digits, free coordinate k is stored as K[k] . u + R_k + G_k in a
+    field that holds [0, 2 R_k + 2 G_k].  A unit step moves it by at most
+    the guard G_k, so from an in-range key it neither borrows nor carries:
+    it gives the key of the stepped class when that is in range and a key
+    of no class otherwise.  moves(key & low, sign) gives what the steps
+    sign * e_j add to a key; without torsion they are fixed, and a step
+    is one integer addition.
     """
 
-    __slots__ = ("cols", "torsion", "_zero", "_fields", "_digits")
+    __slots__ = ("low", "_cols", "_zero", "_fields", "_digits")
 
     def __init__(self, L, bound, w):
-        shift, torsion, digits = 0, [], []
+        shift, digits = 0, []
         for row, d in L._torsion:
-            width = (2 * d - 2).bit_length()  # room for the sum of two digits
-            torsion.append((((1 << width) - 1) << shift, d << shift))
-            digits.append((row, d, shift))
+            width = (d - 1).bit_length()
+            digits.append((row, d, shift, (1 << width) - 1))
             shift += width
+        self.low = (1 << shift) - 1
         fields, zero = [], 0
         for row in L._free:
             R = max(abs(x) * bound // wj for x, wj in zip(row, w))
+            offset = R + _guard(row)
             fields.append((row, R, shift))
-            zero += R << shift
-            shift += (2 * R).bit_length()
-        self.cols = tuple(
-            sum(row[j] << s for row, _R, s in fields)
-            + sum(row[j] << s for row, _d, s in digits)
-            for j in range(L.n)
-        )
-        self.torsion = tuple(torsion)
+            zero += offset << shift
+            shift += (2 * offset).bit_length()
+        self._cols = [sum(row[j] << s for row, _R, s in fields) for j in range(L.n)]
         self._zero, self._fields, self._digits = zero, tuple(fields), tuple(digits)
+
+    def moves(self, digits, sign):
+        """What the steps sign * e_j, j = 0 ... n - 1, add to a key whose
+        torsion digits read digits (key & low)."""
+        ts = [(row, d, digits >> s & mask, s) for row, d, s, mask in self._digits]
+        return tuple(
+            sign * col + sum(((t + sign * row[j]) % d - t) << s for row, d, t, s in ts)
+            for j, col in enumerate(self._cols)
+        )
 
     def pack(self, v):
         """The key of the class of the integer vector v, or None when a
         free coordinate lies outside [-R_k, R_k]: then the class has no
         monomial of value <= bound, and no key stands for two classes."""
-        if len(v) != len(self.cols):
+        if len(v) != len(self._cols):
             raise ValueError("vector has wrong dimension")
         key = self._zero
         for row, R, shift in self._fields:
@@ -186,7 +199,7 @@ class CosetPacking:
             if not -R <= y <= R:
                 return None
             key += y << shift
-        for row, d, shift in self._digits:
+        for row, d, shift, _mask in self._digits:
             key += sum(map(mul, row, v)) % d << shift
         return key
 

@@ -196,8 +196,8 @@ def fm_eliminate(rows, v):
     """Project the system onto the variables other than z_v.
 
     Returns rows whose v-coefficient is zero.  Raises nothing: an
-    unbounded system surfaces later, as the ValueError of integer_points
-    when a variable has no bound on one side.
+    unbounded system surfaces later, as the ValueError of
+    integer_solutions when a variable has no bound on one side.
     """
     pos, neg, rest = [], [], []
     for a, c in rows:
@@ -326,12 +326,6 @@ def integer_solutions(rows, nvars):
 
     descend(0, start)
     return out
-
-
-def integer_points(rows, nvars):
-    """All integer solutions of a . z + c >= 0, in increasing
-    lexicographic order: the points of integer_solutions."""
-    return [z for z, s in integer_solutions(rows, nvars)]
 
 
 def rational_point(rows, nvars):

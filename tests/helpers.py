@@ -31,7 +31,7 @@ from latticescarf.lattice_core import (
     class_of,
     positive_functional,
 )
-from latticescarf.linalg import is_prime, rank_mod_p, rank_rational
+from latticescarf.linalg import integer_solutions, is_prime, rank_mod_p, rank_rational
 from latticescarf.scarf import (
     LatticeSubset,
     _in_generalized_scarf,
@@ -257,6 +257,12 @@ def suite_b_lattices(rng, count=50):
     shapes = [(2, 4)] * (count // 2) + [(2, 5)] * (count - count // 2)
     for k, (r, n) in enumerate(shapes):
         yield k, random_pointed_lattice(rng, r, n)
+
+
+def integer_points(rows, nvars):
+    """All integer solutions of a . z + c >= 0, in increasing
+    lexicographic order: the points of linalg.integer_solutions."""
+    return [z for z, _s in integer_solutions(rows, nvars)]
 
 
 def enumerate_fiber_box_oracle(L, u0, box_bound):

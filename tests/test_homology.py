@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -401,6 +402,44 @@ def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
     assert T.entries and len(poset) and generators and indispensables
 
 
+def collections_during(fn):
+    """The garbage collections that fn() starts, under the interpreter's
+    default thresholds (700, 10, 10) and from a fresh count."""
+    started = []
+
+    def counted(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    thresholds, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, 10, 10)
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(counted)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(counted)
+        gc.set_threshold(*thresholds)
+        if not enabled:
+            gc.disable()
+    return len(started)
+
+
+def test_scan_keeps_no_object_per_cone_class(ex64):
+    """A gen-0 collection runs per 700 container objects kept, so a scan
+    that kept a list per class would run 17 on the benchmark's largest
+    random lattice (11 662 classes, 11 carried); one that keeps ints runs
+    none.  ex64, 343 of whose 469 classes are carried, runs at most 4."""
+    tail = LatticeBasis(((-3, 1, 3, 3, 1), (0, -3, -3, -2, 1)))
+    atlas = []
+    scan = lambda: atlas.append(scan_degree_classes(tail, 31, (5, 1, 1, 1, 8)))
+    assert collections_during(scan) == 0
+    assert (len(atlas[0]), len(atlas[0].fibers)) == (11662, 11)
+    L, w = ex64.lattice, ex64.functional
+    assert collections_during(lambda: scan_degree_classes(L, ex64.bound, w)) <= 4
+
+
 def scan_summary(atlas):
     """The class count and the carried (key, representative, value,
     members, masks) in order."""
@@ -417,6 +456,10 @@ def scan_summary(atlas):
 TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, -3)])
 
 
+# the one torsion lattice of the benchmark's random pool batch (Z/3)
+POOL_62 = ((3, 3, -3, 0), (1, 3, -2, -1))
+
+
 def test_scan_matches_reference_scan(suite):
     """The scan equals the oracle, which reduces a Hermite key at every
     step, on the fixtures at their bounds, suite (b)'s first 10 lattices
@@ -430,6 +473,8 @@ def test_scan_matches_reference_scan(suite):
     for rows in TWO_TORSION_FIELDS:
         L = LatticeBasis(rows)
         problems.append((repr(rows), L, 4 * small_scan_bound(L), L.functional))
+    # a Z/3 torsion lattice with many cone classes: 319 classes, 17 carried
+    problems.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
     for where, L, bound, w in problems:
         got = scan_degree_classes(L, bound, w)
         want = reference_scan(L, bound, w)

@@ -198,7 +198,7 @@ TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, 
 def test_packed_keys_are_the_coset_classes(suite):
     """Two vectors get the same packed key iff they are congruent mod L
     (the same canonical key), and the key of v + e_j is that of v plus
-    column j, with one compare and subtraction per torsion coordinate."""
+    its move j, which depends on the key only through its torsion digits."""
     rng = random.Random(17)
     lattices = [data.lattice for data in suite.values()]
     lattices += [LatticeBasis(rows) for rows in (ONE_TORSION_FIELD,) + TWO_TORSION_FIELDS]
@@ -221,12 +221,79 @@ def test_packed_keys_are_the_coset_classes(suite):
         with pytest.raises(ValueError, match="wrong dimension"):
             P.pack((0,) * (L.n + 1))
         for v in vectors:
-            for j, col in enumerate(P.cols):
-                key = P.pack(v) + col
-                for top, lim in P.torsion:
-                    if key & top >= lim:
-                        key -= lim
-                assert key == P.pack(v[:j] + (v[j] + 1,) + v[j + 1 :])
+            key = P.pack(v)
+            for j, move in enumerate(P.moves(key & P.low, 1)):
+                assert key + move == P.pack(v[:j] + (v[j] + 1,) + v[j + 1 :])
+
+
+def _in_range(P, key):
+    """Is key the packed key of some class: each torsion digit below its
+    d, each free field within R_k of its offset, and no bits above?"""
+    if key < 0 or any(key >> s & mask >= d for _row, d, s, mask in P._digits):
+        return False
+    shifts = [s for _row, _R, s in P._fields]
+    for (_row, R, s), top in zip(P._fields, shifts[1:] + [None]):
+        mask = -1 if top is None else (1 << top - s) - 1  # the top field: all
+        if abs((key >> s & mask) - (P._zero >> s & mask)) > R:
+            return False
+    return True
+
+
+def _back_step_errors(L, bound, rng):
+    """The (v, j) among vectors v with a free coordinate at -R_k or R_k
+    where the back move from pack(v) misses: it must give pack(v - e_j)
+    when that is in range, and a key of no class otherwise."""
+    w = L.functional
+    P = CosetPacking(L, bound, w)
+    K = L._free
+    # units[k]: a d with K d = e_k (the rows of K extend to a unimodular
+    # matrix, so K maps Z^n onto Z^(n-r))
+    units = [
+        solve_combination([tuple(row[j] for row in K) for j in range(L.n)], e)
+        for e in (tuple(int(i == k) for i in range(len(K))) for k in range(len(K)))
+    ]
+    errors, checked = [], 0
+    for k, (_row, Rk, _s) in enumerate(P._fields):
+        for edge in (-Rk, Rk):
+            for _ in range(10):
+                v = [rng.randint(-3, 3) for _ in range(L.n)]
+                for i, (row, R, _s) in enumerate(P._fields):
+                    want = edge if i == k else rng.randint(-R, R)
+                    shift = want - sum(a * b for a, b in zip(row, v))
+                    v = [x + shift * y for x, y in zip(v, units[i])]
+                key = P.pack(v)
+                if key is None:
+                    raise AssertionError("vector %r is out of range" % (v,))
+                for j, back in enumerate(P.moves(key & P.low, -1)):
+                    stepped = P.pack(v[:j] + [v[j] - 1] + v[j + 1 :])
+                    checked += stepped is None
+                    missed = stepped is not None or _in_range(P, key + back)
+                    if key + back != stepped and missed:
+                        errors.append((tuple(v), j))
+    return errors, checked
+
+
+def test_back_moves_never_alias_a_class(suite, monkeypatch):
+    """From a vector with a free coordinate at the edge of its range, the
+    back move of e_j gives the key of v - e_j, or, when v - e_j is out of
+    range, a key of no class: the guard bits keep the step from borrowing
+    or carrying into a neighbouring field.  Without them (G_k = 0) some
+    such step lands on the key of another class.  Bounds 1 to 40, on the
+    fixtures and the torsion lattices."""
+    rng = random.Random(29)
+    lattices = [data.lattice for data in suite.values()]
+    lattices += [LatticeBasis(rows) for rows in (ONE_TORSION_FIELD,) + TWO_TORSION_FIELDS]
+    # an unguarded step aliases only where 2 R_k lies within max_j |K[k][j]|
+    # below a power of two, as on ex63 at bounds 1, 3, 6, 12 and 25
+    problems = [(L, bound) for L in lattices for bound in range(1, 41)]
+    outside = 0
+    for L, bound in problems:
+        errors, checked = _back_step_errors(L, bound, rng)
+        assert errors == [], (L, errors[:3])
+        outside += checked
+    assert outside
+    monkeypatch.setattr(lattice_core, "_guard", lambda row: 0)
+    assert any(_back_step_errors(L, bound, rng)[0] for L, bound in problems)
 
 
 def test_betti_table_leq_matches_class_leq(ex61):

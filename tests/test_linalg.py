@@ -6,12 +6,12 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from helpers import integer_points
 from latticescarf.linalg import (
     _normalize_row,
     canonical_rep,
     fm_eliminate,
     integer_kernel,
-    integer_points,
     rank_gf2,
     rank_mod_p,
     rank_rational,

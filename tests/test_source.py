@@ -33,12 +33,12 @@ def test_public_names_resolve_and_are_sorted():
 def test_coset_key_format_stays_in_lattice_core():
     """Only lattice_core reads the Hermite form behind the coset keys, the
     diagonal form behind the packed keys and the packing itself; the scan
-    reads only the packing's step columns and torsion list."""
+    reads only the packing's moves and its torsion digit mask, low."""
     from latticescarf.lattice_core import CosetPacking, LatticeBasis, ScannedClasses
 
     private = {name for name in vars(LatticeBasis([(1, -1, 0)])) if name.startswith("_")}
     assert {"_hnf", "_pivots", "_free", "_torsion"} <= private
-    private |= set(CosetPacking.__slots__) - {"cols", "torsion"}
+    private |= set(CosetPacking.__slots__) - {"low"}
     private |= set(ScannedClasses.__slots__)
     found = []
     for path, tree in package_modules():
