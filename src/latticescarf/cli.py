@@ -24,6 +24,7 @@ from .fibers import enumerate_fiber, monomial_str
 from .homology import (
     betti_scan,
     betti_table,
+    check_field,
     minimal_betti_degrees,
     scan_degree_classes,
 )
@@ -35,7 +36,7 @@ from .lattice_core import (
     lattice_from_semigroup,
     positive_functional,
 )
-from .linalg import is_prime, solve_combination
+from .linalg import solve_combination
 from .scarf import (
     algebraic_scarf_subcomplex,
     basic_components,
@@ -628,8 +629,10 @@ def _parse_field(text):
             p = int(text[3:])
         except ValueError:
             raise ParseError("--field fp:P needs an integer P") from None
-        if not is_prime(p):
-            raise ParseError("--field fp:P needs a prime P, not %d" % p)
+        try:
+            check_field(p)
+        except ValueError:
+            raise ParseError("--field fp:P needs a prime P, not %d" % p) from None
         return p
     raise ParseError("--field must be 'q' or 'fp:P'")
 
@@ -664,8 +667,10 @@ def main(argv=None):
         report = run_command(spec, args.command, options)
         print(report.to_json())
         return 0
-    except (ParseError, NotPointedError, KeyError) as e:
-        msg = e.args[0] if e.args else str(e)
+    except (ValueError, KeyError) as e:
+        # ValueError means bad input; broken invariants raise RuntimeError.
+        # The str() of a KeyError would quote its message.
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
         print("error: %s" % msg, file=sys.stderr)
         return 2
 

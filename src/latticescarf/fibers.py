@@ -77,7 +77,7 @@ class Fiber:
     members_at decodes only the members it returns, and the packed ints
     are dropped once the whole fiber is decoded.  mask_unions, the one
     pass over the distinct masks, is computed on first read and shared by
-    the gcd components, the basic components and the binomials."""
+    homology.gcd_components, scarf.basic_components and scarf.binomials."""
 
     __slots__ = ("degree", "_members", "_packed", "_layout", "_masks", "_unions")
 
@@ -150,19 +150,6 @@ class Fiber:
             firsts = [masks.index(next(filter(u.__and__, distinct))) for u in unions]
             self._unions = distinct, sorted(zip(firsts, unions))
         return self._unions
-
-    @property
-    def components(self):
-        """The connected components of the gcd complex: tuples of members
-        in fiber order, one per union of mask_unions, ordered by their
-        first member."""
-        distinct, unions = self.mask_unions
-        union_of = {s: u for _k, u in unions for s in filter(u.__and__, distinct)}
-        groups = {u: [] for _k, u in unions}
-        for m, s in zip(self.members, self.masks):
-            if s:
-                groups[union_of[s]].append(m)
-        return tuple(map(tuple, groups.values()))
 
     def __len__(self):
         return len(self._packed if self._members is None else self._members)

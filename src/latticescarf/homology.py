@@ -9,7 +9,7 @@ is the nerve of the cover of the gcd complex (vertices = fiber
 monomials, faces = subsets with a nontrivial common divisor) by the full
 simplices V_i = {m : x_i divides m}, so the two have the same reduced
 homology.  The connected components of a gcd complex need no complex
-at all: Fiber.components merges the support masks that meet.
+at all: gcd_components merges the support masks that meet.
 
 The ranks are exact and taken over GF(2) first, each boundary row an int
 bitset.  Reducing an integer matrix mod 2 can only lower its rank, and no
@@ -31,6 +31,7 @@ Multigraded Betti numbers follow the convention
 """
 
 from bisect import bisect_left
+from functools import cache
 from operator import mul
 
 from .fibers import Fiber, MemberPacking, fiber_of
@@ -169,10 +170,16 @@ def reduced_homology_dims(facets, field="q", checked=False):
 
 
 def gcd_components(F):
-    """The connected components of the gcd complex of the Fiber F, as
-    F.components gives them: tuples of monomials in fiber order, ordered
-    by their first monomial."""
-    return F.components
+    """The connected components of the gcd complex of the Fiber F: tuples
+    of members in fiber order, one per union of F.mask_unions, ordered by
+    their first member."""
+    distinct, unions = F.mask_unions
+    union_of = {s: u for _k, u in unions for s in filter(u.__and__, distinct)}
+    groups = {u: [] for _k, u in unions}
+    for m, s in zip(F.members, F.masks):
+        if s:
+            groups[union_of[s]].append(m)
+    return tuple(map(tuple, groups.values()))
 
 
 def betti_at(L, i, b, field="q"):
@@ -203,15 +210,6 @@ class Atlas:
 
     def __len__(self):
         return len(self.scanned)
-
-
-class _Moves(dict):
-    """Torsion digits t (key & CosetPacking.low) -> make(t), the moves
-    out of a key with those digits, made on first use."""
-
-    def __missing__(self, t):
-        self[t] = out = self.make(t)
-        return out
 
 
 def scan_degree_classes(L, bound, functional=None):
@@ -249,11 +247,17 @@ def scan_degree_classes(L, bound, functional=None):
     layout = MemberPacking(n, max((bound // x for x in w), default=0))
     packing = CosetPacking(L, bound, w)
     low, moves = packing.low, packing.moves
-    ups, downs = _Moves(), _Moves()
-    ups.make = lambda t: tuple(zip(range(n), w, moves(t, 1)))
-    downs.make = lambda t: tuple((m, 1 << j) for j, m in enumerate(moves(t, -1)))
+    # the moves out of a key with torsion digits t (key & low), made once
+    @cache
+    def ups(t):
+        return tuple(zip(range(n), w, moves(t, 1)))
+
+    @cache
+    def downs(t):
+        return tuple((m, 1 << j) for j, m in enumerate(moves(t, -1)))
+
     # a key's digits are 0 when low is: then up and down serve every key
-    up, down = ups[0], downs[0]
+    up, down = ups(0), downs(0)
     start = packing.pack((0,) * n)
     ids = {start: 0}
     keys, values, found = [start], [0], [0]
@@ -262,7 +266,7 @@ def scan_degree_classes(L, bound, functional=None):
         i = stack.pop()
         key, s = keys[i], values[i]
         room, base = bound - s, n * i
-        for j, wj, move in ups[key & low] if low else up:
+        for j, wj, move in ups(key & low) if low else up:
             if wj <= room:
                 key2 = key + move
                 if key2 not in ids:
@@ -277,7 +281,7 @@ def scan_degree_classes(L, bound, functional=None):
     for i in order[1:]:
         key = keys[i]
         mask = -1
-        for back, bit in downs[key & low] if low else down:
+        for back, bit in downs(key & low) if low else down:
             p = get(key + back)
             if p is not None:
                 mask &= cone[p] | bit
@@ -295,7 +299,7 @@ def scan_degree_classes(L, bound, functional=None):
             key, c = keys[i], cone[i]
             j = (c & -c).bit_length() - 1
             chain.append(n * i + j)
-            i = ids[key + (downs[key & low] if low else down)[j][0]]
+            i = ids[key + (downs(key & low) if low else down)[j][0]]
         ms = members[i]
         for v in reversed(chain):
             i, j = divmod(v, n)
@@ -309,7 +313,7 @@ def scan_degree_classes(L, bound, functional=None):
         key = keys[i]
         if i:
             ms, j = [], 0
-            for back, _bit in downs[key & low] if low else down:
+            for back, _bit in downs(key & low) if low else down:
                 p = get(key + back)
                 if p is not None:
                     ms += step_last(members[p] or packed(p), j)

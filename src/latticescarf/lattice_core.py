@@ -29,6 +29,15 @@ class NotPointedError(ValueError):
     """The lattice contains a nonzero nonnegative vector."""
 
 
+def _check_rows(rows, n, what):
+    """Raise ValueError, naming the matrix what, unless each of rows has
+    length n and every entry is an int (not a bool)."""
+    if any(len(r) != n for r in rows):
+        raise ValueError("%s rows have unequal lengths" % what)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for r in rows for x in r):
+        raise ValueError("%s entries must be integers" % what)
+
+
 class SemigroupMatrix:
     """Integer matrix whose columns generate the grading semigroup.
 
@@ -38,16 +47,11 @@ class SemigroupMatrix:
     """
 
     def __init__(self, rows):
-        rows = tuple(tuple(x for x in r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if not rows or not rows[0]:
             raise ValueError("semigroup matrix must be nonempty")
         n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise ValueError("semigroup matrix rows have unequal lengths")
-        for r in rows:
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("semigroup matrix entries must be integers")
+        _check_rows(rows, n, "semigroup matrix")
         for j in range(n):
             if not any(r[j] for r in rows):
                 raise ValueError("zero generator: semigroup column %d is zero" % j)
@@ -79,18 +83,12 @@ class LatticeBasis:
     """
 
     def __init__(self, rows, n=None, check=True):
-        rows = tuple(tuple(x for x in r) for r in rows)
-        if rows:
-            if n is None:
-                n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise ValueError("lattice rows have unequal lengths")
-        elif n is None:
-            raise ValueError("ambient dimension required for the zero lattice")
-        for r in rows:
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("lattice entries must be integers")
+        rows = tuple(map(tuple, rows))
+        if n is None:
+            if not rows:
+                raise ValueError("ambient dimension required for the zero lattice")
+            n = len(rows[0])
+        _check_rows(rows, n, "lattice")
         H, _, pivots = row_hermite(rows, n)
         if len(pivots) != len(rows):
             raise ValueError("lattice rows are linearly dependent")

@@ -109,10 +109,8 @@ def integer_kernel(rows, ncols):
     solution is an integer combination of them).
     """
     at = [tuple(r[j] for r in rows) for j in range(ncols)]  # transpose
-    d = len(rows)
-    H, U, pivots = row_hermite(at, d)
-    rank = len(pivots)
-    return tuple(U[i] for i in range(rank, ncols))
+    _H, U, pivots = row_hermite(at, len(rows))
+    return U[len(pivots) :]
 
 
 def diagonal_form(M):
@@ -182,10 +180,7 @@ def canonical_rep(v, H, pivots):
 
 
 def _normalize_row(a, c):
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(c))
+    g = gcd(*a, c)
     if g > 1:
         a = tuple(x // g for x in a)
         c = c // g

@@ -296,8 +296,6 @@ def scarf_poset(atlas):
         for j, cj in enumerate(comps):
             if i == j or ci.cardinality > cj.cardinality:
                 continue
-            if ci == cj:
-                continue
             if _translate_into(ci.monomials, cj.monomials):
                 leq.add((i, j))
     for i, j in leq:
@@ -495,7 +493,7 @@ def minimal_generators(L, bound, functional=None):
 def binomials(atlas):
     """(generators, indispensables) of an Atlas, as minimal_generators and
     indispensable_binomials give them, from the gcd components
-    (Fiber.components) of the fibers it carries (a cone is connected, so
+    (Fiber.mask_unions) of the fibers it carries (a cone is connected, so
     beta_1 = 0 there).  beta_1 of a class is its number of gcd components
     less one."""
     generators, pairs, entries = [], [], {}

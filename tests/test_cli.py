@@ -86,6 +86,23 @@ def test_cli_malformed_lattice(capsys, tmp_path):
     assert err == "error: lattice: lattice rows have unequal lengths\n"
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[6, 4, 2], [0, 2]], "semigroup matrix rows have unequal lengths"),
+        ([[6, 4, 2], [0, 2, True]], "semigroup matrix entries must be integers"),
+    ],
+)
+def test_cli_malformed_semigroup(capsys, tmp_path, rows, message):
+    """SemigroupMatrix and LatticeBasis share one row validator, and each
+    names its own matrix."""
+    path = tmp_path / "sg.json"
+    path.write_text(json.dumps({"semigroup": rows}))
+    code, out, err = run_cli(capsys, "betti", "--spec", str(path), "--bound", "4")
+    assert code == 2 and out == ""
+    assert err == "error: semigroup: %s\n" % message
+
+
 def test_variables_defaulted():
     spec = problem_from_dict({"lattice": [[1, -1]]})
     assert spec.variables == ("x1", "x2")
@@ -307,6 +324,18 @@ def test_cli_negative_bound(capsys):
     # bound 0 holds exactly the unit class
     code, out, _ = run_cli(capsys, "components", "--fixture", "ex63", "--bound", "0")
     assert code == 0 and json.loads(out)["result"]["count"] == 1
+
+
+@pytest.mark.parametrize("command", ["betti", "generators", "verify"])
+def test_cli_bound_too_large_to_pack_exits_2(capsys, command):
+    """A bound whose exponents do not fit 8-byte member fields is bad
+    input: one error line and exit 2 (exit 1 means a verify mismatch),
+    before any search starts."""
+    bound = str(10**23)
+    code, out, err = run_cli(capsys, command, "--fixture", "ex61", "--bound", bound)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error: exponents up to ") and "8-byte fields" in err
 
 
 def test_cli_indispensable_and_generators(capsys):

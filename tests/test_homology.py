@@ -31,7 +31,7 @@ from latticescarf.homology import (
     reduced_homology_dims,
     scan_degree_classes,
 )
-from latticescarf.lattice_core import LatticeBasis, class_of
+from latticescarf.lattice_core import CosetPacking, LatticeBasis, class_of
 from latticescarf.linalg import is_prime, rank_rational
 
 ABD = (1, 1, 0, 1, 0)
@@ -460,23 +460,37 @@ TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, 
 POOL_62 = ((3, 3, -3, 0), (1, 3, -2, -1))
 
 
-def test_scan_matches_reference_scan(suite):
+def test_scan_matches_reference_scan(suite, monkeypatch):
     """The scan equals the oracle, which reduces a Hermite key at every
     step, on the fixtures at their bounds, suite (b)'s first 10 lattices
     (three with torsion) and two lattices with two torsion coordinates:
     the same classes, compared through the packing, and the same carried
     fibers with the same support masks, which the scan steps with the
     monomials and the oracle computes from them; the representatives,
-    which every report prints, pin the search order."""
+    which every report prints, pin the search order.  The scan's cached
+    moves are made once per torsion digits and sign, and on the torsion
+    lattices for more than one set of digits."""
     lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
     problems = scan_problems(suite, lattices)
+    torsion = []
     for rows in TWO_TORSION_FIELDS:
         L = LatticeBasis(rows)
-        problems.append((repr(rows), L, 4 * small_scan_bound(L), L.functional))
+        torsion.append((repr(rows), L, 4 * small_scan_bound(L), L.functional))
     # a Z/3 torsion lattice with many cone classes: 319 classes, 17 carried
-    problems.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
-    for where, L, bound, w in problems:
+    torsion.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
+    moves, made = CosetPacking.moves, []
+
+    def counted(self, digits, sign):
+        made.append((digits, sign))
+        return moves(self, digits, sign)
+
+    monkeypatch.setattr(CosetPacking, "moves", counted)
+    for where, L, bound, w in problems + torsion:
+        made.clear()
         got = scan_degree_classes(L, bound, w)
+        assert len(made) == len(set(made)), where
+        if where in {t[0] for t in torsion}:
+            assert len(made) > 2, where
         want = reference_scan(L, bound, w)
         assert same_classes(got.scanned, want.scanned), where
         assert scan_summary(got) == scan_summary(want), where

@@ -71,3 +71,21 @@ def test_modules_import_no_private_names():
                 and alias.name != "_same_lattice"
             ]
     assert found == []
+
+
+def test_modules_use_every_name_they_import():
+    """Each package module uses every name it imports, so a removal
+    leaves no stale import behind; __init__ imports to re-export."""
+    found = []
+    for path, tree in package_modules():
+        if path.name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    "%s:%d %s" % (path.name, node.lineno, alias.name)
+                    for alias in node.names
+                    if (alias.asname or alias.name).partition(".")[0] not in used
+                ]
+    assert found == []
