@@ -148,11 +148,11 @@ def problem_from_dict(d):
 def parse_spec(path):
     """Load and validate a problem spec file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise ParseError("cannot read %s: %s" % (path, e)) from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError("%s is not valid JSON: %s" % (path, e)) from e
     spec = problem_from_dict(data)
     if spec.name == "problem" and "name" not in data:

@@ -202,6 +202,15 @@ def enumerate_fiber(L, u0):
     return fib
 
 
+def class_leq(d, b):
+    """The divisibility (semigroup) order: d <= b iff b - d has a
+    nonnegative representative, i.e. the fiber of b - d is nonempty."""
+    if not _same_lattice(d.lattice, b.lattice):
+        raise ValueError("classes live over different lattices")
+    diff = tuple(x - y for x, y in zip(b.representative, d.representative))
+    return len(enumerate_fiber(b.lattice, diff)) > 0
+
+
 def fiber_of(L, b):
     """b itself when it is a Fiber, else the fiber of the class that b (a
     representative or a DegreeClass) names.  A Fiber or DegreeClass over

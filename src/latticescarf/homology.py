@@ -90,7 +90,7 @@ def check_field(field):
         raise ValueError("field must be 'q' or a prime integer")
 
 
-def reduced_homology_dims(facets, field="q", checked=False):
+def reduced_homology_dims(facets, field="q"):
     """Reduced homology dimensions {j: dim}, from j = -1 up to the
     dimension of the complex whose faces are built, of the complex
     generated by facets, an iterable of int vertex bitmasks (vertex v is
@@ -119,12 +119,8 @@ def reduced_homology_dims(facets, field="q", checked=False):
     gap comes off both degrees, and every other GF(2) rank is its Q rank.
     GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
     mod p, since GF(2) bounds its ranks in neither direction.
-
-    checked=True skips check_field, for a caller that ran it once for
-    many complexes (betti_table).
     """
-    if not checked:
-        check_field(field)
+    check_field(field)
     facets = _maximal_masks(facets)
     verts = 0
     for f in facets:
@@ -390,11 +386,12 @@ def betti_scan(L, bound, field="q", functional=None):
 
 def betti_table(atlas, field="q"):
     """The BettiTable of an Atlas, read from the fibers it carries (a cone
-    has no homology).  The field is checked once for the whole table."""
+    has no homology).  The field is checked up front as well, so a table
+    that carries no fiber still rejects a bad one."""
     check_field(field)
     entries = {}
     for fib in atlas.fibers:
-        for j, dim in reduced_homology_dims(fib.masks, field, checked=True).items():
+        for j, dim in reduced_homology_dims(fib.masks, field).items():
             if j >= 0 and dim:
                 entries[(j + 1, fib.degree)] = dim
     return BettiTable(atlas, entries, field)

@@ -6,8 +6,9 @@ exactly then every congruence class b in Z^n/L contains finitely many
 nonnegative vectors (the fiber of b), and everything downstream -- Betti
 scans, Scarf posets -- makes sense.  By Stiemke's lemma L is pointed iff
 some strictly positive functional vanishes on L, so one linear system,
-solved once when a LatticeBasis is built, both decides pointedness
-(is_pointed) and yields the grading functional (positive_functional).
+solved once when a LatticeBasis is built, both decides pointedness (a
+non-pointed basis raises NotPointedError) and yields the grading
+functional (positive_functional).
 The same transform gives coordinates phi on Z^n/L, which a degree scan
 packs into ints (CosetPacking, ScannedClasses); classes keep their
 Hermite keys.
@@ -73,16 +74,15 @@ class SemigroupMatrix:
 class LatticeBasis:
     """A pointed lattice L in Z^n, stored as an independent row basis.
 
-    Construction verifies independence over Q and (unless check=False)
-    pointedness; a Hermite form of the basis is kept for coset reduction,
-    and coset coordinates for packing classes in a scan (CosetPacking).
+    Construction verifies independence over Q and pointedness; a Hermite
+    form of the basis is kept for coset reduction, and coset coordinates
+    for packing classes in a scan (CosetPacking).
 
     functional is the primitive, strictly positive integer w orthogonal to
-    L, found at construction; it exists exactly when L is pointed, and is
-    None otherwise (possible only with check=False).
+    L, found at construction; it exists exactly because L is pointed.
     """
 
-    def __init__(self, rows, n=None, check=True):
+    def __init__(self, rows, n=None):
         rows = tuple(map(tuple, rows))
         if n is None:
             if not rows:
@@ -105,8 +105,6 @@ class LatticeBasis:
         self._free = U[self.r :]
         self._torsion = _torsion_rows(T, U, self.r, n)
         self.functional = _positive_functional(self._free, n)
-        if check and self.functional is None:
-            raise NotPointedError("lattice contains a nonzero nonnegative vector")
 
     def canonical_key(self, v):
         """Canonical coset representative of v; equal iff congruent mod L."""
@@ -222,14 +220,15 @@ class ScannedClasses:
 
 
 def _positive_functional(K, n):
-    """The primitive strictly positive integer w orthogonal to L, or None.
-    Its candidates are w = c K over the kernel basis K of L (the rows
-    orthogonal to L), subject to sum_i c_i K[i][j] >= 1 for every variable
-    j; a rational point c of that system, scaled to integers, gives w."""
+    """The primitive strictly positive integer w orthogonal to L, or
+    NotPointedError when there is none.  Its candidates are w = c K over
+    the kernel basis K of L (the rows orthogonal to L), subject to
+    sum_i c_i K[i][j] >= 1 for every variable j; a rational point c of
+    that system, scaled to integers, gives w."""
     k = len(K)
     pt = rational_point([(tuple(row[j] for row in K), -1) for j in range(n)], k)
     if pt is None:
-        return None
+        raise NotPointedError("lattice contains a nonzero nonnegative vector")
     denom = lcm(*(f.denominator for f in pt))
     c = [int(f * denom) for f in pt]
     w = tuple(sum(c[i] * K[i][j] for i in range(k)) for j in range(n))
@@ -238,12 +237,6 @@ def _positive_functional(K, n):
     if any(x < 1 for x in w):
         raise RuntimeError("functional %r is not strictly positive" % (w,))
     return w
-
-
-def is_pointed(L):
-    """Does L meet the nonnegative orthant only in the origin?  Exactly
-    when it has a strictly positive functional (Stiemke's lemma)."""
-    return L.functional is not None
 
 
 def lattice_from_semigroup(A):
@@ -296,17 +289,6 @@ def class_of(L, u):
     return DegreeClass(L, u)
 
 
-def class_leq(d, b):
-    """The divisibility (semigroup) order: d <= b iff b - d has a
-    nonnegative representative, i.e. the fiber of b - d is nonempty."""
-    from .fibers import enumerate_fiber
-
-    if not _same_lattice(d.lattice, b.lattice):
-        raise ValueError("classes live over different lattices")
-    diff = tuple(x - y for x, y in zip(b.representative, d.representative))
-    return len(enumerate_fiber(b.lattice, diff)) > 0
-
-
 def positive_functional(L):
     """A strictly positive integer w with w orthogonal to L.
 
@@ -314,6 +296,4 @@ def positive_functional(L):
     sigma(u) = w . u, constant on fibers and >= 1 on every unit vector, so
     degree scans bounded by sigma terminate.
     """
-    if L.functional is None:
-        raise NotPointedError("no strictly positive functional exists")
     return L.functional

@@ -10,6 +10,7 @@ import itertools
 
 from latticescarf.fibers import (
     Fiber,
+    class_leq,
     enumerate_fiber,
     gcd_of,
     monomial_str,
@@ -27,7 +28,6 @@ from latticescarf.homology import (
 from latticescarf.lattice_core import (
     DegreeClass,
     LatticeBasis,
-    class_leq,
     class_of,
     positive_functional,
 )
@@ -482,7 +482,7 @@ def basic_components_oracle(L, fib):
 def binomials_oracle(atlas):
     """(generators, indispensables) as scarf.binomials gives them, from the
     components of each carried fiber's gcd complex, with minimality among
-    the 1-Betti degrees decided by lattice_core.class_leq."""
+    the 1-Betti degrees decided by fibers.class_leq."""
     generators, betti_1 = [], {}
     for fib in atlas.fibers:
         comps = connected_components(gcd_complex(fib))
@@ -895,8 +895,6 @@ def check_euler_hilbert(suite, rng, random_count=10):
 
 def check_homogeneity(suite):
     entries = 0
-    from latticescarf.lattice_core import class_leq
-
     for data in suite.values():
         L = data.lattice
         X = data.complex

@@ -122,6 +122,21 @@ def test_parse_spec_file(tmp_path):
         parse_spec(str(bad))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", '{"name": "\xe9", "lattice": [[1, -1]]}'.encode("latin-1")],
+)
+def test_cli_spec_not_utf8(capsys, tmp_path, data):
+    """A spec that is not UTF-8, whatever the locale, is bad JSON input:
+    exit 2 with one error line that names the file."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "betti", "--spec", str(path), "--bound", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s is not valid JSON: " % path)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_fixture_names():
     assert set(fixture_names()) == {"ex61", "ex63", "ex64"}
 

@@ -223,22 +223,15 @@ def test_field_validation():
         assert both_homologies([(0,)], good) == {-1: 0, 0: 0}
 
 
-def test_betti_table_checks_the_field_once(monkeypatch, ex63):
-    """betti_table runs is_prime once for the whole table, not once per
+def test_betti_table_checks_the_field_once(ex63):
+    """Every reduced_homology_dims call checks its field, and is_prime is
+    cached, so a table runs Miller-Rabin once per prime, not once per
     fiber; a composite field still raises, from the table and from
     reduced_homology_dims called directly."""
-    from latticescarf import homology
-
-    calls = []
-
-    def counted(p):
-        calls.append(p)
-        return is_prime(p)
-
-    monkeypatch.setattr(homology, "is_prime", counted)
     atlas = scan_degree_classes(ex63.lattice, ex63.bound, ex63.functional)
+    is_prime.cache_clear()
     T = betti_table(atlas, 32003)
-    assert calls == [32003] and len(atlas.fibers) > 1
+    assert is_prime.cache_info().misses == 1 and len(atlas.fibers) > 1
     assert T.entries == betti_table(atlas, "q").entries
     for bad in (4, 32001):
         with pytest.raises(ValueError):

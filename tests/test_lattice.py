@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
 import random
+from operator import mul
 
 import pytest
 
 from helpers import full_fibers
 from latticescarf import cli, lattice_core
-from latticescarf.fibers import enumerate_fiber
+from latticescarf.fibers import class_leq, enumerate_fiber
 from latticescarf.homology import betti_scan, scan_degree_classes
 from latticescarf.lattice_core import (
     CosetPacking,
@@ -14,10 +16,8 @@ from latticescarf.lattice_core import (
     LatticeBasis,
     NotPointedError,
     SemigroupMatrix,
-    class_leq,
     class_of,
     contains,
-    is_pointed,
     lattice_from_semigroup,
     positive_functional,
 )
@@ -27,16 +27,14 @@ EX63_PAPER_ROWS = [(1, -2, 1, 0, 0), (0, 1, -2, 1, 0), (0, 2, 1, 0, -2)]
 
 
 def test_pointedness_basics():
-    assert is_pointed(LatticeBasis([(1, -1)]))
+    assert LatticeBasis([(1, -1)]).functional == (1, 1)
     with pytest.raises(NotPointedError):
         LatticeBasis([(1, 1)])
-    assert not is_pointed(LatticeBasis([(1, 1)], check=False))
     assert issubclass(NotPointedError, ValueError)
 
 
 def test_pointedness_box_oracle(ex63):
     L = ex63.lattice
-    assert is_pointed(L)
     # no small integer combination of the rows is nonnegative and nonzero
     for z in itertools.product(range(-6, 7), repeat=L.r):
         v = tuple(
@@ -60,28 +58,34 @@ def _pointed_oracle(rows):
 
 
 def test_pointedness_matches_box_oracle():
+    """LatticeBasis(rows) returns exactly when the box oracle finds the
+    lattice pointed, and its functional is then >= 1 in every entry,
+    primitive and orthogonal to every row."""
     rng = random.Random(20261018)
     seen = {True: 0, False: 0}
     while sum(seen.values()) < 300:
         n = rng.choice((3, 4, 5))
         rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)]
         try:
-            L = LatticeBasis(rows, check=False)
+            L = LatticeBasis(rows)
+        except NotPointedError:
+            pointed = False
         except ValueError:
             continue  # dependent rows
-        want = _pointed_oracle(rows)
-        assert is_pointed(L) == want, rows
-        seen[want] += 1
-        if not want:
-            with pytest.raises(NotPointedError):
-                LatticeBasis(rows)
+        else:
+            pointed = True
+            w = L.functional
+            assert min(w) >= 1 and math.gcd(*w) == 1, (rows, w)
+            assert not any(sum(map(mul, w, row)) for row in rows), (rows, w)
+        assert _pointed_oracle(rows) == pointed, rows
+        seen[pointed] += 1
     assert min(seen.values()) >= 50, seen
 
 
 def test_full_rank_lattice_is_not_pointed():
-    assert not is_pointed(LatticeBasis([(1, -1), (0, 1)], check=False))
-    with pytest.raises(NotPointedError, match="nonzero nonnegative vector"):
-        LatticeBasis([(2, 1), (1, 1)])
+    for rows in ([(1, -1), (0, 1)], [(2, 1), (1, 1)]):
+        with pytest.raises(NotPointedError, match="nonzero nonnegative vector"):
+            LatticeBasis(rows)
 
 
 def test_zero_lattice_needs_dimension():
@@ -89,7 +93,7 @@ def test_zero_lattice_needs_dimension():
         LatticeBasis([])
     L = LatticeBasis([], n=3)
     assert L.r == 0 and L.n == 3
-    assert is_pointed(L)
+    assert L.functional == (1, 1, 1)
 
 
 def test_basis_validation():
@@ -417,17 +421,13 @@ def test_one_functional_solve_per_lattice(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(lattice_core, "rational_point", counted)
     L = LatticeBasis([(1, -2, 1)])
     assert len(calls) == 1
-    assert is_pointed(L)
     assert positive_functional(L) == positive_functional(L) == (1, 1, 1)
     scan_degree_classes(L, 4)
     betti_scan(L, 4)
     assert len(calls) == 1
     calls.clear()
-    M = LatticeBasis([(1, 1)], check=False)
-    assert len(calls) == 1 and M.functional is None
-    assert not is_pointed(M)
-    with pytest.raises(NotPointedError, match="^no strictly positive functional exists$"):
-        positive_functional(M)
+    with pytest.raises(NotPointedError, match="^lattice contains a nonzero nonnegative vector$"):
+        LatticeBasis([(1, 1)])
     assert len(calls) == 1
     calls.clear()
     path = tmp_path / "lat.json"

@@ -89,3 +89,45 @@ def test_modules_use_every_name_they_import():
                     if (alias.asname or alias.name).partition(".")[0] not in used
                 ]
     assert found == []
+
+
+LAYERS = ("linalg", "lattice_core", "fibers", "homology", "scarf")
+
+
+def package_imports(tree):
+    """(line, name) for each import of the package in tree, at any depth:
+    name is the module imported from, without the package prefix, or for
+    `from <package> import a` the name a itself (a module or a package
+    attribute)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.partition(".")[0] == "latticescarf"]
+            yield from ((node.lineno, name.partition(".")[2]) for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                package, _, module = module.partition(".")
+                if package != "latticescarf":
+                    continue
+            if module:
+                yield node.lineno, module
+            else:
+                yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def test_modules_import_only_lower_layers():
+    """The library is layered linalg < lattice_core < fibers < homology <
+    scarf: each of these imports package modules only from below it,
+    function-level imports included.  cli and fixtures are the front end
+    and are exempt."""
+    found = []
+    for path, tree in package_modules():
+        if path.stem not in LAYERS:
+            continue
+        below = LAYERS[: LAYERS.index(path.stem)]
+        found += [
+            "%s:%d %s" % (path.name, line, name)
+            for line, name in package_imports(tree)
+            if name not in below
+        ]
+    assert found == []
