@@ -8,6 +8,7 @@ built on fibers is deterministic.
 """
 
 import struct
+from bisect import bisect_right
 from itertools import repeat
 from operator import rshift
 
@@ -45,11 +46,18 @@ class MemberPacking:
         """u + e_j for each packed u, in their order: one C-level map."""
         return list(map((1 << j).__or__, map(self.units[j].__add__, packed)))
 
-    def step_last(self, packed, j):
-        """u + e_j for each packed u with u_k = 0 for every k > j (its mask
-        below 2 << j), so that j is the last positive index of u + e_j."""
-        unit, bit, high = self.units[j], 1 << j, (1 << self.n) - (2 << j)
-        return [x + unit | bit for x in packed if not x & high]
+    def step_first(self, packed, j):
+        """u + e_j for each u of the descending packed list with u_k = 0
+        for every k < j, in their order, so that j is the first positive
+        index of u + e_j.  Those u are the ints below units[j - 1]: a
+        suffix of the list, found by bisection unless an end settles it."""
+        if j and packed:
+            low = self.units[j - 1]
+            if packed[0] >= low:
+                if packed[-1] >= low:
+                    return []
+                packed = packed[bisect_right(packed, -low, key=int.__neg__) :]
+        return self.step(packed, j)
 
     def masks(self, packed):
         """The support masks of the packed members: their low n bits."""

@@ -19,8 +19,10 @@ homology on either side of it.  Over Q only a map with GF(2) homology on
 both sides is ranked again, by Bareiss.
 
 When the monomials of a fiber share a variable x_k, every support
-contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  A
-degree scan (scan_degree_classes) returns an Atlas, which carries the
+contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  It is
+a cone as well when only the maximal supports share a vertex, and
+reduced_homology_dims then returns zeros at once, with no chain complex.
+A degree scan (scan_degree_classes) returns an Atlas, which carries the
 Fibers of the other classes only; betti_table reads a BettiTable from
 it, and scarf.scarf_poset and scarf.binomials read the other products.
 
@@ -119,12 +121,23 @@ def reduced_homology_dims(facets, field="q"):
     gap comes off both degrees, and every other GF(2) rank is its Q rank.
     GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
     mod p, since GF(2) bounds its ranks in neither direction.
+
+    When the maximal facets share a vertex the complex is a cone, hence
+    contractible, and every dimension is 0.  Then no face is built and no
+    rank taken: the keys run from -1 to len(facets) - 1 when there are
+    fewer facets than vertices (the nerve, a simplex on the facets), else
+    to facets[0].bit_count() - 1, the largest facet's dimension.
     """
     check_field(field)
     facets = _maximal_masks(facets)
-    verts = 0
+    verts, shared = 0, -1
     for f in facets:
         verts |= f
+        shared &= f
+    if facets and shared:
+        # a cone: the keys that the faces below would give, each dim 0
+        top = len(facets) if len(facets) < verts.bit_count() else facets[0].bit_count()
+        return dict.fromkeys(range(-1, top), 0)
     if len(facets) < verts.bit_count():
         nerve = {}  # vertex bit -> the facets that contain it
         for k, f in enumerate(facets):
@@ -227,9 +240,10 @@ def scan_degree_classes(L, bound, functional=None):
     only for the carried classes and the classes they read.  For bit j of
     cone(b) every monomial has u_j >= 1, so fiber(b) = fiber(b - e_j) + e_j
     (MemberPacking.step).  A carried class takes the union over its steps
-    of u + e_j for the u of mask below 2 << j (MemberPacking.step_last),
-    each monomial once, sorted; the Atlas holds the carried Fibers in
-    (value, key) order.
+    of u + e_j for the u with u_0 ... u_{j-1} all 0, so that each monomial
+    comes once, from its first positive index (MemberPacking.step_first);
+    joined in j order the parts are in canonical order, with no sort.  The
+    Atlas holds the carried Fibers in (value, key) order.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -302,7 +316,7 @@ def scan_degree_classes(L, bound, functional=None):
             members[i] = ms = layout.step(ms, j)
         return ms
 
-    carried, step_last = [], layout.step_last
+    carried, step_first = [], layout.step_first
     for i in order:
         if cone[i]:
             continue
@@ -312,10 +326,8 @@ def scan_degree_classes(L, bound, functional=None):
             for back, _bit in downs(key & low) if low else down:
                 p = get(key + back)
                 if p is not None:
-                    ms += step_last(members[p] or packed(p), j)
+                    ms += step_first(members[p] or packed(p), j)
                 j += 1
-            # each step's part is already in order: sorting merges the runs
-            ms.sort(reverse=True)
             members[i] = ms
         rep, k = [0] * n, i
         while k:

@@ -31,7 +31,13 @@ from latticescarf.homology import (
     reduced_homology_dims,
     scan_degree_classes,
 )
-from latticescarf.lattice_core import CosetPacking, LatticeBasis, class_of
+from latticescarf.lattice_core import (
+    CosetPacking,
+    LatticeBasis,
+    SemigroupMatrix,
+    class_of,
+    lattice_from_semigroup,
+)
 from latticescarf.linalg import is_prime, rank_rational
 
 ABD = (1, 1, 0, 1, 0)
@@ -55,11 +61,11 @@ RP2_FACETS = [
 def both_homologies(facets, field="q"):
     """Reduced homology of the complex generated by facets (vertex tuples),
     by the package's mask routine and by the face-tuple oracle, which must
-    agree key for key."""
+    agree key for key, in order."""
     n = 1 + max((v for f in facets for v in f), default=-1)
     dims = complex_homology_dims(SimplicialComplex(range(n), facets), field)
     masks = [sum(1 << v for v in f) for f in facets]
-    assert reduced_homology_dims(masks, field) == dims
+    assert list(reduced_homology_dims(masks, field).items()) == list(dims.items())
     return dims
 
 
@@ -208,6 +214,59 @@ def test_homology_field_dependence_rp2(monkeypatch):
     over_q = both_homologies(RP2_FACETS, "q")
     assert over_q == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert bareiss == [(10, 15)]
+
+
+@pytest.mark.parametrize("field", ["q", 2, 32003])
+def test_cone_shortcut_matches_face_oracle(field):
+    """Random complexes whose facets all contain one vertex are cones: the
+    mask routine gives all zeros with the keys, in order, of the face-tuple
+    oracle, both with fewer maximal facets than vertices (the nerve) and
+    with at least as many."""
+    rng = random.Random(241)
+    branches = set()
+    for t in range(400):
+        n = rng.randint(2, 7)
+        apex = rng.randrange(n)
+        k = rng.randint(1, n - 1) if t % 2 else rng.randint(n, n + 6)
+        facets = [
+            tuple(sorted({apex, *rng.sample(range(n), rng.randint(0, n))}))
+            for _ in range(k)
+        ]
+        assert not any(both_homologies(facets, field).values())
+        maximal = {f for f in facets if not any(set(f) < set(g) for g in facets)}
+        branches.add(len(maximal) < len(set().union(*facets)))
+    assert branches == {True, False}
+
+
+def test_cone_shortcut_ranks_nothing(monkeypatch):
+    """A cone builds no boundary map and ranks nothing, over any field;
+    the hollow triangle and RP^2, which are no cones, still do."""
+    from latticescarf import homology
+
+    calls = []
+
+    def counted(name):
+        real = getattr(homology, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_boundary", "rank_gf2", "rank_mod_p", "rank_rational"):
+        monkeypatch.setattr(homology, name, counted(name))
+    cones = ([0b11, 0b01, 0b10], [0b011, 0b101, 0b110, 0b111], [0b1101, 0b0111])
+    for field in ("q", 2, 3, 32003):
+        for masks in cones:
+            assert not any(reduced_homology_dims(masks, field).values())
+        assert calls == []
+        assert reduced_homology_dims([0b011, 0b101, 0b110], field)[1] == 1
+        assert "_boundary" in calls
+        assert ("rank_mod_p" if field == 3 or field == 32003 else "rank_gf2") in calls
+        calls.clear()
+    reduced_homology_dims([sum(1 << v for v in f) for f in RP2_FACETS], "q")
+    assert calls.count("rank_rational") == 1
 
 
 def test_field_validation():
@@ -517,6 +576,33 @@ def test_member_packing_round_trip(top, width):
     assert [us[k] for k in order] == sorted(us, reverse=True)
 
 
+def test_member_packing_step_first():
+    """step_first(packed, j) steps by e_j the suffix of a descending packed
+    list whose fields u_0 ... u_{j-1} are all 0, in order: the whole list
+    for j = 0, none of a list above that, all of a list below it."""
+    layout = MemberPacking(3, 5)
+    us = [(2, 0, 1), (1, 1, 0), (0, 2, 1), (0, 1, 0), (0, 0, 3), (0, 0, 1)]
+    packed = [sum(map(int.__mul__, u, layout.units)) | support_mask(u) for u in us]
+    assert packed == sorted(packed, reverse=True)
+
+    def stepped(j, part):
+        got = layout.step_first([packed[us.index(u)] for u in part], j)
+        e = tuple(int(k == j) for k in range(3))
+        want = [tuple(map(int.__add__, u, e)) for u in part if not any(u[:j])]
+        assert layout.unpack(got) == tuple(want)
+        assert layout.masks(got) == tuple(map(support_mask, want))
+        return want
+
+    assert len(stepped(0, us)) == 6
+    assert stepped(1, us) == [(0, 3, 1), (0, 2, 0), (0, 1, 3), (0, 1, 1)]
+    assert stepped(2, us) == [(0, 0, 4), (0, 0, 2)]
+    for j in range(3):
+        assert layout.step_first([], j) == []
+    assert stepped(1, us[:2]) == stepped(2, us[:4]) == []
+    assert stepped(1, us[2:]) == [(0, 3, 1), (0, 2, 0), (0, 1, 3), (0, 1, 1)]
+    assert stepped(2, us[4:]) == [(0, 0, 4), (0, 0, 2)]
+
+
 def test_too_wide_member_fields_fail_before_the_scan(monkeypatch):
     """Exponents past 8-byte fields raise ValueError before any class is
     packed, so a huge bound starts no search."""
@@ -616,12 +702,16 @@ def test_rational_vs_finite_field_scans(ex61, ex63):
 
 @pytest.mark.parametrize("field", ["q", 2, 32003])
 def test_mask_homology_matches_face_oracle_on_carried_fibers(suite, field):
-    """On every carried fiber of the three fixtures at their bounds, the
-    mask routine (GF(2) bitset ranks with Bareiss corrections over Q,
-    bitset ranks alone over GF(2), forward elimination over GF(32003))
-    equals the face-tuple oracle key for key."""
-    for name, data in suite.items():
-        atlas = scan_degree_classes(data.lattice, data.bound, data.functional)
+    """On every carried fiber of the three fixtures at their bounds and of
+    the semigroup <3,5,7,11,13> at bound 40, the mask routine (the cone
+    shortcut, GF(2) bitset ranks with Bareiss corrections over Q, bitset
+    ranks alone over GF(2), forward elimination over GF(32003)) equals the
+    face-tuple oracle key for key."""
+    A = SemigroupMatrix([(3, 5, 7, 11, 13)])
+    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
+    problems.append(("<3,5,7,11,13>", lattice_from_semigroup(A), 40, A.column_sums()))
+    for name, L, bound, w in problems:
+        atlas = scan_degree_classes(L, bound, w)
         for fib in atlas.fibers:
             want = complex_homology_dims(support_complex(fib), field)
             got = reduced_homology_dims(fib.masks, field)
