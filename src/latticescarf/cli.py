@@ -447,7 +447,7 @@ def run_command(spec, command, options):
         out = options.get("out")
         if out and out != "-":
             try:
-                with open(out, "w") as fh:
+                with open(out, "w", encoding="utf-8") as fh:
                     fh.write(dot)
             except OSError as e:
                 raise ParseError("cannot write %s: %s" % (out, e)) from e
@@ -470,9 +470,9 @@ def run_command(spec, command, options):
 
 
 def _verify_fixture(name, bound=None):
-    from .fixtures import EXPECTED, fixture_bound, fixture_problem
+    from .fixtures import EXPECTED, fixture_bound
 
-    spec = fixture_problem(name)
+    spec = _fixture_problem(name)
     exp = EXPECTED[name]
     if bound is None:
         bound = fixture_bound(name)
@@ -637,14 +637,19 @@ def _parse_field(text):
     raise ParseError("--field must be 'q' or 'fp:P'")
 
 
+def _fixture_problem(name):
+    """The bundled problem name; an unknown name is bad input."""
+    from .fixtures import fixture_problem
+
+    try:
+        return fixture_problem(name)
+    except KeyError as e:
+        raise ParseError(e.args[0]) from e
+
+
 def _load_problem(args):
     if getattr(args, "fixture", None):
-        from .fixtures import fixture_problem
-
-        try:
-            return fixture_problem(args.fixture)
-        except KeyError as e:
-            raise ParseError(str(e.args[0])) from e
+        return _fixture_problem(args.fixture)
     return parse_spec(args.spec)
 
 
@@ -667,11 +672,10 @@ def main(argv=None):
         report = run_command(spec, args.command, options)
         print(report.to_json())
         return 0
-    except (ValueError, KeyError) as e:
-        # ValueError means bad input; broken invariants raise RuntimeError.
-        # The str() of a KeyError would quote its message.
-        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print("error: %s" % msg, file=sys.stderr)
+    except ValueError as e:
+        # ValueError means bad input; broken invariants raise RuntimeError,
+        # and any other error is a fault of the program, not of the input.
+        print("error: %s" % e, file=sys.stderr)
         return 2
 
 

@@ -9,9 +9,11 @@ some strictly positive functional vanishes on L, so one linear system,
 solved once when a LatticeBasis is built, both decides pointedness (a
 non-pointed basis raises NotPointedError) and yields the grading
 functional (positive_functional).
-The same transform gives coordinates phi on Z^n/L, which a degree scan
-packs into ints (CosetPacking, ScannedClasses); classes keep their
-Hermite keys.
+The same transform gives coordinates phi on Z^n/L: free ones from a
+kernel basis and, when Z^n/L has torsion, digits t_k in [0, H[k][k])
+from the Hermite form H of its torsion block, keyed by canonical_rep
+like the classes.  A degree scan packs them into ints (CosetPacking,
+ScannedClasses); classes keep their Hermite keys.
 """
 
 from math import gcd, lcm
@@ -19,7 +21,6 @@ from operator import mul
 
 from .linalg import (
     canonical_rep,
-    diagonal_form,
     integer_kernel,
     rational_point,
     row_hermite,
@@ -76,7 +77,8 @@ class LatticeBasis:
 
     Construction verifies independence over Q and pointedness; a Hermite
     form of the basis is kept for coset reduction, and coset coordinates
-    for packing classes in a scan (CosetPacking).
+    for packing classes in a scan (CosetPacking): the kernel basis, and
+    with torsion the Hermite form that keys the torsion digits.
 
     functional is the primitive, strictly positive integer w orthogonal to
     L, found at construction; it exists exactly because L is pointed.
@@ -100,10 +102,17 @@ class LatticeBasis:
         # U B^T = T, so B V = T^T = [M | 0] for the unimodular V = U^T: the
         # coordinates phi(u) = u V = U u send L onto the row span of M in
         # the first r coordinates.  The last n - r rows of U are a kernel
-        # basis K, the free coordinates; M gives the torsion ones.
+        # basis K, the free coordinates.  u is then 0 mod L iff K u = 0
+        # and y = U[:r] u lies in the row span of M^T; when some pivot of
+        # T is above 1, the Hermite form H of M^T keys y (canonical_rep),
+        # and its coordinates k with H[k][k] > 1 are the torsion digits.
         T, U, _ = row_hermite([tuple(row[j] for row in rows) for j in range(n)], self.r)
         self._free = U[self.r :]
-        self._torsion = _torsion_rows(T, U, self.r, n)
+        self._torsion = ((), (), ())  # (U[:r], H, pivots); empty when saturated
+        if any(T[k][k] > 1 for k in range(self.r)):
+            Mt = [tuple(T[k][i] for k in range(self.r)) for i in range(self.r)]
+            Ht, _, tpivots = row_hermite(Mt, self.r)
+            self._torsion = (U[: self.r], Ht, tpivots)
         self.functional = _positive_functional(self._free, n)
 
     def canonical_key(self, v):
@@ -116,23 +125,6 @@ class LatticeBasis:
         return "LatticeBasis(%r, n=%d)" % (self.rows, self.n)
 
 
-def _torsion_rows(T, U, r, n):
-    """The torsion coordinates of Z^n/L, (row, d) with d > 1 and the row
-    reduced mod d: u is congruent to 0 mod L iff K u = 0 and row . u = 0
-    mod d for each.  With P M Q = diag(d) (linalg.diagonal_form), y lies
-    in the row span of M iff y Q lies in that of diag(d); y is the first r
-    coordinates U u, so the k-th row is sum_i Q[i][k] U[i].  When every
-    pivot of the triangular T is 1, M is unimodular and there are none."""
-    if all(T[k][k] == 1 for k in range(r)):
-        return ()
-    d, Q = diagonal_form([tuple(T[k][i] for k in range(r)) for i in range(r)])
-    return tuple(
-        (tuple(sum(Q[i][k] * U[i][j] for i in range(r)) % dk for j in range(n)), dk)
-        for k, dk in enumerate(d)
-        if dk > 1
-    )
-
-
 def _guard(row):
     """G_k = max_j |K[k][j]|, the most a unit step moves K[k] . u."""
     return max(map(abs, row))
@@ -142,26 +134,30 @@ class CosetPacking:
     """The classes of Z^n/L with a nonnegative member of value w . u <=
     bound, packed into ints for one scan.
 
-    phi(u) = (K u, the torsion digits) is a group isomorphism from Z^n/L
-    onto Z^(n-r) + sum Z/d.  Each digit lies in [0, d) in the lowest bits,
-    which low masks (0 on a saturated lattice).  A monomial u of value <=
-    bound has |K[k] . u| <= R_k = max_j |K[k][j]| * bound // w_j; above
-    the digits, free coordinate k is stored as K[k] . u + R_k + G_k in a
-    field that holds [0, 2 R_k + 2 G_k].  A unit step moves it by at most
-    the guard G_k, so from an in-range key it neither borrows nor carries:
-    it gives the key of the stepped class when that is in range and a key
-    of no class otherwise.  moves(key & low, sign) gives what the steps
-    sign * e_j add to a key; without torsion they are fixed, and a step
-    is one integer addition.
+    u is keyed by phi(u) = (K u, t), t = canonical_rep(U[:r] u, H, pivots)
+    with the torsion Hermite form of LatticeBasis: a bijection from Z^n/L
+    onto Z^(n-r) times the t with each t_k in [0, H[k][k]).  The lowest
+    bits hold these torsion digits, t_k in the bits of [0, H[k][k]) (none
+    where H[k][k] = 1, as t_k is 0 there), and low masks them (0 on a
+    saturated lattice).  A monomial u of value <= bound has |K[k] . u| <=
+    R_k = max_j |K[k][j]| * bound // w_j; above the digits, free
+    coordinate k is stored as K[k] . u + R_k + G_k in a field that holds
+    [0, 2 R_k + 2 G_k].  A unit step moves it by at most the guard G_k,
+    so from an in-range key it neither borrows nor carries: it gives the
+    key of the stepped class when that is in range and a key of no class
+    otherwise.  moves(key & low, sign) gives what the steps sign * e_j
+    add to a key; without torsion they are fixed, and a step is one
+    integer addition.
     """
 
-    __slots__ = ("low", "_cols", "_zero", "_fields", "_digits")
+    __slots__ = ("low", "_cols", "_zero", "_fields", "_torsion", "_digits")
 
     def __init__(self, L, bound, w):
+        self._torsion = L._torsion
         shift, digits = 0, []
-        for row, d in L._torsion:
-            width = (d - 1).bit_length()
-            digits.append((row, d, shift, (1 << width) - 1))
+        for k, row in enumerate(L._torsion[1]):
+            width = (row[k] - 1).bit_length()
+            digits.append((shift, (1 << width) - 1))
             shift += width
         self.low = (1 << shift) - 1
         fields, zero = [], 0
@@ -176,12 +172,16 @@ class CosetPacking:
 
     def moves(self, digits, sign):
         """What the steps sign * e_j, j = 0 ... n - 1, add to a key whose
-        torsion digits read digits (key & low)."""
-        ts = [(row, d, digits >> s & mask, s) for row, d, s, mask in self._digits]
-        return tuple(
-            sign * col + sum(((t + sign * row[j]) % d - t) << s for row, d, t, s in ts)
-            for j, col in enumerate(self._cols)
-        )
+        torsion digits read digits (key & low): the free fields move by
+        sign * K e_j, and t by canonical_rep(t + sign * U[:r] e_j) - t."""
+        out = [sign * col for col in self._cols]
+        Y, H, pivots = self._torsion
+        if Y:
+            t = [digits >> s & mask for s, mask in self._digits]
+            for j, c in enumerate(zip(*Y)):
+                rep = canonical_rep([a + sign * b for a, b in zip(t, c)], H, pivots)
+                out[j] += sum(a - b << s for a, b, (s, _mask) in zip(rep, t, self._digits))
+        return tuple(out)
 
     def pack(self, v):
         """The key of the class of the integer vector v, or None when a
@@ -195,8 +195,10 @@ class CosetPacking:
             if not -R <= y <= R:
                 return None
             key += y << shift
-        for row, d, shift, _mask in self._digits:
-            key += sum(map(mul, row, v)) % d << shift
+        Y, H, pivots = self._torsion
+        if Y:
+            t = canonical_rep([sum(map(mul, row, v)) for row in Y], H, pivots)
+            key += sum(x << s for x, (s, _mask) in zip(t, self._digits))
         return key
 
 

@@ -5,9 +5,9 @@ no floating point anywhere.  Matrices are sequences of row tuples.
 
 The pieces:
 
-* row-style Hermite normal form with transform (kernels, coset reduction,
-  integer linear solves) and a diagonal form built from it (the coset
-  coordinates of a lattice with torsion),
+* row-style Hermite normal form with transform: kernels, integer linear
+  solves, coset reduction and the coset coordinates of a lattice (its
+  torsion digits are Hermite coordinates too),
 * a size-reduced basis of a lattice, longest row first, the basis that
   fiber queries descend over: the fiber does not depend on the basis,
   and the shortest row at the last level yields more members per call,
@@ -112,28 +112,6 @@ def integer_kernel(rows, ncols):
     at = [tuple(r[j] for r in rows) for j in range(ncols)]  # transpose
     _H, U, pivots = row_hermite(at, len(rows))
     return U[len(pivots) :]
-
-
-def diagonal_form(M):
-    """Diagonalize a square nonsingular integer matrix M by unimodular row
-    and column operations.
-
-    Returns (d, Q) with Q unimodular and P * M * Q = diag(d) for some
-    unimodular P, every d_k > 0 (a diagonal form, not necessarily the Smith
-    form: no divisibility between the d_k).  Alternates row Hermite forms
-    of the matrix and of its transpose (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4): each round leaves the leading entry no
-    larger, and keeps it only once its row and column are clear, after
-    which the rest is a smaller matrix.
-    """
-    r = len(M)
-    Q = [[int(i == j) for j in range(r)] for i in range(r)]
-    X = row_hermite(M, r)[0]
-    while any(X[i][j] for i in range(r) for j in range(r) if i != j):
-        H, U, _ = row_hermite(list(zip(*X)), r)  # X * U^T = H^T
-        Q = [[sum(map(mul, q, u)) for u in U] for q in Q]
-        X = row_hermite(list(zip(*H)), r)[0]
-    return tuple(X[k][k] for k in range(r)), tuple(tuple(q) for q in Q)
 
 
 def solve_combination(rows, target):

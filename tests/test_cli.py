@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import latticescarf
 from helpers import export_dot_gcd_oracle
 from latticescarf.cli import (
     ParseError,
@@ -509,7 +513,20 @@ def test_cli_betti_decodes_no_fiber(capsys, monkeypatch):
 
 def test_cli_verify_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "verify", "--fixture", "nope")
-    assert code == 2 and "error:" in err
+    assert code == 2 and err == "error: unknown fixture 'nope' (have ex61, ex63, ex64)\n"
+
+
+def test_cli_does_not_take_an_internal_key_error_for_bad_input(capsys, monkeypatch):
+    """Only a ValueError means bad input (exit 2); a KeyError from inside
+    the library is a fault of the program and propagates."""
+
+    def broken(*args, **kwargs):
+        raise KeyError(12345)
+
+    monkeypatch.setattr(latticescarf.cli, "betti_scan", broken)
+    with pytest.raises(KeyError):
+        main(["betti", "--fixture", "ex61", "--bound", "3"])
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_verify_detects_mismatch(capsys, monkeypatch):
@@ -524,6 +541,26 @@ def test_cli_verify_detects_mismatch(capsys, monkeypatch):
     assert rep["result"]["ok"] is False
     bad = [c for c in rep["result"]["checks"] if not c["ok"]]
     assert bad and bad[0]["name"] == "generator_count"
+
+
+def test_cli_export_dot_out_is_utf8_under_the_c_locale(tmp_path):
+    """--out writes UTF-8 whatever the locale, as specs are read: under
+    the C locale, with no UTF-8 mode, a non-ASCII variable name still
+    reaches the file."""
+    spec = tmp_path / "s.json"
+    spec.write_text(
+        json.dumps({"semigroup": [[3, 5, 7]], "variables": ["α", "β", "γ"]}), encoding="utf-8"
+    )
+    out = tmp_path / "o.dot"
+    src = str(pathlib.Path(latticescarf.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["export-dot", "--spec", str(spec), "--degree", "15", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticescarf.cli", *argv], env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 'label="α^5"' in out.read_bytes().decode("utf-8")
 
 
 def test_cli_export_dot(capsys, tmp_path):

@@ -506,6 +506,9 @@ def scan_summary(atlas):
 # two lattices whose quotient has two torsion coordinates: (Z/2)^2 and
 # Z/2 + Z/3 beside the free part
 TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, -3)])
+# two lattices whose torsion blocks have Hermite forms that are not
+# diagonal: ((2, 3), (0, 6)) and ((1, 2), (0, 8))
+NON_DIAGONAL_TORSION = ([(-4, 0, 4), (-2, 3, -1)], [(4, -4, -4, 4), (3, -3, 3, -1)])
 
 
 # the one torsion lattice of the benchmark's random pool batch (Z/3)
@@ -515,17 +518,18 @@ POOL_62 = ((3, 3, -3, 0), (1, 3, -2, -1))
 def test_scan_matches_reference_scan(suite, monkeypatch):
     """The scan equals the oracle, which reduces a Hermite key at every
     step, on the fixtures at their bounds, suite (b)'s first 10 lattices
-    (three with torsion) and two lattices with two torsion coordinates:
-    the same classes, compared through the packing, and the same carried
-    fibers with the same support masks, which the scan steps with the
-    monomials and the oracle computes from them; the representatives,
-    which every report prints, pin the search order.  The scan's cached
-    moves are made once per torsion digits and sign, and on the torsion
-    lattices for more than one set of digits."""
+    (three with torsion), two lattices with two torsion coordinates and
+    two whose torsion Hermite forms are not diagonal: the same classes,
+    compared through the packing, and the same carried fibers with the
+    same support masks, which the scan steps with the monomials and the
+    oracle computes from them; the representatives, which every report
+    prints, pin the search order.  The scan's cached moves are made once
+    per torsion digits and sign, and on the torsion lattices for more
+    than one set of digits."""
     lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
     problems = scan_problems(suite, lattices)
     torsion = []
-    for rows in TWO_TORSION_FIELDS:
+    for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION:
         L = LatticeBasis(rows)
         torsion.append((repr(rows), L, 4 * small_scan_bound(L), L.functional))
     # a Z/3 torsion lattice with many cone classes: 319 classes, 17 carried

@@ -21,7 +21,7 @@ from latticescarf.lattice_core import (
     lattice_from_semigroup,
     positive_functional,
 )
-from latticescarf.linalg import solve_combination
+from latticescarf.linalg import integer_kernel, solve_combination
 
 EX63_PAPER_ROWS = [(1, -2, 1, 0, 0), (0, 1, -2, 1, 0), (0, 2, 1, 0, -2)]
 
@@ -197,16 +197,35 @@ def test_betti_table_leq_rejects_other_lattices():
 # Z/2 beside the free part, then (Z/2)^2 and Z/2 + Z/3
 ONE_TORSION_FIELD = [(2, -2, 0)]
 TWO_TORSION_FIELDS = ([(2, -2, 0, 0), (0, 0, 2, -2)], [(2, -2, 0, 0), (0, 0, 3, -3)])
+# torsion blocks whose Hermite forms are not diagonal: H = ((2, 3), (0, 6))
+# gives digits in [0, 2) and [0, 6), H = ((1, 2), (0, 8)) one in [0, 8)
+NON_DIAGONAL_TORSION = ([(-4, 0, 4), (-2, 3, -1)], [(4, -4, -4, 4), (3, -3, 3, -1)])
+TORSION_LATTICES = (ONE_TORSION_FIELD,) + TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION
+
+
+def _torsion_classes(L):
+    """The classes of Z^n/L of finite order, by canonical key: those of
+    the saturation of L, spanned by the kernel of L's kernel.  Its
+    coefficients 0 ... 12 reach all of them when the torsion group has
+    order at most 12, as for every lattice here."""
+    sat = integer_kernel(integer_kernel(L.rows, L.n), L.n)
+    return {
+        L.canonical_key(tuple(sum(map(mul, c, col)) for col in zip(*sat)))
+        for c in itertools.product(range(13), repeat=len(sat))
+    }
 
 
 def test_packed_keys_are_the_coset_classes(suite):
     """Two vectors get the same packed key iff they are congruent mod L
     (the same canonical key), and the key of v + e_j is that of v plus
-    its move j, which depends on the key only through its torsion digits."""
+    its move j, which depends on the key only through its torsion digits.
+    The digit ranges [0, H[k][k]) multiply to the number of torsion
+    classes."""
     rng = random.Random(17)
     lattices = [data.lattice for data in suite.values()]
-    lattices += [LatticeBasis(rows) for rows in (ONE_TORSION_FIELD,) + TWO_TORSION_FIELDS]
-    assert [len(L._torsion) for L in lattices[3:]] == [1, 2, 2]
+    lattices += [LatticeBasis(rows) for rows in TORSION_LATTICES]
+    hermite = [L._torsion[1] for L in lattices]
+    assert [sum(H[k][k] > 1 for k in range(len(H))) for H in hermite] == [0, 0, 0, 1, 2, 2, 2, 1]
     for L in lattices:
         vectors = []
         for _ in range(150):
@@ -224,6 +243,9 @@ def test_packed_keys_are_the_coset_classes(suite):
         assert len(pairs) < len(vectors)  # some vectors were congruent
         with pytest.raises(ValueError, match="wrong dimension"):
             P.pack((0,) * (L.n + 1))
+        Y, H, _pivots = P._torsion
+        if Y:
+            assert math.prod(H[k][k] for k in range(len(H))) == len(_torsion_classes(L))
         for v in vectors:
             key = P.pack(v)
             for j, move in enumerate(P.moves(key & P.low, 1)):
@@ -231,9 +253,11 @@ def test_packed_keys_are_the_coset_classes(suite):
 
 
 def _in_range(P, key):
-    """Is key the packed key of some class: each torsion digit below its
-    d, each free field within R_k of its offset, and no bits above?"""
-    if key < 0 or any(key >> s & mask >= d for _row, d, s, mask in P._digits):
+    """Is key the packed key of some class: each torsion digit t_k below
+    its H[k][k], each free field within R_k of its offset, and no bits
+    above?"""
+    H = P._torsion[1]
+    if key < 0 or any(key >> s & mask >= H[k][k] for k, (s, mask) in enumerate(P._digits)):
         return False
     shifts = [s for _row, _R, s in P._fields]
     for (_row, R, s), top in zip(P._fields, shifts[1:] + [None]):
@@ -286,7 +310,7 @@ def test_back_moves_never_alias_a_class(suite, monkeypatch):
     fixtures and the torsion lattices."""
     rng = random.Random(29)
     lattices = [data.lattice for data in suite.values()]
-    lattices += [LatticeBasis(rows) for rows in (ONE_TORSION_FIELD,) + TWO_TORSION_FIELDS]
+    lattices += [LatticeBasis(rows) for rows in TORSION_LATTICES]
     # an unguarded step aliases only where 2 R_k lies within max_j |K[k][j]|
     # below a power of two, as on ex63 at bounds 1, 3, 6, 12 and 25
     problems = [(L, bound) for L in lattices for bound in range(1, 41)]
@@ -306,7 +330,7 @@ def test_betti_table_leq_matches_class_leq(ex61):
     beyond the bound, also where the packed coordinates of b - d leave
     the table's range."""
     problems = [(ex61.lattice, 4), (LatticeBasis(ONE_TORSION_FIELD), 5)]
-    problems += [(LatticeBasis(rows), 3) for rows in TWO_TORSION_FIELDS]
+    problems += [(LatticeBasis(rows), 3) for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION]
     compared = beyond = outside = 0
     for L, bound in problems:
         w = L.functional

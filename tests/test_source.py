@@ -31,8 +31,8 @@ def test_public_names_resolve_and_are_sorted():
 
 
 def test_coset_key_format_stays_in_lattice_core():
-    """Only lattice_core reads the Hermite form behind the coset keys, the
-    diagonal form behind the packed keys and the packing itself; the scan
+    """Only lattice_core reads the Hermite forms behind the coset keys and
+    the packed torsion digits, and the packing itself; the scan
     reads only the packing's moves and its torsion digit mask, low."""
     from latticescarf.lattice_core import CosetPacking, LatticeBasis, ScannedClasses
 
@@ -130,4 +130,29 @@ def test_modules_import_only_lower_layers():
             for line, name in package_imports(tree)
             if name not in below
         ]
+    assert found == []
+
+
+def test_library_layers_define_no_dead_code():
+    """Every top-level function and class of the library layers is public
+    (in __all__) or read somewhere in the package outside its own
+    definition, so a helper goes with its last caller.  cli and fixtures
+    are the front end and are exempt."""
+    modules = package_modules()
+    statements = []
+    for _path, tree in modules:
+        for node in tree.body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((node, names))
+    public = set(latticescarf.__all__)
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, node.name)
+        for path, tree in modules
+        if path.stem in LAYERS
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in public
+        and not any(node.name in names for other, names in statements if other is not node)
+    ]
     assert found == []
