@@ -22,7 +22,8 @@ def canonical_order(monomials):
 
 
 class MemberPacking:
-    """Monomials of n variables with exponents up to top, one int each:
+    """The degree scan's private format for the fibers it unions; no Fiber
+    holds it.  Monomials of n variables with exponents up to top, one int each:
     u packs as (u_0 ... u_{n-1} in fixed-width byte fields, u_0 most
     significant) << n | support_mask(u).  Distinct monomials differ above
     the mask, so descending int order is canonical order, and 0 packs the
@@ -79,55 +80,31 @@ class Fiber:
 
     masks[k] is the support mask (support_mask) of members[k]: the gcd
     complex, its components and the homology of the fiber depend on the
-    masks alone.  A scanned fiber holds its members packed
-    (MemberPacking) and decodes them on the first read of members, or of
-    iteration, `in`, == or hash; len() and masks need no decode,
-    members_at decodes only the members it returns, and the packed ints
-    are dropped once the whole fiber is decoded.  mask_unions, the one
-    pass over the distinct masks, is computed on first read and shared by
+    masks alone.  A scanned fiber comes with its masks; an enumerated one
+    computes them on first read.  mask_unions, the one pass over the
+    distinct masks, is computed on first read and shared by
     homology.gcd_components, scarf.basic_components and scarf.binomials."""
 
-    __slots__ = ("degree", "_members", "_packed", "_layout", "_masks", "_unions")
+    __slots__ = ("degree", "members", "_masks", "_unions")
 
     def __init__(self, degree, members):
         self.degree = degree
-        self._members = canonical_order(members)
-        self._packed = self._layout = self._masks = self._unions = None
+        self.members = canonical_order(members)
+        self._masks = self._unions = None
 
     @classmethod
-    def _from_packed(cls, degree, packed, layout):
-        """The fiber of the members packed by the MemberPacking layout, in
-        descending int order."""
+    def _with_masks(cls, degree, members, masks):
+        """The fiber of members in canonical order, with their masks."""
         fib = cls.__new__(cls)
-        fib.degree, fib._packed, fib._layout = degree, packed, layout
-        fib._members = fib._masks = fib._unions = None
+        fib.degree, fib.members, fib._masks, fib._unions = degree, members, masks, None
         return fib
-
-    @property
-    def members(self):
-        """The members in canonical order, decoded on first read."""
-        if self._members is None:
-            self.masks  # read from the packed ints before they go
-            self._members = self._layout.unpack(self._packed)
-            self._packed = self._layout = None
-        return self._members
-
-    def members_at(self, indices):
-        """The members at the given indices, in their order; a packed fiber
-        decodes those members only."""
-        if self._members is None:
-            return self._layout.unpack([self._packed[k] for k in indices])
-        return tuple(map(self._members.__getitem__, indices))
 
     @property
     def masks(self):
         """The members' support masks, computed on first read: a fiber
         query that prints only the members computes none."""
         if self._masks is None:
-            if self._members is None:
-                self._masks = self._layout.masks(self._packed)
-            else:
-                self._masks = tuple(map(support_mask, self._members))
+            self._masks = tuple(map(support_mask, self.members))
         return self._masks
 
     @property
@@ -160,7 +137,7 @@ class Fiber:
         return self._unions
 
     def __len__(self):
-        return len(self._packed if self._members is None else self._members)
+        return len(self.members)
 
     def __iter__(self):
         return iter(self.members)

@@ -11,20 +11,12 @@ simplices V_i = {m : x_i divides m}, so the two have the same reduced
 homology.  The connected components of a gcd complex need no complex
 at all: gcd_components merges the support masks that meet.
 
-The ranks are exact and taken over GF(2) first, each boundary row an int
-bitset.  Reducing an integer matrix mod 2 can only lower its rank, and no
-Q homology is negative, so by universal coefficients (Hatcher, Algebraic
-Topology, 3.A) a map's Q rank exceeds its GF(2) rank by at most the GF(2)
-homology on either side of it.  Over Q only a map with GF(2) homology on
-both sides is ranked again, by Bareiss.
-
-When the monomials of a fiber share a variable x_k, every support
-contains k: the complex is a cone, so beta_{i,b} = 0 for every i.  It is
-a cone as well when only the maximal supports share a vertex, and
-reduced_homology_dims then returns zeros at once, with no chain complex.
-A degree scan (scan_degree_classes) returns an Atlas, which carries the
-Fibers of the other classes only; betti_table reads a BettiTable from
-it, and scarf.scarf_poset and scarf.binomials read the other products.
+The ranks are exact, over GF(2) first (see reduced_homology_dims).  When
+the maximal supports of a fiber share a vertex the complex is a cone, so
+beta_{i,b} = 0 for every i.  A degree scan (scan_degree_classes) returns
+an Atlas, which carries only the Fibers of the other classes, as tuples,
+with their maximal supports; betti_table reads a BettiTable from those,
+and scarf.scarf_poset and scarf.binomials read the other products.
 
 Multigraded Betti numbers follow the convention
 
@@ -33,8 +25,8 @@ Multigraded Betti numbers follow the convention
 """
 
 from bisect import bisect_left
-from functools import cache
-from operator import mul
+from functools import cache, reduce
+from operator import and_, mul, or_, sub
 
 from .fibers import Fiber, MemberPacking, fiber_of
 from .lattice_core import (
@@ -55,6 +47,11 @@ def _maximal_masks(masks):
         if s and s not in map(s.__and__, out):
             out.append(s)
     return out
+
+
+def _is_cone(facets):
+    """Do the masks facets share a vertex?  An empty list shares none."""
+    return bool(facets) and reduce(and_, facets) != 0
 
 
 def _boundary(lower, upper):
@@ -122,20 +119,20 @@ def reduced_homology_dims(facets, field="q"):
     GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
     mod p, since GF(2) bounds its ranks in neither direction.
 
-    When the maximal facets share a vertex the complex is a cone, hence
-    contractible, and every dimension is 0.  Then no face is built and no
-    rank taken: the keys run from -1 to len(facets) - 1 when there are
-    fewer facets than vertices (the nerve, a simplex on the facets), else
-    to facets[0].bit_count() - 1, the largest facet's dimension.
+    When the maximal facets share a vertex the complex is a cone, and
+    every dimension is 0, with the keys the faces would give; no face is
+    built and no rank taken.
     """
     check_field(field)
-    facets = _maximal_masks(facets)
-    verts, shared = 0, -1
-    for f in facets:
-        verts |= f
-        shared &= f
-    if facets and shared:
-        # a cone: the keys that the faces below would give, each dim 0
+    return _facet_homology(_maximal_masks(facets), field)
+
+
+def _facet_homology(facets, field):
+    """reduced_homology_dims of the complex of the maximal masks facets,
+    largest first, over a checked field."""
+    verts = reduce(or_, facets, 0)
+    if _is_cone(facets):
+        # the keys that the faces below would give, each dim 0
         top = len(facets) if len(facets) < verts.bit_count() else facets[0].bit_count()
         return dict.fromkeys(range(-1, top), 0)
     if len(facets) < verts.bit_count():
@@ -204,18 +201,29 @@ class Atlas:
     """A degree scan.  scanned holds every class it reached, as packed
     keys (lattice_core.ScannedClasses): len() counts them, and v in
     scanned asks whether the class of the integer vector v was reached.
-    fibers is a tuple of the Fibers of the classes of cone mask 0 only,
-    each with its DegreeClass as fib.degree, in (functional value,
-    canonical key) order: the AND of the support masks of a fiber is
-    nonzero iff its gcd complex is a cone (no homology, no basic
-    component, connected)."""
+    fibers is a tuple of the Fibers of the classes whose maximal support
+    masks share no variable, each with its DegreeClass as fib.degree, in
+    (functional value, canonical key) order; facets[k] lists the maximal
+    nonzero masks of fibers[k], largest first.
 
-    def __init__(self, lattice, bound, functional, scanned, fibers):
+    Dropping the others loses nothing.  Say their maximal masks all hold
+    variable v.  The support complex is a cone: every beta is 0.  Every
+    nonzero mask lies in a maximal one, so the gcd complex is connected
+    through v: beta_1 = 0, and no generator or indispensable binomial.
+    No basic component G: |G| = 1 needs G = {1}, the zero class, whose
+    mask 0 is not maximal; |G| = 2 is a whole fiber with disjoint
+    supports, which share nothing; |G| > 2 is the whole fiber, where some
+    m0 lacks v and its mask lies in that of some m1 != m0 holding v, so
+    the common variable x of G minus m1, not in supp(m1), lies in supp(m0)
+    inside supp(m1)."""
+
+    def __init__(self, lattice, bound, functional, scanned, fibers, facets):
         self.lattice = lattice
         self.bound = bound
         self.functional = functional
         self.scanned = scanned
         self.fibers = fibers
+        self.facets = facets
 
     def __len__(self):
         return len(self.scanned)
@@ -237,13 +245,14 @@ def scan_degree_classes(L, bound, functional=None):
     move of e_j each; a miss means that b - e_j was not scanned.
     cone(0) = 0 and cone(b) = AND over the scanned b - e_j of (cone(b -
     e_j) | 1 << j).  Members are packed ints (fibers.MemberPacking), built
-    only for the carried classes and the classes they read.  For bit j of
-    cone(b) every monomial has u_j >= 1, so fiber(b) = fiber(b - e_j) + e_j
-    (MemberPacking.step).  A carried class takes the union over its steps
-    of u + e_j for the u with u_0 ... u_{j-1} all 0, so that each monomial
-    comes once, from its first positive index (MemberPacking.step_first);
-    joined in j order the parts are in canonical order, with no sort.  The
-    Atlas holds the carried Fibers in (value, key) order.
+    for the classes of cone mask 0 and the classes they read.  For bit j
+    of cone(b) every monomial has u_j >= 1, so fiber(b) = fiber(b - e_j) +
+    e_j (MemberPacking.step).  A class of cone mask 0 takes the union over
+    its steps of u + e_j for the u with u_0 ... u_{j-1} all 0, so each
+    monomial comes once, from its first positive index, in canonical
+    order (MemberPacking.step_first).  It is carried when its maximal
+    masks share no variable (see Atlas), and only then gets a
+    representative, a DegreeClass and a Fiber, decoded once.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -329,16 +338,21 @@ def scan_degree_classes(L, bound, functional=None):
                     ms += step_first(members[p] or packed(p), j)
                 j += 1
             members[i] = ms
+        masks = layout.masks(members[i])
+        facets = _maximal_masks(masks)
+        if _is_cone(facets):
+            continue
         rep, k = [0] * n, i
         while k:
             v = found[k]
             rep[v % n] += 1
             k = v // n
         b = DegreeClass(L, rep)
-        carried.append((values[i], b.key, Fiber._from_packed(b, members[i], layout)))
+        fib = Fiber._with_masks(b, layout.unpack(members[i]), masks)
+        carried.append((values[i], b.key, fib, facets))
     carried.sort(key=lambda c: c[:2])
-    fibers = tuple(fib for _s, _key, fib in carried)
-    return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers)
+    _values, _keys, fibers, facets = zip(*carried)  # the zero class is carried
+    return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers, facets)
 
 
 class BettiTable:
@@ -354,18 +368,25 @@ class BettiTable:
         self.scanned = atlas.scanned
 
     def leq(self, d, b):
-        """Divisibility d <= b for scanned classes.  A monomial in the class
-        of b - d has functional value sigma(b) - sigma(d) <= bound, so it
-        exists iff that class was scanned."""
+        """Divisibility d <= b.  A monomial in the class of b - d has value
+        sigma(b) - sigma(d): up to the bound it exists iff that class was
+        scanned, and past it the scan cannot tell, so ValueError is raised."""
         if not (
             _same_lattice(d.lattice, self.lattice)
             and _same_lattice(b.lattice, self.lattice)
         ):
             raise ValueError("classes live over different lattices")
-        diff = tuple(x - y for x, y in zip(b.representative, d.representative))
+        diff = tuple(map(sub, b.representative, d.representative))
+        if sum(map(mul, self.functional, diff)) > self.bound:
+            raise ValueError("sigma(b) - sigma(d) exceeds the scan bound")
         return diff in self.scanned
 
     def get(self, i, b):
+        """beta_{i,b}; ValueError past the bound or over another lattice."""
+        if not _same_lattice(b.lattice, self.lattice):
+            raise ValueError("classes live over different lattices")
+        if sum(map(mul, self.functional, b.representative)) > self.bound:
+            raise ValueError("sigma(b) exceeds the scan bound")
         return self.entries.get((i, b), 0)
 
     def homological_degrees(self):
@@ -390,20 +411,20 @@ class BettiTable:
 def betti_scan(L, bound, field="q", functional=None):
     """Betti numbers of every congruence class within the scan bound.
 
-    Records the nonzero beta_{i,b}, i >= 1, from the fibers of the classes
-    whose gcd complex is not a cone; every class goes in T.scanned.
+    Records the nonzero beta_{i,b}, i >= 1, from the fibers the Atlas
+    carries (no other class has homology); every class goes in T.scanned.
     """
     return betti_table(scan_degree_classes(L, bound, functional), field)
 
 
 def betti_table(atlas, field="q"):
-    """The BettiTable of an Atlas, read from the fibers it carries (a cone
-    has no homology).  The field is checked up front as well, so a table
-    that carries no fiber still rejects a bad one."""
+    """The BettiTable of an Atlas, read from the facets of the fibers it
+    carries (no other class has homology).  The field is checked once, up
+    front, so a table that carries no fiber still rejects a bad one."""
     check_field(field)
     entries = {}
-    for fib in atlas.fibers:
-        for j, dim in reduced_homology_dims(fib.masks, field).items():
+    for fib, facets in zip(atlas.fibers, atlas.facets):
+        for j, dim in _facet_homology(facets, field).items():
             if j >= 0 and dim:
                 entries[(j + 1, fib.degree)] = dim
     return BettiTable(atlas, entries, field)

@@ -505,7 +505,7 @@ def binomials(atlas):
         entries[(1, b)] = len(unions) - 1
         if len(fib) == 2:
             pairs.append(fib)
-        base, *rest = fib.members_at([k for k, _u in unions])
+        base, *rest = [fib.members[k] for k, _u in unions]
         for m in rest:
             generators.append((b, (m, base) if m > base else (base, m)))
     minimal = set(minimal_betti_degrees(BettiTable(atlas, entries, "q"), 1))

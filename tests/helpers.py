@@ -322,8 +322,11 @@ def reference_scan(L, bound, functional=None):
     fiber(b) = union over scanned b - e_j of (fiber(b - e_j) + e_j), built
     from fiber(0) = {0} up without Fourier-Motzkin, and only where a fiber
     of cone mask 0 needs it.  The masks need no members: cone(0) = 0 and
-    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).  Only the
-    carried classes become DegreeClass objects.
+    cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).  A class of
+    cone mask 0 is carried when its maximal supports (_maximal_sets of
+    the members' supports, as sets of variables) share no variable; its
+    facets are those sets as bitmasks, largest first.  Only the carried
+    classes become DegreeClass objects.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -365,7 +368,7 @@ def reference_scan(L, bound, functional=None):
         if key in needed or not cone[key]:
             needed.update(steps[key][::2])
     members = {}
-    fibers = []
+    fibers, facets = [], []
     for key in keys:
         if key not in needed and cone[key]:
             continue
@@ -375,9 +378,11 @@ def reference_scan(L, bound, functional=None):
             j = into[k + 1]
             for m in members[into[k]]:
                 ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
-        if not cone[key]:
-            fibers.append(Fiber(DegreeClass(L, seen[key][0]), ms))
-    return Atlas(L, bound, w, frozenset(seen), tuple(fibers))
+        if cone[key] or maximal_supports_meet(ms):
+            continue
+        fibers.append(Fiber(DegreeClass(L, seen[key][0]), ms))
+        facets.append(tuple(sum(1 << i for i in s) for s in maximal_supports(ms)))
+    return Atlas(L, bound, w, frozenset(seen), tuple(fibers), tuple(facets))
 
 
 def same_classes(scanned, keys):
@@ -456,6 +461,20 @@ def check_gcd_components(suite, rng, random_count=10):
     return "%d fibers" % checked
 
 
+def maximal_supports(ms):
+    """The maximal nonempty supports of the monomials ms, as sets of
+    variables, largest first (_maximal_sets)."""
+    tops = _maximal_sets(frozenset(i for i, x in enumerate(m) if x) for m in ms)
+    return [s for s in tops if s]
+
+
+def maximal_supports_meet(ms):
+    """Do the maximal supports of the monomials ms share a variable?
+    False when no monomial has a nonempty support."""
+    tops = maximal_supports(ms)
+    return bool(tops) and bool(frozenset.intersection(*tops))
+
+
 def _has_common_divisor(ms):
     """Do the monomials ms share a variable?  True for no monomials."""
     return not ms or any(min(col) > 0 for col in zip(*ms))
@@ -531,8 +550,8 @@ def complexes_equal(X, Y):
 # have the same homology; beta_1 from the masks is the number of gcd
 # components less one; and the degree scan's atlas agrees with full fibers
 # built independently: the same class keys, and a fiber carried, in the
-# same order and at the same value, exactly where the AND of its support
-# masks is 0, equal to the Fourier-Motzkin one.
+# same order and at the same value, exactly where its maximal supports
+# share no variable, equal to the Fourier-Motzkin one.
 
 
 def check_gcd_support_homology(suite, rng, random_count=10):
@@ -545,16 +564,10 @@ def check_gcd_support_homology(suite, rng, random_count=10):
             "scanned classes differ from the full fibers on %s" % where
         )
         assert len(atlas) == len(full), "class count differs on %s" % where
-        carry = []
-        for b, s, fib in full:
-            mask = -1
-            for m in fib:
-                mask &= support_mask(m)
-            if not mask:
-                carry.append((b.key, s, fib))
+        carry = [(b.key, s, fib) for b, s, fib in full if not maximal_supports_meet(fib)]
         assert [fib.degree.key for fib in atlas.fibers] == [
             key for key, _s, _fib in carry
-        ], "carried classes are not the classes of cone mask 0 on %s" % where
+        ], "carried classes are not those whose maximal supports share nothing on %s" % where
         for got, (_key, s, fib) in zip(atlas.fibers, carry):
             b = got.degree
             rep = b.representative

@@ -476,7 +476,7 @@ def test_one_scan_per_command(capsys, monkeypatch):
 
 def test_cli_verify_merges_each_fiber_once(capsys, monkeypatch):
     """verify reads the basic components and the binomials from one
-    atlas, and both read Fiber.mask_unions: each of ex64's 343 carried
+    atlas, and both read Fiber.mask_unions: each of ex64's 60 carried
     fibers gets one distinct-mask pass, not one per reader."""
     prop = Fiber.mask_unions
     reads = []
@@ -490,25 +490,34 @@ def test_cli_verify_merges_each_fiber_once(capsys, monkeypatch):
     assert code == 0, out
     fibers = {id(fib) for fib, _comps in reads}
     passes = {(id(fib), id(comps)) for fib, comps in reads}
-    assert len(fibers) == len(passes) == 343
+    assert len(fibers) == len(passes) == 60
 
 
-def test_cli_betti_decodes_no_fiber(capsys, monkeypatch):
-    """betti reads support masks alone, so none of ex64's scanned fibers
-    decodes its packed members; components decodes only the fibers where
-    a component survives the mask tests, not all 343."""
-    unpack = MemberPacking.unpack
-    decoded = []
+def test_cli_reports_decode_only_the_carried_fibers(capsys, monkeypatch):
+    """The scan decodes its packed members once per carried fiber and for
+    no other class: betti and components on ex64 each decode exactly the
+    60 fibers whose maximal supports share no variable, 1 317 members of
+    the 11 765 that its 343 classes of cone mask 0 hold."""
+    unpack, masks = MemberPacking.unpack, MemberPacking.masks
+    decoded, built = [], []
 
-    def counted(self, packed):
+    def counted_unpack(self, packed):
         decoded.append(len(packed))
         return unpack(self, packed)
 
-    monkeypatch.setattr(MemberPacking, "unpack", counted)
-    code, out, _ = run_cli(capsys, "betti", "--fixture", "ex64", "--bound", "600")
-    assert code == 0 and json.loads(out)["result"] and decoded == []
-    code, _, _ = run_cli(capsys, "components", "--fixture", "ex64", "--bound", "600")
-    assert code == 0 and 0 < len(decoded) < 343, len(decoded)
+    def counted_masks(self, packed):
+        built.append(len(packed))
+        return masks(self, packed)
+
+    monkeypatch.setattr(MemberPacking, "unpack", counted_unpack)
+    monkeypatch.setattr(MemberPacking, "masks", counted_masks)
+    for command in ("betti", "components"):
+        decoded.clear()
+        built.clear()
+        code, out, _ = run_cli(capsys, command, "--fixture", "ex64", "--bound", "600")
+        assert code == 0 and json.loads(out)["result"], command
+        assert (len(decoded), sum(decoded)) == (60, 1317), command
+        assert (len(built), sum(built)) == (343, 11765), command
 
 
 def test_cli_verify_unknown_fixture(capsys):

@@ -12,6 +12,7 @@ from latticescarf.scarf import (
     strongly_algebraic_subcomplex,
     verify_zero_composition,
 )
+from latticescarf.homology import betti_scan
 from latticescarf.lattice_core import LatticeBasis
 
 ABD = (1, 1, 0, 1, 0)
@@ -152,6 +153,16 @@ def test_strongly_algebraic_rejects_another_lattices_table(ex61, ex63):
             strongly_algebraic_subcomplex(ex63.complex, ex61.table, mode=mode)
 
 
+def test_strongly_algebraic_rejects_a_table_of_a_smaller_bound(ex63):
+    """A Betti table scanned to a smaller bound than the complex raises,
+    rather than reading beta = 0 at the degrees it never scanned and
+    dropping their cells."""
+    T = betti_scan(ex63.lattice, 15, functional=ex63.functional)
+    for mode in ("strict", "paper-example"):
+        with pytest.raises(ValueError, match="exceeds the scan bound"):
+            strongly_algebraic_subcomplex(ex63.complex, T, mode=mode)
+
+
 def test_scarf_always_inside_strongly(suite):
     # every Scarf basis element survives in both strongly-algebraic modes
     for data in suite.values():
@@ -288,7 +299,7 @@ def test_scans_never_enumerate_fibers(monkeypatch, capsys):
         strongly_algebraic_subcomplex(X, T, mode=mode)
     assert len(minimal_generators(L, 40, w)) == 4
     assert len(indispensable_binomials(L, 40, w)) == 3
-    # the atlas carries every fiber whose gcd complex is not a cone
+    # the atlas carries every fiber whose maximal supports share no variable
     atlas = scan_degree_classes(L, 40, w)
     fibs = [f for f in atlas.fibers if len(f) == 3]
     assert [is_basic_fiber(L, f) for f in fibs].count(True) == 1

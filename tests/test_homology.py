@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     SimplicialComplex,
+    basic_components_oracle,
     catalog_fibers,
     check_gcd_components,
     complex_homology_dims,
@@ -14,6 +15,7 @@ from helpers import (
     euler_characteristic_checks,
     full_fibers,
     gcd_complex,
+    maximal_supports_meet,
     reference_scan,
     same_classes,
     scan_problems,
@@ -21,7 +23,7 @@ from helpers import (
     suite_b_lattices,
     support_complex,
 )
-from latticescarf.fibers import MemberPacking, enumerate_fiber, support_mask
+from latticescarf.fibers import MemberPacking, class_leq, enumerate_fiber, support_mask
 from latticescarf.homology import (
     betti_at,
     betti_scan,
@@ -387,7 +389,7 @@ def test_scan_degree_classes_oracle(ex61):
 
 def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
     """The scan steps packed keys by addition: canonical_key runs at most
-    once per carried fiber (343 of ex64's 469 classes, where a reduction
+    once per carried fiber (60 of ex64's 469 classes, where a reduction
     per step would make thousands), and at most one class goes through
     class_of."""
     from latticescarf import homology, lattice_core
@@ -407,12 +409,14 @@ def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
         counter = counted("class_of", class_of)
         monkeypatch.setattr(module, "class_of", counter, raising=False)
     atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
-    assert (len(atlas), len(atlas.fibers)) == (469, 343)
-    assert calls["canonical_key"] <= 343 and calls["class_of"] <= 1, calls
+    assert (len(atlas), len(atlas.fibers)) == (469, 60)
+    assert calls["canonical_key"] <= 60 and calls["class_of"] <= 1, calls
 
 
 def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
-    """A DegreeClass is made for each carried fiber and for no other class."""
+    """A DegreeClass is made for each carried fiber and for no other class:
+    not for the 283 classes of cone mask 0 whose maximal supports share a
+    variable."""
     from latticescarf.lattice_core import DegreeClass
 
     made = []
@@ -424,15 +428,15 @@ def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
 
     monkeypatch.setattr(DegreeClass, "__init__", counted)
     atlas = scan_degree_classes(ex64.lattice, 600, ex64.functional)
-    assert (len(atlas), len(atlas.fibers), len(made)) == (469, 343, 343)
+    assert (len(atlas), len(atlas.fibers), len(made)) == (469, 60, 60)
     assert sorted(made) == sorted(fib.degree.key for fib in atlas.fibers)
 
 
 def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
     """The scan hands each fiber its support masks, so neither the scan nor
     the Betti table, the poset and the 1-Betti classes read from ex64's
-    atlas, nor decoding the members, call support_mask, under any module's
-    binding of it."""
+    atlas, nor reading the members and masks, call support_mask, under any
+    module's binding of it."""
     from latticescarf import cli, fibers, homology, scarf
 
     calls = []
@@ -447,7 +451,6 @@ def test_atlas_readers_compute_no_support_mask(monkeypatch, ex64):
     T = homology.betti_table(atlas)
     poset = scarf.scarf_poset(atlas)
     generators, indispensables = scarf.binomials(atlas)
-    # a fiber that decodes its members first reads its masks from the packed ints
     for fib in scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional).fibers:
         assert fib.members and fib.masks
     assert calls == []
@@ -481,25 +484,30 @@ def collections_during(fn):
 def test_scan_keeps_no_object_per_cone_class(ex64):
     """A gen-0 collection runs per 700 container objects kept, so a scan
     that kept a list per class would run 17 on the benchmark's largest
-    random lattice (11 662 classes, 11 carried); one that keeps ints runs
-    none.  ex64, 343 of whose 469 classes are carried, runs at most 4."""
+    random lattice (11 662 classes, 4 carried); one that keeps ints runs
+    none.  ex64 (469 classes, 343 of cone mask 0, 60 carried) runs at
+    most 4."""
     tail = LatticeBasis(((-3, 1, 3, 3, 1), (0, -3, -3, -2, 1)))
     atlas = []
     scan = lambda: atlas.append(scan_degree_classes(tail, 31, (5, 1, 1, 1, 8)))
     assert collections_during(scan) == 0
-    assert (len(atlas[0]), len(atlas[0].fibers)) == (11662, 11)
+    assert (len(atlas[0]), len(atlas[0].fibers)) == (11662, 4)
     L, w = ex64.lattice, ex64.functional
     assert collections_during(lambda: scan_degree_classes(L, ex64.bound, w)) <= 4
 
 
 def scan_summary(atlas):
     """The class count and the carried (key, representative, value,
-    members, masks) in order."""
+    members, masks, facets) in order, the facets as a set after checking
+    that they come largest first."""
     carried = []
-    for fib in atlas.fibers:
+    for fib, facets in zip(atlas.fibers, atlas.facets, strict=True):
         b = fib.degree
         s = sum(x * y for x, y in zip(atlas.functional, b.representative))
-        carried.append((b.key, b.representative, s, fib.members, fib.masks))
+        sizes = [f.bit_count() for f in facets]
+        assert sizes == sorted(sizes, reverse=True), b.representative
+        facets = frozenset(facets)
+        carried.append((b.key, b.representative, s, fib.members, fib.masks, facets))
     return len(atlas), carried
 
 
@@ -515,6 +523,40 @@ NON_DIAGONAL_TORSION = ([(-4, 0, 4), (-2, 3, -1)], [(4, -4, -4, 4), (3, -3, 3, -
 POOL_62 = ((3, 3, -3, 0), (1, 3, -2, -1))
 
 
+def test_dropped_fibers_hold_nothing_a_reader_needs(suite):
+    """The scan drops the classes whose maximal supports share a variable.
+    On every nonempty class of helpers.full_fibers, on the fixtures at
+    their bounds, three semigroups at small bounds, five lattices with
+    torsion and suite (b)'s first 5 lattices (one with torsion), each
+    such fiber has, by the face-tuple oracles, no basic component, one
+    gcd component (so beta_1 = 0 and no binomial) and no homology; and
+    the atlas carries exactly the other classes, in order."""
+    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
+    for gens, bound in (((3, 5, 7, 11, 13), 40), (tuple(range(5, 12)), 30), (tuple(range(7, 14)), 30)):
+        A = SemigroupMatrix([gens])
+        problems.append((repr(gens), lattice_from_semigroup(A), bound, A.column_sums()))
+    for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION:
+        L = LatticeBasis(rows)
+        problems.append((repr(rows), L, 2 * small_scan_bound(L), L.functional))
+    problems.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
+    problems += scan_problems({}, itertools.islice(suite_b_lattices(random.Random(107)), 5))
+    dropped = 0
+    for where, L, bound, w in problems:
+        kept = []
+        for b, _s, fib in full_fibers(L, bound, w):
+            if not maximal_supports_meet(fib):
+                kept.append(b.key)
+                continue
+            dropped += 1
+            at = (where, b.representative)
+            assert basic_components_oracle(L, fib) == [], at
+            assert len(connected_components(gcd_complex(fib))) == 1, at
+            assert not any(complex_homology_dims(support_complex(fib)).values()), at
+        atlas = scan_degree_classes(L, bound, w)
+        assert [fib.degree.key for fib in atlas.fibers] == kept, where
+    assert dropped > 1000, dropped
+
+
 def test_scan_matches_reference_scan(suite, monkeypatch):
     """The scan equals the oracle, which reduces a Hermite key at every
     step, on the fixtures at their bounds, suite (b)'s first 10 lattices
@@ -522,8 +564,9 @@ def test_scan_matches_reference_scan(suite, monkeypatch):
     two whose torsion Hermite forms are not diagonal: the same classes,
     compared through the packing, and the same carried fibers with the
     same support masks, which the scan steps with the monomials and the
-    oracle computes from them; the representatives, which every report
-    prints, pin the search order.  The scan's cached moves are made once
+    oracle computes from them, and the same facets, which the scan keeps
+    by _maximal_masks and the oracle by its own _maximal_sets; the
+    representatives, which every report prints, pin the search order.  The scan's cached moves are made once
     per torsion digits and sign, and on the torsion lattices for more
     than one set of digits."""
     lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
@@ -532,7 +575,8 @@ def test_scan_matches_reference_scan(suite, monkeypatch):
     for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION:
         L = LatticeBasis(rows)
         torsion.append((repr(rows), L, 4 * small_scan_bound(L), L.functional))
-    # a Z/3 torsion lattice with many cone classes: 319 classes, 17 carried
+    # a Z/3 torsion lattice with many cone classes: 319 classes, 17 of
+    # cone mask 0, 4 carried
     torsion.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
     moves, made = CosetPacking.moves, []
 
@@ -626,10 +670,10 @@ def test_too_wide_member_fields_fail_before_the_scan(monkeypatch):
 
 
 def test_scanned_fibers_decode_to_the_full_fibers():
-    """Each carried fiber's masks, read from its packed members, and then
-    its decoded members and masks equal those of helpers.full_fibers,
-    values and order: on suite (b)'s first 8 lattices and on two lattices
-    whose exponents need 2-byte fields.  len() needs no decode."""
+    """Each carried fiber's members and masks, decoded from the packed
+    members, equal those of helpers.full_fibers, values and order: on
+    suite (b)'s first 8 lattices and on two lattices whose exponents need
+    2-byte fields."""
     lattices = itertools.islice(suite_b_lattices(random.Random(103)), 8)
     problems = scan_problems({}, lattices)
     wide = (([(1, -1)], 300, (1, 1)), ([(1, -1, 0), (0, 300, -1)], 320, (1, 1, 300)))
@@ -640,8 +684,6 @@ def test_scanned_fibers_decode_to_the_full_fibers():
         full = {b.key: fib for b, _s, fib in full_fibers(L, bound, w)}
         for fib in scan_degree_classes(L, bound, w).fibers:
             want = full[fib.degree.key]
-            packed = (len(fib), fib.masks)
-            assert packed == (len(want), want.masks), (where, fib.degree)
             assert fib.members == want.members and fib.masks == want.masks, where
             widest = max(widest, max(map(max, fib.members)))
     assert widest >= 256
@@ -663,7 +705,7 @@ def test_scan_work_does_not_grow_with_the_weights():
     assert [
         (fib.degree.key, fib.degree.representative, fib.members, fib.masks)
         for fib in big.fibers
-    ] == [(key, rep, members, masks) for key, rep, _s, members, masks in small[1]]
+    ] == [(key, rep, members, masks) for key, rep, _s, members, masks, _f in small[1]]
     assert peak < 2**20, peak
 
 
@@ -707,16 +749,16 @@ def test_rational_vs_finite_field_scans(ex61, ex63):
 @pytest.mark.parametrize("field", ["q", 2, 32003])
 def test_mask_homology_matches_face_oracle_on_carried_fibers(suite, field):
     """On every carried fiber of the three fixtures at their bounds and of
-    the semigroup <3,5,7,11,13> at bound 40, the mask routine (the cone
-    shortcut, GF(2) bitset ranks with Bareiss corrections over Q, bitset
-    ranks alone over GF(2), forward elimination over GF(32003)) equals the
-    face-tuple oracle key for key."""
+    the semigroup <3,5,7,11,13> at bound 40, and on every fiber that the
+    scan drops there (helpers.full_fibers holds both), the mask routine
+    (the cone shortcut, GF(2) bitset ranks with Bareiss corrections over
+    Q, bitset ranks alone over GF(2), forward elimination over GF(32003))
+    equals the face-tuple oracle key for key."""
     A = SemigroupMatrix([(3, 5, 7, 11, 13)])
     problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
     problems.append(("<3,5,7,11,13>", lattice_from_semigroup(A), 40, A.column_sums()))
     for name, L, bound, w in problems:
-        atlas = scan_degree_classes(L, bound, w)
-        for fib in atlas.fibers:
+        for _b, _s, fib in full_fibers(L, bound, w):
             want = complex_homology_dims(support_complex(fib), field)
             got = reduced_homology_dims(fib.masks, field)
             assert list(got.items()) == list(want.items()), (
@@ -741,3 +783,26 @@ def test_betti_table_get_and_degrees(ex63):
     assert T.get(5, b) == 0
     assert b in T.degrees(1)
     assert T.homological_degrees() == [1, 2, 3]
+
+
+def test_betti_table_answers_only_within_its_bound(ex61):
+    """A table answers only what its scan decided: on ex61 scanned to 10
+    under (4, 4, 4, 4), (0, 0, 0, 0) <= (5, 0, 0, 0) needs a monomial of
+    value 20, and beta_1 at (0, 1, 0, 2), value 12, is 1, so leq and get
+    raise there rather than answer False and 0.  get raises for a class
+    over another lattice too."""
+    L = ex61.lattice
+    T = betti_scan(L, 10, functional=(4, 4, 4, 4))
+    zero, far = class_of(L, (0, 0, 0, 0)), class_of(L, (5, 0, 0, 0))
+    assert class_leq(zero, far)
+    with pytest.raises(ValueError, match="exceeds the scan bound"):
+        T.leq(zero, far)
+    assert not T.leq(far, zero)
+    b = class_of(L, (0, 1, 0, 2))
+    assert betti_at(L, 1, b) == 1
+    with pytest.raises(ValueError, match="exceeds the scan bound"):
+        T.get(1, b)
+    assert T.get(1, class_of(L, (0, 1, 0, 1))) == 0
+    other = class_of(LatticeBasis([(1, -1, 0, 0)]), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="different lattices"):
+        T.get(1, other)

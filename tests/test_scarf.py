@@ -353,12 +353,11 @@ def test_witness_check_survives_optimize():
     assert proc.stdout.strip() == "raised: recovered witness failed membership"
 
 
-def test_binomials_decode_only_the_members_they_read(ex64, monkeypatch):
-    """binomials decodes, of each scanned fiber with beta_1 > 0, the first
-    member of each gcd component (Fiber.members_at), and whole only the
-    two-member fibers it returns as indispensable.  members_at reads a
-    decoded fiber's members too."""
-    atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
+def test_atlas_readers_decode_nothing(ex64, monkeypatch):
+    """ex64's scan decodes its 60 carried fibers, 1 317 members, once
+    each; the poset and the binomials then read those tuples and decode
+    no member again.  binomials gives one generator per gcd component
+    beyond the first of each fiber."""
     unpack = MemberPacking.unpack
     decoded = []
 
@@ -367,13 +366,11 @@ def test_binomials_decode_only_the_members_they_read(ex64, monkeypatch):
         return unpack(self, packed)
 
     monkeypatch.setattr(MemberPacking, "unpack", counted)
+    atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
+    assert (len(decoded), sum(decoded)) == (len(atlas.fibers), 1317) == (60, 1317)
+    decoded.clear()
+    poset = scarf_poset(atlas)
     generators, indispensables = binomials(atlas)
+    assert decoded == [] and len(poset) and indispensables
     unions = [len(f.mask_unions[1]) for f in atlas.fibers]
-    want = [k for k in unions if k > 1] + [2] * len(indispensables)
-    assert sorted(decoded) == sorted(want)
     assert len(generators) == sum(k - 1 for k in unions if k > 1)
-    fib = max(atlas.fibers, key=len)
-    ks = [len(fib) - 1, 0, 2]
-    packed = fib.members_at(ks)
-    assert decoded[-1] == 3 and packed == tuple(fib.members[k] for k in ks)
-    assert fib.members_at(ks) == packed and decoded[-1] == len(fib)

@@ -51,6 +51,24 @@ def test_coset_key_format_stays_in_lattice_core():
     assert found == []
 
 
+def test_member_packing_stays_in_the_scan():
+    """Only fibers, which defines it, and homology, whose scan builds its
+    carried unions in it, name MemberPacking: every Fiber holds tuples,
+    so no reader sees the packed format."""
+    found = sorted(
+        {
+            path.name
+            for path, tree in package_modules()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "MemberPacking")
+            or (isinstance(node, ast.Attribute) and node.attr == "MemberPacking")
+            or (isinstance(node, ast.alias) and node.name == "MemberPacking")
+            or (isinstance(node, ast.ClassDef) and node.name == "MemberPacking")
+        }
+    )
+    assert found == ["fibers.py", "homology.py"]
+
+
 def test_modules_import_no_private_names():
     """Package modules reach one another through public names: an
     underscore name stays in its module, except _same_lattice, the one
