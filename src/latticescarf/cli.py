@@ -349,8 +349,11 @@ def run_command(spec, command, options):
     L = spec.lattice
     w = spec.functional()
     field = options.get("field", "q")
+    bound, degree = options.get("bound"), options.get("degree")
+    # a command that scans records its bound and functional
+    prov = {} if bound is None else {"bound": bound, "functional": list(w)}
     if command == "fiber":
-        u = _parse_degree(spec, options["degree"])
+        u = _parse_degree(spec, degree)
         fib = enumerate_fiber(L, u)
         view = class_of(L, fib.members[0]) if fib.members else fib.degree
         result = {
@@ -359,51 +362,44 @@ def run_command(spec, command, options):
             "monomials": spec.monomials_view(fib.members),
             "exponents": [list(m) for m in fib.members],
         }
-        prov = {}
     elif command == "betti":
-        bound = options["bound"]
         T = betti_scan(L, bound, field=field, functional=w)
         result = _betti_payload(spec, T)
-        prov = {"bound": bound, "field": str(field), "functional": list(w)}
-    elif command == "components":
-        if options.get("degree") is not None and options.get("bound") is not None:
-            raise ParseError("components takes one of --degree or --bound, not both")
-        if options.get("degree") is not None:
-            u = _parse_degree(spec, options["degree"])
-            comps = basic_components(L, u)
-            result = {
-                "degree": spec.degree_view(class_of(L, u)),
-                "components": [
-                    {
-                        "monomials": spec.monomials_view(c.monomials),
-                        "witness": [list(v) for v in c.witness],
-                    }
-                    for c in comps
-                ],
-            }
-            prov = {}
-        elif options.get("bound") is not None:
-            bound = options["bound"]
-            P = enumerate_scarf_poset(L, bound, w)
-            counts = {}
-            for c in P.elements:
-                counts[c.cardinality] = counts.get(c.cardinality, 0) + 1
-            result = {
-                "count": len(P.elements),
-                "by_cardinality": {str(k): v for k, v in sorted(counts.items())},
-                "components": [
-                    {
-                        "degree": spec.degree_view(c.degree),
-                        "monomials": spec.monomials_view(c.monomials),
-                    }
-                    for c in P.elements
-                ],
-            }
-            prov = {"bound": bound, "functional": list(w)}
-        else:
+        prov["field"] = str(field)
+    elif command == "components" and bound is None:
+        if degree is None:
             raise ParseError("components needs --degree or --bound")
+        u = _parse_degree(spec, degree)
+        comps = basic_components(L, u)
+        result = {
+            "degree": spec.degree_view(class_of(L, u)),
+            "components": [
+                {
+                    "monomials": spec.monomials_view(c.monomials),
+                    "witness": [list(v) for v in c.witness],
+                }
+                for c in comps
+            ],
+        }
+    elif command == "components":
+        if degree is not None:
+            raise ParseError("components takes one of --degree or --bound, not both")
+        P = enumerate_scarf_poset(L, bound, w)
+        counts = {}
+        for c in P.elements:
+            counts[c.cardinality] = counts.get(c.cardinality, 0) + 1
+        result = {
+            "count": len(P.elements),
+            "by_cardinality": {str(k): v for k, v in sorted(counts.items())},
+            "components": [
+                {
+                    "degree": spec.degree_view(c.degree),
+                    "monomials": spec.monomials_view(c.monomials),
+                }
+                for c in P.elements
+            ],
+        }
     elif command == "complex":
-        bound = options["bound"]
         kind = options.get("kind", "generalized")
         kind = {"strongly": "strong"}.get(kind, kind)
         if kind not in ("generalized", "scarf", "strong"):
@@ -414,7 +410,7 @@ def run_command(spec, command, options):
             raise ParseError("--mode must be strict or paper (paper-example)")
         atlas = scan_degree_classes(L, bound, w)
         X = build_generalized_scarf_complex(scarf_poset(atlas))
-        prov = {"bound": bound, "functional": list(w), "kind": kind}
+        prov["kind"] = kind
         if kind == "scarf":
             X = algebraic_scarf_subcomplex(X)
         elif kind == "strong":
@@ -423,23 +419,14 @@ def run_command(spec, command, options):
             prov["mode"] = mode
             prov["field"] = str(field)
         result = _complex_payload(spec, X)
-    elif command == "indispensable":
-        bound = options["bound"]
-        result = {
-            "binomials": _binomials_payload(spec, indispensable_binomials(L, bound, w))
-        }
-        prov = {"bound": bound, "functional": list(w)}
-    elif command == "generators":
-        bound = options["bound"]
-        result = {
-            "binomials": _binomials_payload(spec, minimal_generators(L, bound, w))
-        }
-        prov = {"bound": bound, "functional": list(w)}
+    elif command in ("indispensable", "generators"):
+        read = indispensable_binomials if command == "indispensable" else minimal_generators
+        result = {"binomials": _binomials_payload(spec, read(L, bound, w))}
     elif command == "export-dot":
         kind = options.get("kind", "gcd")
         if kind not in ("gcd", "support"):
             raise ParseError("--kind must be 'gcd' or 'support'")
-        u = _parse_degree(spec, options["degree"])
+        u = _parse_degree(spec, degree)
         fib = enumerate_fiber(L, u)
         if not fib.members:
             raise ParseError("empty fiber: no monomials in this degree class")
@@ -459,7 +446,7 @@ def run_command(spec, command, options):
             "out": out,
             "dot": None if out and out != "-" else dot,
         }
-        prov = {"kind": kind}
+        prov["kind"] = kind
     else:
         raise ParseError("unknown command %r" % command)
     return Report(spec, command, prov, result)

@@ -49,11 +49,6 @@ def _maximal_masks(masks):
     return out
 
 
-def _is_cone(facets):
-    """Do the masks facets share a vertex?  An empty list shares none."""
-    return bool(facets) and reduce(and_, facets) != 0
-
-
 def _boundary(lower, upper):
     """The boundary map from the faces upper to the faces lower, one
     dimension down: for each face f of upper, its facets f minus a vertex
@@ -117,11 +112,9 @@ def reduced_homology_dims(facets, field="q"):
     going up in j, with the dimensions that the gaps below it left: its
     gap comes off both degrees, and every other GF(2) rank is its Q rank.
     GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
-    mod p, since GF(2) bounds its ranks in neither direction.
-
-    When the maximal facets share a vertex the complex is a cone, and
-    every dimension is 0, with the keys the faces would give; no face is
-    built and no rank taken.
+    mod p, since GF(2) bounds its ranks in neither direction.  A cone is
+    ranked like any other complex; the degree scan drops cone fibers
+    before any rank (see Atlas).
     """
     check_field(field)
     return _facet_homology(_maximal_masks(facets), field)
@@ -130,12 +123,7 @@ def reduced_homology_dims(facets, field="q"):
 def _facet_homology(facets, field):
     """reduced_homology_dims of the complex of the maximal masks facets,
     largest first, over a checked field."""
-    verts = reduce(or_, facets, 0)
-    if _is_cone(facets):
-        # the keys that the faces below would give, each dim 0
-        top = len(facets) if len(facets) < verts.bit_count() else facets[0].bit_count()
-        return dict.fromkeys(range(-1, top), 0)
-    if len(facets) < verts.bit_count():
+    if len(facets) < reduce(or_, facets, 0).bit_count():
         nerve = {}  # vertex bit -> the facets that contain it
         for k, f in enumerate(facets):
             while f:
@@ -233,9 +221,10 @@ def scan_degree_classes(L, bound, functional=None):
     """The Atlas of all degree classes with a nonnegative representative
     of functional value <= bound.
 
-    The bound must be nonnegative (the zero class has value 0).  The
-    functional must be strictly positive and orthogonal to L, so that it
-    is constant on fibers; by default one is computed from the lattice.
+    The bound must be a nonnegative int (the zero class has value 0).
+    The functional must be strictly positive ints and orthogonal to L, so
+    that it is constant on fibers; by default one is computed from the
+    lattice.  No bool counts as an int.
     A depth-first search steps b -> b + e_j from the zero class, adding a
     move to the packed key of b (lattice_core.CosetPacking).  Each class
     keeps three ints: its key, its value and n * p + j, the step from
@@ -254,9 +243,11 @@ def scan_degree_classes(L, bound, functional=None):
     masks share no variable (see Atlas), and only then gets a
     representative, a DegreeClass and a Fiber, decoded once.
     """
+    w = tuple(functional) if functional is not None else positive_functional(L)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (bound, *w)):
+        raise ValueError("scan bound and functional must be integers")
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
-    w = tuple(functional) if functional is not None else positive_functional(L)
     if len(w) != L.n or any(x < 1 for x in w):
         raise ValueError("functional must be strictly positive of length n")
     if any(sum(x * y for x, y in zip(w, row)) for row in L.rows):
@@ -340,8 +331,8 @@ def scan_degree_classes(L, bound, functional=None):
             members[i] = ms
         masks = layout.masks(members[i])
         facets = _maximal_masks(masks)
-        if _is_cone(facets):
-            continue
+        if facets and reduce(and_, facets):
+            continue  # a cone (see Atlas)
         rep, k = [0] * n, i
         while k:
             v = found[k]

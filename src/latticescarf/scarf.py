@@ -17,6 +17,9 @@ lexicographic order (first coordinate most significant); the boundary map
 signs are read off positions in that order.
 """
 
+from functools import reduce
+from operator import and_
+
 from .fibers import (
     canonical_order,
     enumerate_fiber,
@@ -64,7 +67,7 @@ class LatticeSubset:
 def bmax(J):
     """Componentwise maximum of the members; None for the empty set
     (a formal bottom below every vector)."""
-    ms = J.members if isinstance(J, LatticeSubset) else tuple(tuple(m) for m in J)
+    ms = tuple(map(tuple, J))
     if not ms:
         return None
     return tuple(max(col) for col in zip(*ms))
@@ -84,7 +87,7 @@ def vsupp(K, J):
 
 def monomials_of(J):
     """C_J = {x^(bmax(J) - a) : a in J}, in canonical order."""
-    ms = J.members if isinstance(J, LatticeSubset) else tuple(tuple(m) for m in J)
+    ms = tuple(map(tuple, J))
     top = bmax(ms)
     return canonical_order(tuple(x - y for x, y in zip(top, a)) for a in ms)
 
@@ -177,11 +180,10 @@ def basic_components(L, b):
     complex (more than two).  Monomials have a nontrivial common divisor iff
     their supports share a variable, so both gcd tests are ANDs of the
     fiber's support masks (Fiber.masks): gcd(G) = 1 iff the AND over G is
-    0 (the AND over no masks is -1, all bits), and the AND over each
-    puncture is the AND of a prefix and a suffix of G's masks, so all
-    punctures cost O(|G|) together.  So the zero class contributes the
-    single component {1}, and an empty fiber or a single monomial other
-    than 1 contributes none.
+    0 (the AND over no masks is -1, all bits), and each puncture is ANDed
+    afresh, as a part holds at most two masks or at most n (see below).
+    So the zero class contributes the single component {1}, and an empty
+    fiber or a single monomial other than 1 contributes none.
 
     A component is read from the fiber's distinct masks
     (Fiber.mask_unions), and two rejections need no member: a component
@@ -209,25 +211,16 @@ def basic_components(L, b):
     out = []
     for part in parts:
         ands = [masks[k] for k in part]
-        # suffix[k] is the AND of ands[k:], prefix the AND of ands[:k]
-        suffix = [-1] * (len(ands) + 1)
-        for k in range(len(ands) - 1, -1, -1):
-            suffix[k] = suffix[k + 1] & ands[k]
-        if suffix[0]:
-            continue  # a common divisor
-        prefix = -1
-        for k, mask in enumerate(ands):
-            if not prefix & suffix[k + 1]:
-                break  # dropping member k leaves a gcd-free set
-            prefix &= mask
-        else:
-            ms = fib.members
-            c = _recover_witness(L, fib.degree, [ms[k] for k in part])
-            # bmax(witness) = the first member of the part, a member of fib
-            if not _in_generalized_scarf(c.witness, fib):
-                raise RuntimeError("recovered witness failed membership")
-            c.whole = len(part) == len(fib)
-            out.append(c)
+        if reduce(and_, ands, -1) or not all(
+            reduce(and_, ands[:k] + ands[k + 1 :], -1) for k in range(len(ands))
+        ):
+            continue  # a common divisor, or a puncture without one
+        c = _recover_witness(L, fib.degree, [fib.members[k] for k in part])
+        # bmax(witness) = the first member of the part, a member of fib
+        if not _in_generalized_scarf(c.witness, fib):
+            raise RuntimeError("recovered witness failed membership")
+        c.whole = len(part) == len(fib)
+        out.append(c)
     return out
 
 

@@ -891,6 +891,31 @@ def euler_hilbert_mismatches(T):
     return bad
 
 
+def squarefree_betti_oracle(L, bound, w, field="q"):
+    """{(i, class key): beta_{i,b}} for every class b that reference_scan
+    reaches and every 1 <= i <= n, zeros included, from the squarefree
+    divisor complex of b alone: F subset {0..n-1} is a face iff the class
+    of b - e_F was scanned (its value is at most b's, so it was iff it has
+    a monomial).  Suite (g) checks only the alternating sum of these
+    faces; this reads their homology (complex_homology_dims), with no
+    fiber member and no support mask."""
+    keys = reference_scan(L, bound, w).scanned
+    out = {}
+    for key in keys:
+        faces = [
+            F
+            for F in itertools.product((0, 1), repeat=L.n)
+            if L.canonical_key(tuple(map(int.__sub__, key, F))) in keys
+        ]
+        K = SimplicialComplex(
+            range(L.n), [[j for j, f in enumerate(F) if f] for F in faces]
+        )
+        dims = complex_homology_dims(K, field)
+        for i in range(1, L.n + 1):
+            out[(i, key)] = dims.get(i - 1, 0)
+    return out
+
+
 def check_euler_hilbert(suite, rng, random_count=10):
     checked = 0
     lattices = itertools.islice(suite_b_lattices(rng), random_count)

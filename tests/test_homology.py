@@ -20,6 +20,7 @@ from helpers import (
     same_classes,
     scan_problems,
     small_scan_bound,
+    squarefree_betti_oracle,
     suite_b_lattices,
     support_complex,
 )
@@ -219,7 +220,7 @@ def test_homology_field_dependence_rp2(monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["q", 2, 32003])
-def test_cone_shortcut_matches_face_oracle(field):
+def test_cones_match_face_oracle(field):
     """Random complexes whose facets all contain one vertex are cones: the
     mask routine gives all zeros with the keys, in order, of the face-tuple
     oracle, both with fewer maximal facets than vertices (the nerve) and
@@ -240,9 +241,11 @@ def test_cone_shortcut_matches_face_oracle(field):
     assert branches == {True, False}
 
 
-def test_cone_shortcut_ranks_nothing(monkeypatch):
-    """A cone builds no boundary map and ranks nothing, over any field;
-    the hollow triangle and RP^2, which are no cones, still do."""
+def test_each_field_ranks_with_its_own_routine(monkeypatch):
+    """The hollow triangle builds its boundary maps and ranks them as
+    bitsets over Q and GF(2), and mod p over an odd prime p; over Q it
+    has homology in one degree only, so nothing is ranked again.  RP^2
+    over Q ranks one map again by Bareiss."""
     from latticescarf import homology
 
     calls = []
@@ -258,14 +261,10 @@ def test_cone_shortcut_ranks_nothing(monkeypatch):
 
     for name in ("_boundary", "rank_gf2", "rank_mod_p", "rank_rational"):
         monkeypatch.setattr(homology, name, counted(name))
-    cones = ([0b11, 0b01, 0b10], [0b011, 0b101, 0b110, 0b111], [0b1101, 0b0111])
     for field in ("q", 2, 3, 32003):
-        for masks in cones:
-            assert not any(reduced_homology_dims(masks, field).values())
-        assert calls == []
         assert reduced_homology_dims([0b011, 0b101, 0b110], field)[1] == 1
-        assert "_boundary" in calls
-        assert ("rank_mod_p" if field == 3 or field == 32003 else "rank_gf2") in calls
+        rank = "rank_mod_p" if field == 3 or field == 32003 else "rank_gf2"
+        assert set(calls) == {"_boundary", rank}, field
         calls.clear()
     reduced_homology_dims([sum(1 << v for v in f) for f in RP2_FACETS], "q")
     assert calls.count("rank_rational") == 1
@@ -530,7 +529,10 @@ def test_dropped_fibers_hold_nothing_a_reader_needs(suite):
     torsion and suite (b)'s first 5 lattices (one with torsion), each
     such fiber has, by the face-tuple oracles, no basic component, one
     gcd component (so beta_1 = 0 and no binomial) and no homology; and
-    the atlas carries exactly the other classes, in order."""
+    the atlas carries exactly the other classes, in order.  A carried
+    class whose support complex has no homology has no basic component
+    and one gcd component either: components sit only where some beta
+    is nonzero, as the bound rank E_C <= beta_{i,b} needs."""
     problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
     for gens, bound in (((3, 5, 7, 11, 13), 40), (tuple(range(5, 12)), 30), (tuple(range(7, 14)), 30)):
         A = SemigroupMatrix([gens])
@@ -540,21 +542,25 @@ def test_dropped_fibers_hold_nothing_a_reader_needs(suite):
         problems.append((repr(rows), L, 2 * small_scan_bound(L), L.functional))
     problems.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
     problems += scan_problems({}, itertools.islice(suite_b_lattices(random.Random(107)), 5))
-    dropped = 0
+    dropped = acyclic_kept = 0
     for where, L, bound, w in problems:
         kept = []
         for b, _s, fib in full_fibers(L, bound, w):
+            acyclic = not any(complex_homology_dims(support_complex(fib)).values())
             if not maximal_supports_meet(fib):
                 kept.append(b.key)
-                continue
-            dropped += 1
+                if not acyclic:
+                    continue
+                acyclic_kept += 1
+            else:
+                dropped += 1
             at = (where, b.representative)
+            assert acyclic, at
             assert basic_components_oracle(L, fib) == [], at
             assert len(connected_components(gcd_complex(fib))) == 1, at
-            assert not any(complex_homology_dims(support_complex(fib)).values()), at
         atlas = scan_degree_classes(L, bound, w)
         assert [fib.degree.key for fib in atlas.fibers] == kept, where
-    assert dropped > 1000, dropped
+    assert dropped > 1000 and acyclic_kept > 3, (dropped, acyclic_kept)
 
 
 def test_scan_matches_reference_scan(suite, monkeypatch):
@@ -729,6 +735,32 @@ def test_scan_degree_classes_negative_bound(ex63):
     assert fib.degree.representative == (0,) * 5 and fib.members == ((0,) * 5,)
 
 
+def test_scan_takes_only_integers():
+    """A bound or a functional entry that is no int (a bool counts as
+    none) is bad input: ValueError up front, from the scan and from every
+    reader that runs it, not a TypeError from inside the member packing."""
+    from latticescarf.scarf import (
+        enumerate_scarf_poset,
+        indispensable_binomials,
+        minimal_generators,
+    )
+
+    L = LatticeBasis([(1, -1)])
+    readers = (
+        scan_degree_classes,
+        betti_scan,
+        enumerate_scarf_poset,
+        minimal_generators,
+        indispensable_binomials,
+    )
+    bad = [(4.0, None), ("4", None), (True, None), (4, (1.0, 1.0)), (4, (True, True))]
+    for bound, w in bad:
+        for read in readers:
+            with pytest.raises(ValueError, match="must be integers"):
+                read(L, bound, functional=w)
+    assert len(scan_degree_classes(L, 4, functional=(1, 1))) == 5
+
+
 def test_euler_characteristic(suite):
     for data in suite.values():
         for fib in catalog_fibers(data):
@@ -751,9 +783,9 @@ def test_mask_homology_matches_face_oracle_on_carried_fibers(suite, field):
     """On every carried fiber of the three fixtures at their bounds and of
     the semigroup <3,5,7,11,13> at bound 40, and on every fiber that the
     scan drops there (helpers.full_fibers holds both), the mask routine
-    (the cone shortcut, GF(2) bitset ranks with Bareiss corrections over
-    Q, bitset ranks alone over GF(2), forward elimination over GF(32003))
-    equals the face-tuple oracle key for key."""
+    (GF(2) bitset ranks with Bareiss corrections over Q, bitset ranks
+    alone over GF(2), forward elimination over GF(32003)) equals the
+    face-tuple oracle key for key."""
     A = SemigroupMatrix([(3, 5, 7, 11, 13)])
     problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
     problems.append(("<3,5,7,11,13>", lattice_from_semigroup(A), 40, A.column_sums()))
@@ -806,3 +838,28 @@ def test_betti_table_answers_only_within_its_bound(ex61):
     other = class_of(LatticeBasis([(1, -1, 0, 0)]), (0, 0, 0, 0))
     with pytest.raises(ValueError, match="different lattices"):
         T.get(1, other)
+
+
+@pytest.mark.parametrize("field", ["q", 2])
+def test_betti_table_matches_squarefree_divisor_oracle(suite, field):
+    """betti_table equals helpers.squarefree_betti_oracle, which reads
+    beta_{i,b} from the faces F with b - e_F scanned, at every scanned
+    class and every i, zeros included: on the fixtures at their bounds,
+    the benchmark's three semigroups at small bounds, and the lattices
+    with two torsion coordinates or non-diagonal torsion Hermite forms."""
+    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
+    for gens, bound in (((3, 5, 7, 11, 13), 50), (tuple(range(5, 12)), 36), (tuple(range(7, 14)), 40)):
+        A = SemigroupMatrix([gens])
+        problems.append((repr(gens), lattice_from_semigroup(A), bound, A.column_sums()))
+    for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION:
+        L = LatticeBasis(rows)
+        problems.append((repr(rows), L, 2 * small_scan_bound(L), L.functional))
+    nonzero = 0
+    for where, L, bound, w in problems:
+        want = squarefree_betti_oracle(L, bound, w, field)
+        got = dict.fromkeys(want, 0)
+        for (i, b), dim in betti_table(scan_degree_classes(L, bound, w), field).entries.items():
+            got[(i, b.key)] = dim
+        assert got == want, where
+        nonzero += sum(map(bool, want.values()))
+    assert nonzero > 100, nonzero

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import latticescarf
@@ -174,3 +175,50 @@ def test_library_layers_define_no_dead_code():
         and not any(node.name in names for other, names in statements if other is not node)
     ]
     assert found == []
+
+
+def resolves(module, name):
+    """Does `from module import name` succeed: an attribute of the module,
+    or a submodule of a package?"""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module("%s.%s" % (module, name))
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_import_surface_resolves():
+    """The benchmark harness (perfbench/) is kept apart from the package,
+    so a package name it reads that goes away fails every benchmark run.
+    Its run.py and workloads.py are parsed, not run: every package module
+    they import, every name they import from the package, and every
+    homology., lattice_core. and scarf. attribute that lattice_operation
+    reads must resolve."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    modules, names = set(), set()
+    for file in ("run.py", "workloads.py"):
+        path = perfbench / file
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules |= {
+                    a.name for a in node.names if a.name.partition(".")[0] == "latticescarf"
+                }
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").partition(".")[0] == "latticescarf":
+                    names |= {(node.module, a.name) for a in node.names}
+            elif isinstance(node, ast.FunctionDef) and node.name == "lattice_operation":
+                names |= {
+                    ("latticescarf." + n.value.id, n.attr)
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id in ("homology", "lattice_core", "scarf")
+                }
+    assert "latticescarf.cli" in modules and len(names) > 15, (modules, names)
+    for module in modules:
+        importlib.import_module(module)
+    missing = sorted("%s.%s" % pair for pair in names if not resolves(*pair))
+    assert missing == []
