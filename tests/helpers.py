@@ -891,6 +891,20 @@ def euler_hilbert_mismatches(T):
     return bad
 
 
+def squarefree_faces(L, key, keys):
+    """The squarefree divisor complex of the class of the canonical key
+    key, read from key membership alone: the F subset {0..n-1}, as vertex
+    bitmasks in increasing order, with the canonical key of key - e_F in
+    keys, the keys of every class a scan reached.  The value of b - e_F is
+    at most b's, so it was reached iff it has a monomial."""
+    out = []
+    for F in range(1 << L.n):
+        e = [F >> j & 1 for j in range(L.n)]
+        if L.canonical_key(tuple(map(int.__sub__, key, e))) in keys:
+            out.append(F)
+    return out
+
+
 def squarefree_betti_oracle(L, bound, w, field="q"):
     """{(i, class key): beta_{i,b}} for every class b that reference_scan
     reaches and every 1 <= i <= n, zeros included, from the squarefree
@@ -902,13 +916,9 @@ def squarefree_betti_oracle(L, bound, w, field="q"):
     keys = reference_scan(L, bound, w).scanned
     out = {}
     for key in keys:
-        faces = [
-            F
-            for F in itertools.product((0, 1), repeat=L.n)
-            if L.canonical_key(tuple(map(int.__sub__, key, F))) in keys
-        ]
+        faces = squarefree_faces(L, key, keys)
         K = SimplicialComplex(
-            range(L.n), [[j for j, f in enumerate(F) if f] for F in faces]
+            range(L.n), [[j for j in range(L.n) if F >> j & 1] for F in faces]
         )
         dims = complex_homology_dims(K, field)
         for i in range(1, L.n + 1):

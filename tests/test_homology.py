@@ -21,6 +21,7 @@ from helpers import (
     scan_problems,
     small_scan_bound,
     squarefree_betti_oracle,
+    squarefree_faces,
     suite_b_lattices,
     support_complex,
 )
@@ -522,6 +523,24 @@ NON_DIAGONAL_TORSION = ([(-4, 0, 4), (-2, 3, -1)], [(4, -4, -4, 4), (3, -3, 3, -
 POOL_62 = ((3, 3, -3, 0), (1, 3, -2, -1))
 
 
+def drop_problems(suite, semigroups):
+    """(where, L, bound, functional): the fixtures at their bounds, the
+    numerical semigroups of the (generators, bound) pairs semigroups, the
+    torsion lattices and pool lattice 62."""
+    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
+    for gens, bound in semigroups:
+        A = SemigroupMatrix([gens])
+        problems.append((repr(gens), lattice_from_semigroup(A), bound, A.column_sums()))
+    for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION:
+        L = LatticeBasis(rows)
+        problems.append((repr(rows), L, 2 * small_scan_bound(L), L.functional))
+    problems.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
+    return problems
+
+
+SMALL_SEMIGROUPS = (((3, 5, 7, 11, 13), 40), (tuple(range(5, 12)), 30), (tuple(range(7, 14)), 30))
+
+
 def test_dropped_fibers_hold_nothing_a_reader_needs(suite):
     """The scan drops the classes whose maximal supports share a variable.
     On every nonempty class of helpers.full_fibers, on the fixtures at
@@ -533,14 +552,7 @@ def test_dropped_fibers_hold_nothing_a_reader_needs(suite):
     class whose support complex has no homology has no basic component
     and one gcd component either: components sit only where some beta
     is nonzero, as the bound rank E_C <= beta_{i,b} needs."""
-    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
-    for gens, bound in (((3, 5, 7, 11, 13), 40), (tuple(range(5, 12)), 30), (tuple(range(7, 14)), 30)):
-        A = SemigroupMatrix([gens])
-        problems.append((repr(gens), lattice_from_semigroup(A), bound, A.column_sums()))
-    for rows in TWO_TORSION_FIELDS + NON_DIAGONAL_TORSION:
-        L = LatticeBasis(rows)
-        problems.append((repr(rows), L, 2 * small_scan_bound(L), L.functional))
-    problems.append(("pool lattice 62", LatticeBasis(POOL_62), 15, (1, 2, 3, 1)))
+    problems = drop_problems(suite, SMALL_SEMIGROUPS)
     problems += scan_problems({}, itertools.islice(suite_b_lattices(random.Random(107)), 5))
     dropped = acyclic_kept = 0
     for where, L, bound, w in problems:
@@ -563,6 +575,38 @@ def test_dropped_fibers_hold_nothing_a_reader_needs(suite):
     assert dropped > 1000 and acyclic_kept > 3, (dropped, acyclic_kept)
 
 
+def test_scan_carries_exactly_the_classes_whose_complex_is_no_cone(suite):
+    """A class is carried iff its squarefree divisor complex
+    {F : b - e_F has a monomial} is not a cone, and its facets are that
+    complex's maximal nonzero faces, largest first.  The oracle reads
+    each complex from key membership in reference_scan's classes
+    (helpers.squarefree_faces), with no scan code, member or support mask:
+    on the fixtures at their bounds, the three semigroups at small bounds,
+    the torsion lattices, pool lattice 62 and <10, ..., 19>, whose
+    complexes on 10 variables take 1 024 bits, wider than a machine word."""
+    problems = drop_problems(suite, SMALL_SEMIGROUPS + ((tuple(range(10, 20)), 40),))
+    cones = wide = 0
+    for where, L, bound, w in problems:
+        keys = reference_scan(L, bound, w).scanned
+        want = {}
+        for key in keys:
+            faces = set(squarefree_faces(L, key, keys))
+            if any(all(F | 1 << v in faces for F in faces) for v in range(L.n)):
+                cones += 1
+                continue
+            # F is maximal when no face strictly contains it
+            want[key] = {F for F in faces if F and not any(F & G == F != G for G in faces)}
+        atlas = scan_degree_classes(L, bound, w)
+        order = sorted(want, key=lambda key: (sum(map(int.__mul__, w, key)), key))
+        assert [fib.degree.key for fib in atlas.fibers] == order, where
+        for fib, facets in zip(atlas.fibers, atlas.facets, strict=True):
+            sizes = [F.bit_count() for F in facets]
+            assert sizes == sorted(sizes, reverse=True), (where, fib)
+            assert sorted(facets) == sorted(want[fib.degree.key]), (where, fib)
+        wide += L.n >= 10 and len(atlas.fibers) > 10
+    assert cones > 500 and wide, (cones, wide)
+
+
 def test_scan_matches_reference_scan(suite, monkeypatch):
     """The scan equals the oracle, which reduces a Hermite key at every
     step, on the fixtures at their bounds, suite (b)'s first 10 lattices
@@ -570,11 +614,12 @@ def test_scan_matches_reference_scan(suite, monkeypatch):
     two whose torsion Hermite forms are not diagonal: the same classes,
     compared through the packing, and the same carried fibers with the
     same support masks, which the scan steps with the monomials and the
-    oracle computes from them, and the same facets, which the scan keeps
-    by _maximal_masks and the oracle by its own _maximal_sets; the
-    representatives, which every report prints, pin the search order.  The scan's cached moves are made once
-    per torsion digits and sign, and on the torsion lattices for more
-    than one set of digits."""
+    oracle computes from them, and the same facets, which the scan reads
+    from each class's complex int and the oracle takes as the maximal
+    member supports (_maximal_sets); the representatives, which every
+    report prints, pin the search order.  The scan's cached moves are
+    made once per torsion digits and sign, and on the torsion lattices
+    for more than one set of digits."""
     lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
     problems = scan_problems(suite, lattices)
     torsion = []
@@ -840,7 +885,7 @@ def test_betti_table_answers_only_within_its_bound(ex61):
         T.get(1, other)
 
 
-@pytest.mark.parametrize("field", ["q", 2])
+@pytest.mark.parametrize("field", ["q", 2, 3, 32003])
 def test_betti_table_matches_squarefree_divisor_oracle(suite, field):
     """betti_table equals helpers.squarefree_betti_oracle, which reads
     beta_{i,b} from the faces F with b - e_F scanned, at every scanned
