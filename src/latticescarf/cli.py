@@ -335,6 +335,8 @@ def export_dot(fiber, variables, kind="gcd"):
 
     kind="gcd": vertices are the fiber monomials, edges join pairs with a
     common divisor, that is pairs whose support masks (Fiber.masks) meet.
+    Each member's row of edges to later members is read from a selector
+    built once per distinct mask and written with one join.
     kind="support": vertices are the variables that occur, edges join
     variables appearing in a common monomial support.  Labels escape '"'
     and '\\'.

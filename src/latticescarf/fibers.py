@@ -22,8 +22,8 @@ def canonical_order(monomials):
 
 
 class MemberPacking:
-    """The degree scan's private format for the fibers it unions.
-    Monomials of n variables with exponents up to top, one int each:
+    """The degree scan's private format for the fibers it unions; no Fiber
+    holds it.  Monomials of n variables with exponents up to top, one int each:
     u packs as (u_0 ... u_{n-1} in fixed-width byte fields, u_0 most
     significant) << n | support_mask(u).  Distinct monomials differ above
     the mask, so descending int order is canonical order, and 0 packs the
@@ -81,7 +81,9 @@ class Fiber:
     masks[k] is the support mask (support_mask) of members[k]: the gcd
     complex, its components and the homology of the fiber depend on the
     masks alone.  A scanned fiber comes with its masks; an enumerated one
-    computes them on first read, and mask_unions too."""
+    computes them on first read.  mask_unions, the one pass over the
+    distinct masks, is computed on first read and shared by
+    homology.gcd_components, scarf.basic_components and scarf.binomials."""
 
     __slots__ = ("degree", "members", "_masks", "_unions")
 
@@ -163,7 +165,8 @@ def enumerate_fiber(L, u0):
     u0 may have negative entries (any class representative).  Each call
     runs a Fourier-Motzkin enumeration of the z in Z^r with
     u = u0 + z * B >= 0, whose descent (linalg.integer_solutions) carries
-    each member u along with z.  B is linalg.size_reduce of
+    each member u along with z; a degree scan builds its fibers without
+    one (see homology.scan_degree_classes).  B is linalg.size_reduce of
     L.rows, so the last level of the descent runs along the shortest row
     and yields more members per call; B spans the same lattice, so the
     fiber, which Fiber orders canonically, is the same.  The fiber's

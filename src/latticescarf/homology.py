@@ -1,18 +1,22 @@
 """Homology of fibers from their support masks, and Betti number scans.
 
-beta_{i,b} is the reduced homology of the squarefree divisor complex
-{F : b - e_F has a monomial}, whose faces are the subsets of the fiber's
-monomial supports (Miller-Sturmfels, Combinatorial Commutative Algebra,
-Thm 9.2).  reduced_homology_dims reads it from support masks, faces as
-vertex bitmasks.  It is the nerve of the cover of the gcd complex
-(vertices = fiber monomials, faces = subsets with a nontrivial common
-divisor) by the full simplices V_i = {m : x_i divides m}, so the two have
-the same reduced homology; gcd_components merges the masks that meet.
+beta_{i,b} is the reduced homology of the complex on the variables whose
+faces are the subsets of the fiber's monomial supports (Miller-Sturmfels'
+squarefree divisor complex, Combinatorial Commutative Algebra, Thm 9.2).
+reduced_homology_dims reads that complex from the support masks
+(Fiber.masks) alone, with faces as vertex bitmasks.  The complex
+is the nerve of the cover of the gcd complex (vertices = fiber
+monomials, faces = subsets with a nontrivial common divisor) by the full
+simplices V_i = {m : x_i divides m}, so the two have the same reduced
+homology.  The connected components of a gcd complex need no complex
+at all: gcd_components merges the support masks that meet.
 
-A degree scan (scan_degree_classes) returns an Atlas, which carries the
-Fibers of the classes whose complex is not a cone, with its facets;
-betti_table reads a BettiTable from those, and scarf.scarf_poset and
-scarf.binomials the other products.
+The ranks are exact, over GF(2) first (see reduced_homology_dims).  When
+the maximal supports of a fiber share a vertex the complex is a cone, so
+beta_{i,b} = 0 for every i.  A degree scan (scan_degree_classes) returns
+an Atlas, which carries only the Fibers of the other classes, as tuples,
+with their maximal supports; betti_table reads a BettiTable from those,
+and scarf.scarf_poset and scarf.binomials read the other products.
 
 Multigraded Betti numbers follow the convention
 
@@ -22,7 +26,7 @@ Multigraded Betti numbers follow the convention
 
 from bisect import bisect_left
 from functools import cache, reduce
-from operator import mul, or_, sub
+from operator import and_, mul, or_, sub
 
 from .fibers import Fiber, MemberPacking, fiber_of
 from .lattice_core import (
@@ -86,8 +90,10 @@ def reduced_homology_dims(facets, field="q"):
     generated by facets, an iterable of int vertex bitmasks (vertex v is
     bit v).
 
-    The chain complex is augmented: {emptyset} (no nonzero mask) reports
-    {-1: 1}.  field is "q" for the rationals or an int prime p for GF(p).
+    Uses the augmented chain complex, so the empty complex {emptyset}
+    (no nonzero mask) reports {-1: 1} and any nonempty complex reports
+    {-1: 0, ...}.  field is "q" for the rationals or an int prime p for
+    GF(p).
 
     When there are fewer maximal facets than vertices the faces are those
     of the nerve of the facets instead: vertex k for facet F_k, and for
@@ -106,7 +112,9 @@ def reduced_homology_dims(facets, field="q"):
     going up in j, with the dimensions that the gaps below it left: its
     gap comes off both degrees, and every other GF(2) rank is its Q rank.
     GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
-    mod p, since GF(2) bounds its ranks in neither direction.
+    mod p, since GF(2) bounds its ranks in neither direction.  A cone is
+    ranked like any other complex; the degree scan drops cone fibers
+    before any rank (see Atlas).
     """
     check_field(field)
     return _facet_homology(_maximal_masks(facets), field)
@@ -181,18 +189,17 @@ class Atlas:
     """A degree scan.  scanned holds every class it reached, as packed
     keys (lattice_core.ScannedClasses): len() counts them, and v in
     scanned asks whether the class of the integer vector v was reached.
-    fibers is a tuple of the Fibers of the classes whose squarefree
-    divisor complex is not a cone, each with its DegreeClass as
-    fib.degree, in (functional value, canonical key) order; facets[k]
-    lists the facets of that complex, the maximal nonzero support masks
-    of fibers[k], largest first.
+    fibers is a tuple of the Fibers of the classes whose maximal support
+    masks share no variable, each with its DegreeClass as fib.degree, in
+    (functional value, canonical key) order; facets[k] lists the maximal
+    nonzero masks of fibers[k], largest first.
 
-    Dropping the others loses nothing.  Say their complex is a cone with
-    apex v: every beta is 0, and every maximal mask holds v.  Every
+    Dropping the others loses nothing.  Say their maximal masks all hold
+    variable v.  The support complex is a cone: every beta is 0.  Every
     nonzero mask lies in a maximal one, so the gcd complex is connected
     through v: beta_1 = 0, and no generator or indispensable binomial.
     No basic component G: |G| = 1 needs G = {1}, the zero class, whose
-    complex {emptyset} is no cone; |G| = 2 is a whole fiber with disjoint
+    mask 0 is not maximal; |G| = 2 is a whole fiber with disjoint
     supports, which share nothing; |G| > 2 is the whole fiber, where some
     m0 lacks v and its mask lies in that of some m1 != m0 holding v, so
     the common variable x of G minus m1, not in supp(m1), lies in supp(m0)
@@ -219,23 +226,27 @@ def scan_degree_classes(L, bound, functional=None):
     that it is constant on fibers; by default one is computed from the
     lattice.  No bool counts as an int.
     A depth-first search steps b -> b + e_j from the zero class, adding a
-    move to the packed key of b (lattice_core.CosetPacking).  The passes
-    after it run in value order.  cone(0) = 0 and cone(b) = AND over the
-    scanned b - e_j of (cone(b - e_j) | 1 << j).  The complex of a class
-    of cone mask 0 is an int of 2^n bits, bit F set iff face F is in it:
-    {emptyset} and F | e_j for each face F without j of the complex of
-    each scanned b - e_j.  A cone class steps the complex of b - e_j, j
-    its lowest cone bit.  A complex where each face without some v joins
-    v is a cone and is dropped (see Atlas); the facets of the others are
-    the nonzero faces that no v extends.  Every workload has n <= 7, 16
-    bytes a complex; the cost doubles with each variable.
-    Members are packed ints (fibers.MemberPacking), built only on the
-    down-set of the carried classes.  For bit j of cone(b) every monomial
-    has u_j >= 1, so fiber(b) = fiber(b - e_j) + e_j (MemberPacking.step).
-    A class of cone mask 0 takes the union over its steps of the u + e_j
-    with j the first positive index, in canonical order
-    (MemberPacking.step_first).  Only a carried class gets a
-    representative, a DegreeClass and a Fiber, decoded once.
+    move to the packed key of b (lattice_core.CosetPacking).  Each class
+    keeps three ints: its key, its value and n * p + j, the step from
+    class p that found it, which carried classes walk back to class 0 for
+    their representatives.  The passes after it run in value order and
+    find the steps into b again, one lookup of the key of b plus the back
+    move of e_j each; a miss means that b - e_j was not scanned.
+    cone(0) = 0 and cone(b) = AND over the scanned b - e_j of (cone(b -
+    e_j) | 1 << j).  The maximal support masks need no members: each is
+    F | 1 << j for j its lowest variable and a maximal mask F of b - e_j
+    with no variable below j, and they are never more than the fiber's
+    distinct supports.  A class of cone mask 0 is carried when they share
+    no variable (see Atlas).  For bit j of cone(b) every monomial has
+    u_j >= 1, so fiber(b) = fiber(b - e_j) + e_j (MemberPacking.step),
+    and a chain of such steps ORs its bits into the masks of the class it
+    starts from.  Members are packed ints (fibers.MemberPacking), built
+    only for the carried classes and the classes they read.  A class of
+    cone mask 0 takes the union over its steps of u + e_j for the u with
+    u_0 ... u_{j-1} all 0, so each monomial comes once, from its first
+    positive index, in canonical order (MemberPacking.step_first).  Only
+    a carried class gets a representative, a DegreeClass and a Fiber,
+    decoded once.
     """
     w = tuple(functional) if functional is not None else positive_functional(L)
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (bound, *w)):
@@ -290,78 +301,66 @@ def scan_degree_classes(L, bound, functional=None):
             if p is not None:
                 mask &= cone[p] | bit
         cone[i] = mask
-    # cx[i]: the complex of class i; free[j]: the faces without j
-    free = [
-        ((1 << (1 << n)) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
-        for j in range(n)
-    ]
-    halves = [(1 << j, f) for j, f in enumerate(free)]
-    cx = [0] * len(keys)
-    # via[i] = n * p + j: cone class i steps class p by its lowest cone bit
-    # j; steps[i] = [p, j, ...]: the steps into a class of cone mask 0
-    via, steps = {}, {}
+    # the maximal masks of class i lie among the F | ext[i] for F in
+    # fac[i] (mask 0 alone for the zero class); steps[i]: n * p + j for
+    # each step from class p that class i reads
+    fac, ext, steps = [None] * len(keys), [0] * len(keys), {0: ()}
+    fac[0] = [0]
 
-    def complex_of(i):
-        # up the lowest-cone-bit chain from the first class that has one
+    def facets_of(i):
+        # a cone class reads b - e_j alone, j its lowest cone bit, down the
+        # chain to a class that has its masks
         chain = []
-        while not cx[i]:
+        while fac[i] is None:
             key, c = keys[i], cone[i]
             j = (c & -c).bit_length() - 1
             p = ids[key + (downs(key & low) if low else down)[j][0]]
-            via[i] = n * p + j
+            steps[i] = (n * p + j,)
             chain.append(i)
             i = p
-        d = cx[i]
+        fs, extra = fac[i], ext[i]
         for i in reversed(chain):
-            j = via[i] % n
-            d = cx[i] = d | (d & free[j]) << (1 << j)
-        return d
+            extra |= 1 << steps[i][0] % n
+            fac[i], ext[i] = fs, extra
+        return fs
 
-    carried = []
-    for i in order:
+    carried = [0]
+    for i in order[1:]:
         if cone[i]:
             continue
-        key, d, j, into = keys[i], 1, 0, []
+        key, j, into, faces = keys[i], 0, [], []
         for back, bit in downs(key & low) if low else down:
             p = get(key + back)
             if p is not None:
-                d |= ((cx[p] or complex_of(p)) & free[j]) << bit
-                into += p, j
+                fs = fac[p] or facets_of(p)  # first: it sets ext[p]
+                extra = ext[p] | bit
+                for f in fs:
+                    f |= extra
+                    if not f & bit - 1:
+                        faces.append(f)
+                into.append(n * p + j)
             j += 1
-        cx[i], steps[i] = d, into
-        nonmax = 0
-        for bit, f in halves:
-            up = d >> bit & f
-            if up == d & f:
-                break  # a cone (see Atlas)
-            nonmax |= up
-        else:
-            f, facets = d & ~(nonmax | 1), []
-            while f:
-                low_face = f & -f
-                facets.append(low_face.bit_length() - 1)
-                f ^= low_face
-            facets.sort(key=int.bit_count, reverse=True)
-            carried.append((i, facets))
-    # members only on the down-set of the carried classes, in value order
-    need, stack = set(), [i for i, _facets in carried]
+        steps[i], fac[i] = into, _maximal_masks(faces)
+        if not reduce(and_, fac[i]):  # else a cone (see Atlas)
+            carried.append(i)
+    # members[i] holds fiber i packed (fibers.MemberPacking), in
+    # descending int order: canonical order, for each class in need: the
+    # carried ones and every class they read
+    need, stack = set(), carried[:]
     while stack:
         i = stack.pop()
         if i not in need:
             need.add(i)
-            stack += (via[i] // n,) if cone[i] else steps[i][::2]
+            stack += map(n.__rfloordiv__, steps[i])
     members = {0: [0]}  # the monomial 1
-    for i in sorted(need, key=values.__getitem__):
-        if cone[i]:
-            p, j = divmod(via[i], n)
-            members[i] = layout.step(members[p], j)
-        elif i:
-            ms, into = [], steps[i]
-            for p, j in zip(into[::2], into[1::2]):
-                ms += layout.step_first(members[p], j)
-            members[i] = ms
+    for i in sorted(need, key=values.__getitem__)[1:]:
+        step, ms = layout.step if cone[i] else layout.step_first, []
+        for v in steps[i]:
+            p, j = divmod(v, n)
+            ms += step(members[p], j)
+        members[i] = ms
     out = []
-    for i, facets in carried:
+    for i in carried:
         rep, k = [0] * n, i
         while k:
             v = found[k]
@@ -370,7 +369,7 @@ def scan_degree_classes(L, bound, functional=None):
         b = DegreeClass(L, rep)
         ms = members[i]
         fib = Fiber._with_masks(b, layout.unpack(ms), layout.masks(ms))
-        out.append((values[i], b.key, fib, facets))
+        out.append((values[i], b.key, fib, fac[i] if i else []))
     out.sort(key=lambda c: c[:2])
     _values, _keys, fibers, facets = zip(*out)  # the zero class is carried
     return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers, facets)

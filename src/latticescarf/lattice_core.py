@@ -11,8 +11,9 @@ non-pointed basis raises NotPointedError) and yields the grading
 functional (positive_functional).
 The same transform gives coordinates phi on Z^n/L: free ones from a
 kernel basis and, when Z^n/L has torsion, digits t_k in [0, H[k][k])
-from the Hermite form H of its torsion block.  A degree scan packs them
-into ints (CosetPacking).
+from the Hermite form H of its torsion block, keyed by canonical_rep
+like the classes.  A degree scan packs them into ints (CosetPacking,
+ScannedClasses); classes keep their Hermite keys.
 """
 
 from math import gcd, lcm

@@ -6,13 +6,19 @@ no floating point anywhere.  Matrices are sequences of row tuples.
 The pieces:
 
 * row-style Hermite normal form with transform: kernels, integer linear
-  solves, coset reduction and the coset coordinates of a lattice,
-* a size-reduced basis of a lattice, longest row first, for fiber
-  queries,
+  solves, coset reduction and the coset coordinates of a lattice (its
+  torsion digits are Hermite coordinates too),
+* a size-reduced basis of a lattice, longest row first, the basis that
+  fiber queries descend over: the fiber does not depend on the basis,
+  and the shortest row at the last level yields more members per call,
 * Fourier-Motzkin elimination over the integers/rationals: integer
-  points for single-degree fiber queries (fibers.enumerate_fiber) and a
-  rational point of the system that decides pointedness and gives the
-  positive functional (lattice_core),
+  points for single-degree fiber queries (fibers.enumerate_fiber), each
+  carried down the descent with the values of the input rows, which for
+  a fiber are its members; and a rational point of the one system that
+  decides pointedness and gives the positive functional (lattice_core);
+  degree scans run none.  Both descents take each variable's exact
+  rational bounds from one routine, _bounds, except the integer
+  descent's last variable, whose bounds the carried values give,
 * ranks for homology: over GF(2) by XOR elimination of int bitset rows,
   over GF(p) by forward elimination, and over Q fraction-free (Bareiss);
   with the primality check that guards GF(p).

@@ -180,7 +180,8 @@ def basic_components(L, b):
     complex (more than two).  Monomials have a nontrivial common divisor iff
     their supports share a variable, so both gcd tests are ANDs of the
     fiber's support masks (Fiber.masks): gcd(G) = 1 iff the AND over G is
-    0 (the AND over no masks is -1, all bits), and so for each puncture.
+    0 (the AND over no masks is -1, all bits), and each puncture is ANDed
+    afresh, as a part holds at most two masks or at most n (see below).
     So the zero class contributes the single component {1}, and an empty
     fiber or a single monomial other than 1 contributes none.
 
@@ -409,8 +410,9 @@ def _restrict(X, keep):
 
 
 def algebraic_scarf_subcomplex(X):
-    """Restrict to the components that are entire fibers, those that
-    basic_components marked whole."""
+    """Restrict to the components that are entire fibers.  Those are the
+    components marked whole by basic_components, which cut them from
+    their complete scanned fibers, so no fiber is enumerated here."""
     keep = [[k for k, c in enumerate(bs) if c.whole] for bs in X.basis]
     return _restrict(X, keep)
 

@@ -501,7 +501,8 @@ def test_cli_reports_decode_only_the_carried_fibers(capsys, monkeypatch):
     fibers: 1 143 steps of 3 643 members, into 197 classes of cone mask 0,
     where a union on every class of cone mask 0 took 2 013 steps of
     11 764 members, into 343."""
-    unpack, masks, step_first = MemberPacking.unpack, MemberPacking.masks, MemberPacking.step_first
+    unpack, masks = MemberPacking.unpack, MemberPacking.masks
+    step_first = MemberPacking.step_first
     decoded, built, unioned = [], [], []
 
     def counted_unpack(self, packed):
