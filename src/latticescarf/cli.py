@@ -210,8 +210,8 @@ class Report:
 
 
 def _betti_payload(spec, T):
-    entries = []
-    for i in sorted(T.homological_degrees()):
+    entries, indices = [], T.homological_degrees()
+    for i in indices:
         for b in T.degrees(i):
             entries.append(
                 {
@@ -222,10 +222,10 @@ def _betti_payload(spec, T):
             )
     return {
         "entries": entries,
-        "totals": {str(i): T.total(i) for i in T.homological_degrees()},
+        "totals": {str(i): T.total(i) for i in indices},
         "minimal_degrees": {
             str(i): [spec.degree_view(b) for b in minimal_betti_degrees(T, i)]
-            for i in T.homological_degrees()
+            for i in indices
         },
     }
 

@@ -49,25 +49,10 @@ def _maximal_masks(masks):
     return out
 
 
-def _boundary(lower, upper):
-    """The boundary map from the faces upper to the faces lower, one
-    dimension down: for each face f of upper, its facets f minus a vertex
-    in vertex order, each as the bit 1 << (its position in lower).  Their
-    signs alternate +1, -1, ...; over GF(2) the row is the sum."""
-    bit = {g: 1 << k for k, g in enumerate(lower)}
-    out = []
-    for f in upper:
-        rest, row = f, []
-        while rest:
-            low = rest & -rest
-            row.append(bit[f ^ low])
-            rest ^= low
-        out.append(row)
-    return out
-
-
 def _signed_rows(boundary, width):
-    """The integer matrix of a _boundary map over width lower faces."""
+    """The integer matrix over width lower faces of a boundary map given
+    as rows of bits 1 << (position of a facet), in vertex order: their
+    signs alternate +1, -1, ..."""
     rows = []
     for bits in boundary:
         row, sign = [0] * width, 1
@@ -87,8 +72,8 @@ def check_field(field):
 def reduced_homology_dims(facets, field="q"):
     """Reduced homology dimensions {j: dim}, from j = -1 up to the
     dimension of the complex whose faces are built, of the complex
-    generated by facets, an iterable of int vertex bitmasks (vertex v is
-    bit v).
+    generated by facets, an iterable of nonnegative int vertex bitmasks
+    (vertex v is bit v); any other mask raises ValueError.
 
     Uses the augmented chain complex, so the empty complex {emptyset}
     (no nonzero mask) reports {-1: 1} and any nonempty complex reports
@@ -99,7 +84,9 @@ def reduced_homology_dims(facets, field="q"):
     of the nerve of the facets instead: vertex k for facet F_k, and for
     each vertex v the face {k : v in F_k}.  Nonempty intersections of
     facets are simplices, so the nerve has the same reduced homology
-    (nerve lemma).
+    (nerve lemma).  The faces are built one dimension at a time, from the
+    top down, with the boundary map into them: the (j-1)-faces are the
+    maximal ones of that dimension and each j-face less one vertex.
 
     Over Q and GF(2) each boundary map d_j (from the j-faces to the
     (j-1)-faces) is first ranked over GF(2), every row an int bitset
@@ -117,7 +104,10 @@ def reduced_homology_dims(facets, field="q"):
     before any rank (see Atlas).
     """
     check_field(field)
-    return _facet_homology(_maximal_masks(facets), field)
+    masks = set(facets)
+    if not all(type(s) is int and s >= 0 for s in masks):
+        raise ValueError("facets must be nonnegative int bitmasks")
+    return _facet_homology(_maximal_masks(masks), field)
 
 
 def _facet_homology(facets, field):
@@ -131,27 +121,33 @@ def _facet_homology(facets, field):
                 nerve[low] = nerve.get(low, 0) | 1 << k
                 f ^= low
         facets = _maximal_masks(nerve.values())
-    faces = set()
-    for f in facets:
-        s = f
-        while s:
-            faces.add(s)
-            s = (s - 1) & f
-    if not faces:
+    if not facets:
         return {-1: 1}
-    # size[k]: the faces of k vertices (dimension k - 1); size[0] holds
-    # the empty face, so the augmentation is the map out of size[1]
-    size = [[0]] + [[] for _ in range(facets[0].bit_count())]
-    for s in faces:
-        size[s.bit_count()].append(s)
-    top = len(size)
-    maps = [None] + [_boundary(size[k - 1], size[k]) for k in range(1, top)]
+    # size[k]: face -> position for the faces of k vertices (dimension
+    # k - 1); size[0] holds the empty face, so the augmentation is the map
+    # out of size[1].  maps[k], the map out of size[k]: for each face f
+    # the bits 1 << (position of f minus a vertex), in vertex order; over
+    # GF(2) the row is their sum.  A face of k - 1 vertices is a facet or
+    # lies in one of k, so size[k - 1] is whole before it is read.
+    top = facets[0].bit_count() + 1
+    size = [{} for _ in range(top)]
+    for f in facets:
+        size[f.bit_count()].setdefault(f, len(size[f.bit_count()]))
+    maps = [None] * top
     ranks = [0] * (top + 1)  # ranks[k]: the rank of the map out of size[k]
-    for k in range(1, top):
+    for k in range(top - 1, 0, -1):
+        lower, maps[k] = size[k - 1], []
+        for f in size[k]:
+            rest, row = f, []
+            while rest:
+                low = rest & -rest
+                row.append(1 << lower.setdefault(f ^ low, len(lower)))
+                rest ^= low
+            maps[k].append(row)
         if field in ("q", "Q", 2):
             ranks[k] = rank_gf2(map(sum, maps[k]))
         else:
-            ranks[k] = rank_mod_p(_signed_rows(maps[k], len(size[k - 1])), field)
+            ranks[k] = rank_mod_p(_signed_rows(maps[k], len(lower)), field)
     dims = {k - 1: len(size[k]) - ranks[k] - ranks[k + 1] for k in range(top)}
     if field in ("q", "Q"):
         for k in range(2, top):
@@ -229,11 +225,12 @@ def scan_degree_classes(L, bound, functional=None):
     move to the packed key of b (lattice_core.CosetPacking).  Each class
     keeps three ints: its key, its value and n * p + j, the step from
     class p that found it, which carried classes walk back to class 0 for
-    their representatives.  The passes after it run in value order and
-    find the steps into b again, one lookup of the key of b plus the back
+    their representatives.  One pass after it runs in value order and
+    finds the steps into b again, one lookup of the key of b plus the back
     move of e_j each; a miss means that b - e_j was not scanned.
     cone(0) = 0 and cone(b) = AND over the scanned b - e_j of (cone(b -
-    e_j) | 1 << j).  The maximal support masks need no members: each is
+    e_j) | 1 << j), and only a class of cone mask 0 looks its steps up
+    again, for its maximal support masks.  These need no members: each is
     F | 1 << j for j its lowest variable and a maximal mask F of b - e_j
     with no variable below j, and they are never more than the fiber's
     distinct supports.  A class of cone mask 0 is carried when they share
@@ -293,14 +290,6 @@ def scan_degree_classes(L, bound, functional=None):
     order = sorted(range(len(keys)), key=values.__getitem__)
     get = ids.get
     cone = [0] * len(keys)
-    for i in order[1:]:
-        key = keys[i]
-        mask = -1
-        for back, bit in downs(key & low) if low else down:
-            p = get(key + back)
-            if p is not None:
-                mask &= cone[p] | bit
-        cone[i] = mask
     # the maximal masks of class i lie among the F | ext[i] for F in
     # fac[i] (mask 0 alone for the zero class); steps[i]: n * p + j for
     # each step from class p that class i reads
@@ -326,10 +315,17 @@ def scan_degree_classes(L, bound, functional=None):
 
     carried = [0]
     for i in order[1:]:
-        if cone[i]:
+        key, mask = keys[i], -1
+        back_moves = downs(key & low) if low else down
+        for back, bit in back_moves:
+            p = get(key + back)
+            if p is not None:
+                mask &= cone[p] | bit
+        if mask:
+            cone[i] = mask
             continue
-        key, j, into, faces = keys[i], 0, [], []
-        for back, bit in downs(key & low) if low else down:
+        j, into, faces = 0, [], []
+        for back, bit in back_moves:
             p = get(key + back)
             if p is not None:
                 fs = fac[p] or facets_of(p)  # first: it sets ext[p]

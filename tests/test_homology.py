@@ -1,10 +1,16 @@
 import gc
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
+
+import latticescarf
 
 from helpers import (
     SimplicialComplex,
@@ -195,6 +201,39 @@ def test_reduced_homology_small_cases():
     # no facet, or only empty ones: the complex {emptyset}
     assert both_homologies([]) == both_homologies([()]) == {-1: 1}
     assert reduced_homology_dims([0, 0]) == {-1: 1}
+    # nested and repeated masks change no face, through the nerve (three
+    # facets on six vertices) and without it (RP^2)
+    for field in ("q", 2, 3, 32003):
+        hollow = [(0, 1, 2), (2, 3, 4), (4, 5, 0), (0, 1), (2, 3, 4), (4,)]
+        assert both_homologies(hollow, field) == {-1: 0, 0: 0, 1: 1}
+        rp2 = RP2_FACETS + [(0, 1), (0,), (0, 1, 2), (2, 4, 5)]
+        assert both_homologies(rp2, field) == both_homologies(RP2_FACETS, field)
+
+
+def test_negative_mask_raises():
+    """A negative mask has infinitely many bits set; it raises ValueError
+    at once (checked in a subprocess, so that a loop over its bits fails
+    the test instead of hanging the suite)."""
+    code = "\n".join(
+        [
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+            "from latticescarf.homology import reduced_homology_dims",
+            "for masks in ([-1], [3, -2]):",
+            "    try:",
+            "        reduced_homology_dims(masks)",
+            "    except ValueError:",
+            "        print('raised')",
+        ]
+    )
+    src = str(pathlib.Path(latticescarf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 def test_homology_field_dependence_rp2(monkeypatch):
@@ -244,8 +283,8 @@ def test_cones_match_face_oracle(field):
 
 
 def test_each_field_ranks_with_its_own_routine(monkeypatch):
-    """The hollow triangle builds its boundary maps and ranks them as
-    bitsets over Q and GF(2), and mod p over an odd prime p; over Q it
+    """The hollow triangle ranks its boundary maps as bitsets over Q and
+    GF(2), and mod p over an odd prime p; over Q it
     has homology in one degree only, so nothing is ranked again.  RP^2
     over Q ranks one map again by Bareiss."""
     from latticescarf import homology
@@ -261,12 +300,12 @@ def test_each_field_ranks_with_its_own_routine(monkeypatch):
 
         return wrapper
 
-    for name in ("_boundary", "rank_gf2", "rank_mod_p", "rank_rational"):
+    for name in ("rank_gf2", "rank_mod_p", "rank_rational"):
         monkeypatch.setattr(homology, name, counted(name))
     for field in ("q", 2, 3, 32003):
         assert reduced_homology_dims([0b011, 0b101, 0b110], field)[1] == 1
         rank = "rank_mod_p" if field == 3 or field == 32003 else "rank_gf2"
-        assert set(calls) == {"_boundary", rank}, field
+        assert set(calls) == {rank}, field
         calls.clear()
     reduced_homology_dims([sum(1 << v for v in f) for f in RP2_FACETS], "q")
     assert calls.count("rank_rational") == 1

@@ -12,6 +12,14 @@ def package_modules():
     return [(p, ast.parse(p.read_text(), filename=str(p))) for p in modules]
 
 
+def test_modules_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10, so no module may
+    use syntax that a later version introduced (except*, type
+    statements, type parameters, ...)."""
+    for path, _tree in package_modules():
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_library_has_no_assert_statements():
     """Invariants are explicit checks: `python -O` strips `assert`."""
     found = []
