@@ -25,7 +25,6 @@ The pieces:
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 from math import gcd, lcm
 from operator import add, floordiv, mul
@@ -380,12 +379,10 @@ def rank_rational(rows):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-@cache
 def is_prime(n):
     """Deterministic Miller-Rabin with the first 13 prime bases, exact for
     n below 3.3e24 (the least strong pseudoprime to all of them).  Larger
-    n are reported not prime, so they are never taken for a field.
-    Cached: every homology call checks its field."""
+    n are reported not prime, so they are never taken for a field."""
     if n < 2 or n >= 3317044064679887385961981:
         return False
     if n in _MR_BASES:

@@ -27,7 +27,7 @@ from .fibers import (
     gcd_of,
     reduce_by_gcd,
 )
-from .homology import BettiTable, minimal_betti_degrees, scan_degree_classes
+from .homology import scan_degree_classes
 from .lattice_core import _same_lattice, contains
 
 
@@ -384,11 +384,14 @@ def verify_zero_composition(X):
     return True
 
 
-def _restrict(X, keep):
-    """Subcomplex on the kept column indices (keep[i] a sorted list).
+def _restrict(X, kept):
+    """Subcomplex on the cells E_C of degree i with kept(i, C).
 
     Every differential entry leaving a kept column must land in a kept
     row -- the callers only restrict to families closed under theta."""
+    keep = [
+        [k for k, c in enumerate(bs) if kept(i, c)] for i, bs in enumerate(X.basis)
+    ]
     while keep and not keep[-1]:
         keep = keep[:-1]
     basis = []
@@ -412,24 +415,22 @@ def _restrict(X, keep):
 def algebraic_scarf_subcomplex(X):
     """Restrict to the components that are entire fibers.  Those are the
     components marked whole by basic_components, which cut them from
-    their complete scanned fibers, so no fiber is enumerated here."""
-    keep = [[k for k, c in enumerate(bs) if c.whole] for bs in X.basis]
-    return _restrict(X, keep)
+    their complete scanned fibers, so no fiber is enumerated here.  The
+    unit component is its whole fiber, so degree 0 is kept."""
+    return _restrict(X, lambda _i, c: c.whole)
 
 
 def strongly_algebraic_subcomplex(X, T, mode="strict"):
     """Restrict to components at minimal Betti degrees of multiplicity one.
 
-    Both modes require beta_{i,b(C)} = 1 for E_C in homological degree
-    i = |C| - 1 >= 1.  They differ in the minimality test on b(C):
-
-    mode="strict" demands that b(C) be minimal (in the divisibility
-    order, literally applied) among the scanned j-Betti degrees for
-    every index j at which b(C) carries a nonzero Betti number -- in
-    particular at j = i.
-    mode="paper-example" is the relaxation under which every i-Betti
-    degree strictly below b(C) must also have beta = 1; it retains
-    everything strict keeps and possibly more.
+    Both modes require beta_{i,b} = 1 for E_C in homological degree
+    i = |C| - 1 >= 1, b = b(C), and keep E_C iff no rival degree
+    d != b of the table divides b.  For mode="strict" the rivals are
+    the j-Betti degrees of every j with beta_{j,b} > 0, so b is
+    minimal (in the divisibility order, literally applied) at each
+    index where it carries a Betti number.  For mode="paper-example"
+    they are the i-Betti degrees with beta != 1, a relaxation that
+    retains everything strict keeps and possibly more.
 
     Degree 0 (the unit component) is always kept.  Components that are
     entire fibers satisfy both modes (their Betti number sits alone at
@@ -441,35 +442,32 @@ def strongly_algebraic_subcomplex(X, T, mode="strict"):
         raise ValueError("mode must be 'strict' or 'paper-example'")
     if not _same_lattice(X.lattice, T.lattice):
         raise ValueError("classes live over different lattices")
-    indices = T.homological_degrees()
-    minimal = {j: set(minimal_betti_degrees(T, j)) for j in indices}
-    keep = [list(range(len(X.basis[0]))) if X.basis else []]
-    for i in range(1, len(X.basis)):
-        kept = []
-        for k, c in enumerate(X.basis[i]):
-            b = c.degree
-            if T.get(i, b) != 1:
-                continue
-            if mode == "strict":
-                if any(T.get(j, b) and b not in minimal[j] for j in indices):
-                    continue
-            else:
-                below = [
-                    d
-                    for d in T.degrees(i)
-                    if d != b and T.leq(d, b) and T.get(i, d) != 1
-                ]
-                if below:
-                    continue
-            kept.append(k)
-        keep.append(kept)
-    return _restrict(X, keep)
+
+    def kept(i, c):
+        if i == 0:
+            return True
+        b = c.degree
+        if T.get(i, b) != 1:
+            return False
+        if mode == "strict":
+            rivals = [d for j, d in T.entries if (j, b) in T.entries]
+        else:
+            rivals = [d for (j, d), v in T.entries.items() if j == i and v != 1]
+        return not any(d != b and T.leq(d, b) for d in rivals)
+
+    return _restrict(X, kept)
 
 
 def indispensable_binomials(L, bound, functional=None):
     """Binomials whose degree is a minimal 1-Betti degree with a two-
     monomial gcd-free fiber: x^m1 - x^m2 written as the ordered pair
-    (m1, m2), m1 the lexicographically larger exponent."""
+    (m1, m2), m1 the lexicographically larger exponent.
+
+    Those fibers are {u, v} with disjoint supports, and their degree b
+    is always minimal: were a 1-Betti degree d != b below b, b - d would
+    hold a nonzero monomial m, and two members a != a' of fiber(d) (it
+    has beta_1 > 0) would give two members a + m, a' + m of fiber(b)
+    sharing supp(m), which u and v do not."""
     return binomials(scan_degree_classes(L, bound, functional))[1]
 
 
@@ -488,19 +486,20 @@ def binomials(atlas):
     indispensable_binomials give them, from the gcd components
     (Fiber.mask_unions) of the fibers it carries (a cone is connected, so
     beta_1 = 0 there).  beta_1 of a class is its number of gcd components
-    less one."""
-    generators, pairs, entries = [], [], {}
+    less one.  The indispensables are the fibers of two members in two
+    gcd components; their degrees are minimal, so no minimality pass is
+    needed: were a 1-Betti degree d != b below b, a nonzero monomial m
+    in b - d and two members a != a' of fiber(d) would give members
+    a + m, a' + m of fiber(b) that share supp(m)."""
+    generators, indispensables = [], []
     for fib in atlas.fibers:
         unions = fib.mask_unions[1]
         if len(unions) < 2:
             continue
         b = fib.degree
-        entries[(1, b)] = len(unions) - 1
         if len(fib) == 2:
-            pairs.append(fib)
+            indispensables.append((b, fib.members))
         base, *rest = [fib.members[k] for k, _u in unions]
         for m in rest:
             generators.append((b, (m, base) if m > base else (base, m)))
-    minimal = set(minimal_betti_degrees(BettiTable(atlas, entries, "q"), 1))
-    indispensables = [(f.degree, f.members) for f in pairs if f.degree in minimal]
     return generators, indispensables

@@ -520,6 +520,38 @@ def binomials_oracle(atlas):
     return generators, indispensables
 
 
+def strongly_oracle(X, T, mode):
+    """The bases of strongly_algebraic_subcomplex(X, T, mode), read from
+    the definition with divisibility decided by fibers.class_leq and the
+    Betti numbers read from T.entries.  E_C in degree i >= 1, b = b(C),
+    is kept when beta_{i,b} = 1 and, in strict mode, no j-Betti degree
+    d != b with beta_{j,b} > 0 divides b; in paper-example mode, no
+    i-Betti degree d != b with beta_{i,d} != 1 divides b.  Degree 0 is
+    kept whole, and empty top degrees are dropped."""
+    leq = {}
+
+    def below(d, b):
+        if (d, b) not in leq:
+            leq[d, b] = d != b and class_leq(d, b)
+        return leq[d, b]
+
+    def keeps(i, b):
+        if T.entries.get((i, b)) != 1:
+            return False
+        if mode == "strict":
+            return not any(T.entries.get((j, b)) and below(d, b) for j, d in T.entries)
+        return not any(
+            j == i and v != 1 and below(d, b) for (j, d), v in T.entries.items()
+        )
+
+    bases = [tuple(X.basis[0])] if X.basis else []
+    for i in range(1, len(X.basis)):
+        bases.append(tuple(c for c in X.basis[i] if keeps(i, c.degree)))
+    while bases and not bases[-1]:
+        bases.pop()
+    return bases
+
+
 def export_dot_gcd_oracle(fiber, variables):
     """export_dot(fiber, variables, "gcd") for plain variable names, with
     an edge wherever the pairwise gcd is not 1."""

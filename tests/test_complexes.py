@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from helpers import check_homogeneity, complexes_equal
@@ -13,7 +15,7 @@ from latticescarf.scarf import (
     verify_zero_composition,
 )
 from latticescarf.homology import betti_scan
-from latticescarf.lattice_core import LatticeBasis
+from latticescarf.lattice_core import DegreeClass, LatticeBasis
 
 ABD = (1, 1, 0, 1, 0)
 
@@ -136,6 +138,32 @@ def test_strongly_algebraic_modes(suite):
     for mode in ("strict", "paper-example"):
         got = strongly_algebraic_subcomplex(ex61.complex, ex61.table, mode=mode)
         assert complexes_equal(got, ex61.complex)
+
+
+def test_strongly_algebraic_modes_read_the_entries_below(ex61):
+    """Every cell of ex61 is kept in both modes.  One entry (j, d) added
+    to its table, d a degree below the degree b of a cell in the top
+    homological degree i, tells the rules apart: strict drops the cell
+    for a j-Betti degree of any multiplicity once beta_{j,b} > 0;
+    paper-example drops it only for an i-Betti degree of beta != 1."""
+    X, T = ex61.complex, ex61.table
+    i = len(X.basis) - 1
+    cell = X.basis[i][0]
+    rep = cell.degree.representative
+    k = next(k for k, x in enumerate(rep) if x)
+    d = DegreeClass(X.lattice, [x - (j == k) for j, x in enumerate(rep)])
+    assert T.leq(d, cell.degree)
+    for entry, beta, strict, paper in (
+        ((i, d), 1, False, True),
+        ((i, d), 2, False, False),
+        ((i + 1, d), 2, True, True),
+    ):
+        U = copy.copy(T)
+        U.entries = dict(T.entries)
+        U.entries[entry] = beta
+        for mode, want in (("strict", strict), ("paper-example", paper)):
+            got = strongly_algebraic_subcomplex(X, U, mode=mode)
+            assert any(cell in layer for layer in got.basis) == want, (entry, beta, mode)
 
 
 def test_strongly_algebraic_bad_mode(ex63):

@@ -324,16 +324,26 @@ def test_field_validation():
         assert both_homologies([(0,)], good) == {-1: 0, 0: 0}
 
 
-def test_betti_table_checks_the_field_once(ex63):
-    """Every reduced_homology_dims call checks its field, and is_prime is
-    cached, so a table runs Miller-Rabin once per prime, not once per
-    fiber; a composite field still raises, from the table and from
-    reduced_homology_dims called directly."""
+def test_betti_table_checks_the_field_once(ex63, monkeypatch):
+    """A table checks its field once, up front, not once per fiber: one
+    is_prime call per table over a prime; a composite field still
+    raises, from the table and from reduced_homology_dims called
+    directly."""
+    from latticescarf import homology
+
     atlas = scan_degree_classes(ex63.lattice, ex63.bound, ex63.functional)
-    is_prime.cache_clear()
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(homology, "is_prime", counted)
     T = betti_table(atlas, 32003)
-    assert is_prime.cache_info().misses == 1 and len(atlas.fibers) > 1
+    assert calls == [32003] and len(atlas.fibers) > 1
     assert T.entries == betti_table(atlas, "q").entries
+    betti_table(atlas, 2)
+    assert calls == [32003, 2]
     for bad in (4, 32001):
         with pytest.raises(ValueError):
             betti_table(atlas, bad)

@@ -23,21 +23,30 @@ from helpers import (
     full_fibers,
     gcd_complex,
     scan_problems,
+    strongly_oracle,
     suite_b_lattices,
 )
-from latticescarf.homology import gcd_components, scan_degree_classes
+from latticescarf.homology import (
+    betti_table,
+    gcd_components,
+    minimal_betti_degrees,
+    scan_degree_classes,
+)
 from latticescarf.lattice_core import LatticeBasis, class_of
 from latticescarf.scarf import (
     BasicComponent,
     LatticeSubset,
+    algebraic_scarf_subcomplex,
     basic_components,
     binomials,
     bmax,
+    build_generalized_scarf_complex,
     enumerate_scarf_poset,
     in_generalized_scarf,
     is_basic_fiber,
     monomials_of,
     scarf_poset,
+    strongly_algebraic_subcomplex,
     vsupp,
 )
 
@@ -284,12 +293,30 @@ def test_distinct_mask_readers_match_the_gcd_complex_oracle(suite):
     Among the components are some with a repeated mask and at most n
     distinct ones, and some of more than n masks, none repeated: each of
     the two rejections basic_components takes before it gathers a member
-    is met alone."""
+    is met alone.
+
+    The two readers that sit on the Betti table equal their definitions
+    there too: both strong subcomplexes equal strongly_oracle (class_leq
+    and T.entries, no BettiTable.leq) and contain the algebraic Scarf
+    subcomplex; and every carried fiber of two members in two gcd
+    components has a minimal 1-Betti degree, which binomials assumes."""
     lattices = itertools.islice(suite_b_lattices(random.Random(109)), 10)
     repeated = wide = 0
     for where, L, bound, w in scan_problems(suite, lattices):
         atlas = scan_degree_classes(L, bound, w)
         assert binomials(atlas) == binomials_oracle(atlas), where
+        T = betti_table(atlas)
+        minimal = set(minimal_betti_degrees(T, 1))
+        for fib in atlas.fibers:
+            if len(fib) == 2 and len(fib.mask_unions[1]) == 2:
+                assert fib.degree in minimal, (where, fib.degree)
+        X = build_generalized_scarf_complex(scarf_poset(atlas))
+        S = algebraic_scarf_subcomplex(X)
+        for mode in ("strict", "paper-example"):
+            SS = strongly_algebraic_subcomplex(X, T, mode)
+            assert list(SS.basis) == strongly_oracle(X, T, mode), (where, mode)
+            for i, cells in enumerate(S.basis):
+                assert set(cells) <= set(SS.basis[i]), (where, mode, i)
         for fib in scan_degree_classes(L, bound, w).fibers:
             got = [
                 (c.monomials, c.witness.members, c.whole)

@@ -185,6 +185,39 @@ def test_library_layers_define_no_dead_code():
     assert found == []
 
 
+def decorator_name(node):
+    """The name a decorator calls: cache for @cache, @functools.cache and
+    @lru_cache(maxsize=8) alike (lru_cache there)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_library_layers_keep_no_hidden_caches():
+    """No top-level function of the library layers, nor a method of a
+    top-level class, is memoized by cache or lru_cache: a result that
+    outlives its call hides work from the measurements and state from
+    the tests.  Function-local closures (the scan's ups and downs) live
+    only as long as their call and are allowed; cli and fixtures are the
+    front end and are exempt."""
+    found = []
+    for path, tree in package_modules():
+        if path.stem not in LAYERS:
+            continue
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                functions += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+        found += [
+            "%s:%d %s" % (path.name, f.lineno, f.name)
+            for f in functions
+            if any(decorator_name(d) in ("cache", "lru_cache") for d in f.decorator_list)
+        ]
+    assert found == []
+
+
 def resolves(module, name):
     """Does `from module import name` succeed: an attribute of the module,
     or a submodule of a package?"""
