@@ -36,7 +36,7 @@ from .lattice_core import (
     _same_lattice,
     positive_functional,
 )
-from .linalg import is_prime, rank_gf2, rank_mod_p, rank_rational
+from .linalg import is_prime, rank_exact, rank_gf2
 
 
 def _maximal_masks(masks):
@@ -49,13 +49,13 @@ def _maximal_masks(masks):
     return out
 
 
-def _signed_rows(boundary, width):
-    """The integer matrix over width lower faces of a boundary map given
-    as rows of bits 1 << (position of a facet), in vertex order: their
-    signs alternate +1, -1, ..."""
+def _signed_rows(boundary):
+    """The integer matrix of a boundary map given as rows of bits
+    1 << (position of a facet), in vertex order, as sparse rows
+    {position: sign}: their signs alternate +1, -1, ..."""
     rows = []
     for bits in boundary:
-        row, sign = [0] * width, 1
+        row, sign = {}, 1
         for b in bits:
             row[b.bit_length() - 1] = sign
             sign = -sign
@@ -95,11 +95,12 @@ def reduced_homology_dims(facets, field="q"):
     less these gaps, is never negative.  So
     0 <= rank_Q d_j - rank_2 d_j <= min(dim H~_{j-1}, dim H~_j) over GF(2)
     (universal coefficients: Hatcher, Algebraic Topology, 3.A).  Over Q
-    only a map with homology on both sides is ranked again, by Bareiss,
-    going up in j, with the dimensions that the gaps below it left: its
-    gap comes off both degrees, and every other GF(2) rank is its Q rank.
-    GF(2) takes the bitset ranks alone.  An odd prime p ranks each map
-    mod p, since GF(2) bounds its ranks in neither direction.  A cone is
+    only a map with homology on both sides is ranked again, exactly
+    (linalg.rank_exact on sparse rows), going up in j, with the dimensions
+    that the gaps below it left: its gap comes off both degrees, and every
+    other GF(2) rank is its Q rank.  GF(2) takes the bitset ranks alone.
+    An odd prime p ranks each map mod p by the same exact routine, since
+    GF(2) bounds its ranks in neither direction.  A cone is
     ranked like any other complex; the degree scan drops cone fibers
     before any rank (see Atlas).
     """
@@ -147,13 +148,12 @@ def _facet_homology(facets, field):
         if field in ("q", "Q", 2):
             ranks[k] = rank_gf2(map(sum, maps[k]))
         else:
-            ranks[k] = rank_mod_p(_signed_rows(maps[k], len(lower)), field)
+            ranks[k] = rank_exact(_signed_rows(maps[k]), field)
     dims = {k - 1: len(size[k]) - ranks[k] - ranks[k + 1] for k in range(top)}
     if field in ("q", "Q"):
         for k in range(2, top):
             if dims[k - 2] and dims[k - 1]:
-                rows = _signed_rows(maps[k], len(size[k - 1]))
-                extra = rank_rational(rows) - ranks[k]
+                extra = rank_exact(_signed_rows(maps[k])) - ranks[k]
                 dims[k - 2] -= extra
                 dims[k - 1] -= extra
     return dims

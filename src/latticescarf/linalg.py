@@ -20,8 +20,10 @@ The pieces:
   rational bounds from one routine, _bounds, except the integer
   descent's last variable, whose bounds the carried values give,
 * ranks for homology: over GF(2) by XOR elimination of int bitset rows,
-  over GF(p) by forward elimination, and over Q fraction-free (Bareiss);
-  with the primality check that guards GF(p).
+  and over Q or GF(p) by one sparse elimination of dict rows that pivots
+  on entries of least absolute value (over Q on +-1 wherever it can,
+  which keeps every entry an integer with no scaling); with the
+  primality check that guards GF(p).
 """
 
 from fractions import Fraction
@@ -341,41 +343,6 @@ def rational_point(rows, nvars):
 # Rank computations for homology.
 
 
-def rank_rational(rows):
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        best = None
-        for i in range(rank, nr):
-            v = abs(m[i][col])
-            if v and (best is None or v < best):
-                piv, best = i, v
-                if v == 1:
-                    break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, nr):
-            mi = m[i]
-            mic = mi[col]
-            row = m[rank]
-            for j in range(col + 1, nc):
-                mi[j] = (mi[j] * p - mic * row[j]) // prev
-            mi[col] = 0
-        prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -403,33 +370,53 @@ def is_prime(n):
     return True
 
 
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p), by forward elimination: each
-    pivot clears its column in the rows below it only."""
-    m = [[x % p for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
+def rank_exact(rows, p=0):
+    """Rank over Q (p = 0) or over GF(p), p prime, of the integer matrix
+    whose rows are dicts {column: nonzero int}; the rows are consumed.
+
+    Each step takes a shortest row as the pivot row, and in it an entry x
+    of least absolute value, in column c; it clears c from every other
+    row r and drops the pivot row, which adds 1 to the rank.  Mod p every
+    nonzero entry is a unit, so r[c] / x times the pivot row comes off r.
+    Over Q a pivot x = +-1 takes r[c] * x times the pivot row off r,
+    which keeps every entry an integer with no scaling; any other x
+    replaces r by x * r - r[c] * pivot row, which keeps the rank, as
+    x != 0."""
+    if p:
+        rows = [{c: x % p for c, x in r.items() if x % p} for r in rows]
+    rows = [r for r in rows if r]
     rank = 0
-    for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        row = m[rank]
-        inv = pow(row[col], -1, p)
-        for i in range(rank + 1, nr):
-            f = m[i][col]
-            if f:
-                f = f * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+    while rows:
+        pivot = min(rows, key=len)
+        c, x = min(pivot.items(), key=lambda e: abs(e[1]))
+        # 1 / x where it is in the ring, else 0
+        unit = pow(x, -1, p) if p else x if x in (1, -1) else 0
         rank += 1
-        if rank == nr:
-            break
+        left = []
+        for r in rows:
+            y = r.get(c)
+            if y is None:
+                left.append(r)
+                continue
+            if r is pivot:
+                continue
+            if unit:
+                f = y * unit % p if p else y * unit
+            else:
+                for col in r:
+                    r[col] *= x
+                f = y
+            for col, v in pivot.items():
+                z = r.get(col, 0) - f * v
+                if p:
+                    z %= p
+                if z:
+                    r[col] = z
+                else:
+                    del r[col]
+            if r:
+                left.append(r)
+        rows = left
     return rank
 
 

@@ -18,14 +18,13 @@ signs are read off positions in that order.
 """
 
 from functools import reduce
-from operator import and_
+from operator import and_, sub
 
 from .fibers import (
     canonical_order,
     enumerate_fiber,
     fiber_of,
     gcd_of,
-    reduce_by_gcd,
 )
 from .homology import scan_degree_classes
 from .lattice_core import _same_lattice, contains
@@ -352,7 +351,8 @@ def build_generalized_scarf_complex(poset):
             for pos, m in enumerate(ms):
                 rest = ms[:pos] + ms[pos + 1 :]
                 g = gcd_of(rest)
-                target = reduce_by_gcd(rest)
+                # rest is in canonical order, and so is rest less g
+                target = tuple(tuple(map(sub, u, g)) for u in rest)
                 row = index[i - 1].get(target)
                 if row is None:
                     raise ValueError(

@@ -31,7 +31,7 @@ from latticescarf.lattice_core import (
     class_of,
     positive_functional,
 )
-from latticescarf.linalg import integer_solutions, is_prime, rank_mod_p, rank_rational
+from latticescarf.linalg import integer_solutions, is_prime
 from latticescarf.scarf import (
     LatticeSubset,
     _in_generalized_scarf,
@@ -160,6 +160,75 @@ def connected_components(K):
         groups.setdefault(find(v), []).append(v)
     comps = sorted(groups.values(), key=lambda g: g[0])
     return tuple(tuple(K.vertex_labels[v] for v in sorted(g)) for g in comps)
+
+
+# The oracle's own dense ranks, which share no code with the package's
+# (linalg.rank_gf2 and linalg.rank_exact).
+
+
+def rank_rational(rows):
+    """Rank over Q of an integer matrix, by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(nc):
+        piv = None
+        best = None
+        for i in range(rank, nr):
+            v = abs(m[i][col])
+            if v and (best is None or v < best):
+                piv, best = i, v
+                if v == 1:
+                    break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for i in range(rank + 1, nr):
+            mi = m[i]
+            mic = mi[col]
+            row = m[rank]
+            for j in range(col + 1, nc):
+                mi[j] = (mi[j] * p - mic * row[j]) // prev
+            mi[col] = 0
+        prev = p
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over GF(p), by forward elimination: each
+    pivot clears its column in the rows below it only."""
+    m = [[x % p for x in r] for r in rows]
+    if not m or not m[0]:
+        return 0
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    for col in range(nc):
+        piv = None
+        for i in range(rank, nr):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        row = m[rank]
+        inv = pow(row[col], -1, p)
+        for i in range(rank + 1, nr):
+            f = m[i][col]
+            if f:
+                f = f * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
 
 
 def _boundary_rank(lower, upper, field):

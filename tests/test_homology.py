@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -49,7 +50,7 @@ from latticescarf.lattice_core import (
     class_of,
     lattice_from_semigroup,
 )
-from latticescarf.linalg import is_prime, rank_rational
+from latticescarf.linalg import is_prime, rank_exact
 
 ABD = (1, 1, 0, 1, 0)
 
@@ -238,26 +239,27 @@ def test_negative_mask_raises():
 
 def test_homology_field_dependence_rp2(monkeypatch):
     """Over GF(2), RP^2 has homology in degrees 1 and 2, so over Q the map
-    between them is ranked again by Bareiss, which finds one rank more
-    and clears both degrees."""
+    between them is ranked again exactly (rank_exact with p = 0), which
+    finds one rank more and clears both degrees."""
     from latticescarf import homology
 
     K = SimplicialComplex(tuple(range(6)), RP2_FACETS)
     assert K.f_vector() == (6, 15, 10)
-    bareiss = []
+    reruns = []
 
-    def counted(rows):
-        bareiss.append((len(rows), len(rows[0])))
-        return rank_rational(rows)
+    def counted(rows, p=0):
+        if not p:
+            reruns.append((len(rows), len(set().union(*rows))))
+        return rank_exact(rows, p)
 
-    monkeypatch.setattr(homology, "rank_rational", counted)
+    monkeypatch.setattr(homology, "rank_exact", counted)
     # 10 facets on 6 vertices: no nerve, whose faces would reach dimension 4
     over_2 = both_homologies(RP2_FACETS, 2)
     assert over_2 == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert bareiss == []
+    assert reruns == []
     over_q = both_homologies(RP2_FACETS, "q")
     assert over_q == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert bareiss == [(10, 15)]
+    assert reruns == [(10, 15)]
 
 
 @pytest.mark.parametrize("field", ["q", 2, 32003])
@@ -284,9 +286,9 @@ def test_cones_match_face_oracle(field):
 
 def test_each_field_ranks_with_its_own_routine(monkeypatch):
     """The hollow triangle ranks its boundary maps as bitsets over Q and
-    GF(2), and mod p over an odd prime p; over Q it
+    GF(2), and exactly mod p over an odd prime p; over Q it
     has homology in one degree only, so nothing is ranked again.  RP^2
-    over Q ranks one map again by Bareiss."""
+    over Q ranks one map again exactly."""
     from latticescarf import homology
 
     calls = []
@@ -300,15 +302,15 @@ def test_each_field_ranks_with_its_own_routine(monkeypatch):
 
         return wrapper
 
-    for name in ("rank_gf2", "rank_mod_p", "rank_rational"):
+    for name in ("rank_gf2", "rank_exact"):
         monkeypatch.setattr(homology, name, counted(name))
     for field in ("q", 2, 3, 32003):
         assert reduced_homology_dims([0b011, 0b101, 0b110], field)[1] == 1
-        rank = "rank_mod_p" if field == 3 or field == 32003 else "rank_gf2"
+        rank = "rank_exact" if field == 3 or field == 32003 else "rank_gf2"
         assert set(calls) == {rank}, field
         calls.clear()
     reduced_homology_dims([sum(1 << v for v in f) for f in RP2_FACETS], "q")
-    assert calls.count("rank_rational") == 1
+    assert calls.count("rank_exact") == 1
 
 
 def test_field_validation():
@@ -899,8 +901,8 @@ def test_mask_homology_matches_face_oracle_on_carried_fibers(suite, field):
     """On every carried fiber of the three fixtures at their bounds and of
     the semigroup <3,5,7,11,13> at bound 40, and on every fiber that the
     scan drops there (helpers.full_fibers holds both), the mask routine
-    (GF(2) bitset ranks with Bareiss corrections over Q, bitset ranks
-    alone over GF(2), forward elimination over GF(32003)) equals the
+    (GF(2) bitset ranks with exact corrections over Q, bitset ranks
+    alone over GF(2), exact sparse elimination over GF(32003)) equals the
     face-tuple oracle key for key."""
     A = SemigroupMatrix([(3, 5, 7, 11, 13)])
     problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
@@ -954,6 +956,28 @@ def test_betti_table_answers_only_within_its_bound(ex61):
     other = class_of(LatticeBasis([(1, -1, 0, 0)]), (0, 0, 0, 0))
     with pytest.raises(ValueError, match="different lattices"):
         T.get(1, other)
+
+
+# <m, m+1, ..., 2m-1> and a bound, in its own grading, through which every
+# Betti number of the interval semigroup is scanned
+INTERVAL_SEMIGROUP_BOUNDS = ((3, 30), (4, 40), (5, 60), (6, 80), (7, 100), (8, 120), (9, 130))
+
+
+@pytest.mark.parametrize(
+    "m, bound, field",
+    [(m, bound, field) for m, bound in INTERVAL_SEMIGROUP_BOUNDS for field in ("q", 2)]
+    + [(m, bound, 32003) for m, bound in INTERVAL_SEMIGROUP_BOUNDS if m <= 8],
+)
+def test_interval_semigroup_betti_totals_closed_form(m, bound, field):
+    """The interval semigroup <m, ..., 2m-1> has Betti totals
+    beta_i = i * C(m, i + 1), 1 <= i <= m - 1: the Eagon-Northcott numbers
+    of a 2 x m matrix (Gimenez, Sengupta and Srinivasan, J. Algebra 388,
+    2013).  The oracle is one binomial coefficient, and shares no code
+    with the package."""
+    A = SemigroupMatrix([tuple(range(m, 2 * m))])
+    T = betti_scan(lattice_from_semigroup(A), bound, field=field, functional=A.column_sums())
+    totals = {i: T.total(i) for i in T.homological_degrees()}
+    assert totals == {i: i * math.comb(m, i + 1) for i in range(1, m)}
 
 
 @pytest.mark.parametrize("field", ["q", 2, 3, 32003])

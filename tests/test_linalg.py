@@ -6,15 +6,14 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from helpers import integer_points
+from helpers import integer_points, rank_mod_p, rank_rational
 from latticescarf.linalg import (
     _normalize_row,
     canonical_rep,
     fm_eliminate,
     integer_kernel,
+    rank_exact,
     rank_gf2,
-    rank_mod_p,
-    rank_rational,
     rational_point,
     row_hermite,
     size_reduce,
@@ -331,3 +330,60 @@ def test_rank_gf2_matches_rank_mod_2():
         assert rank_gf2(rows) == rank_mod_p(A, 2), A
     assert rank_gf2([]) == rank_gf2([0, 0]) == 0
     assert rank_gf2([0b11, 0b101, 0b110]) == 2
+
+
+def sparse(A):
+    """The rows of A as dicts {column: nonzero entry}, as rank_exact takes them."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 32003])
+def test_rank_exact_against_sympy(p):
+    """rank_exact over Q (p = 0) and GF(p) against sympy, on entries in
+    [-3, 3], where many pivots are not +-1, and on matrices whose last row
+    depends on the others: over Q a combination of two rows, mod p the
+    first row plus p times a random row."""
+    field = sympy.GF(p) if p else sympy.QQ
+    for _ in range(80):
+        r = rng.randint(1, 7)
+        n = rng.randint(1, 7)
+        A = random_matrix(r, n, -3, 3)
+        if r >= 2 and rng.random() < 0.4:
+            if p:
+                A[-1] = tuple(x + p * rng.randint(-2, 2) for x in A[0])
+            else:
+                A[-1] = tuple(2 * x - 3 * y for x, y in zip(A[0], A[1]))
+        want = DomainMatrix.from_list(A, sympy.ZZ).convert_to(field).rank()
+        assert rank_exact(sparse(A), p) == want, (p, A)
+
+
+def test_rank_exact_without_unit_pivots():
+    """No entry is +-1, so over Q every step takes the scaled branch,
+    x * r - r[c] * pivot row; mod p the entries are reduced first."""
+    A = [(2, 4, 6), (4, 2, 0), (6, 6, 6)]  # det 0, rank 2; every entry even
+    assert rank_exact(sparse(A)) == 2
+    assert rank_exact(sparse(A), 2) == 0
+    assert rank_exact(sparse(A), 3) == 1
+    assert rank_exact(sparse(A), 5) == 2
+    assert rank_exact([{0: 5}, {1: 10, 2: -15}], 5) == 0
+
+
+def test_rank_exact_empty_and_zero_rows():
+    for p in (0, 2, 3, 32003):
+        assert rank_exact([], p) == 0
+        assert rank_exact([{}, {}], p) == 0
+        assert rank_exact([{}, {3: 1}, {}, {3: -2}], p) == 1
+
+
+def test_rank_exact_mod_p_at_most_rational():
+    """A nonzero minor mod p is a nonzero integer minor, so no GF(p) rank
+    exceeds the Q rank; on matrices with entries up to 6 some are lower."""
+    drops = 0
+    for _ in range(200):
+        A = random_matrix(rng.randint(1, 6), rng.randint(1, 6))
+        over_q = rank_exact(sparse(A))
+        for p in (2, 3, 5):
+            over_p = rank_exact(sparse(A), p)
+            assert over_p <= over_q, (p, A)
+            drops += over_p < over_q
+    assert drops >= 10

@@ -263,3 +263,25 @@ def test_benchmark_import_surface_resolves():
         importlib.import_module(module)
     missing = sorted("%s.%s" % pair for pair in names if not resolves(*pair))
     assert missing == []
+
+
+def test_oracle_imports_no_package_ranks():
+    """The face-tuple oracle (complex_homology_dims, and the Betti oracle
+    that reads it) ranks its boundary maps with its own dense routines, so
+    tests/helpers.py imports no rank routine from the package, nor linalg
+    itself, whose attributes would give it one."""
+    path = pathlib.Path(__file__).with_name("helpers.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("latticescarf"):
+            imported += [
+                (node.lineno, a.name)
+                for a in node.names
+                if a.name.startswith("rank") or a.name == "linalg"
+            ]
+        elif isinstance(node, ast.Import):
+            imported += [(node.lineno, a.name) for a in node.names if a.name == "latticescarf.linalg"]
+    assert imported == []
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"rank_rational", "rank_mod_p"} <= defined
