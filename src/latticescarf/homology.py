@@ -126,17 +126,19 @@ def _facet_homology(facets, field):
         return {-1: 1}
     # size[k]: face -> position for the faces of k vertices (dimension
     # k - 1); size[0] holds the empty face, so the augmentation is the map
-    # out of size[1].  maps[k], the map out of size[k]: for each face f
-    # the bits 1 << (position of f minus a vertex), in vertex order; over
-    # GF(2) the row is their sum.  A face of k - 1 vertices is a facet or
-    # lies in one of k, so size[k - 1] is whole before it is read.
+    # out of size[1], of rank 1 on a complex with a vertex.  maps[k], the
+    # map out of size[k] for k >= 2: for each face f the bits 1 <<
+    # (position of f minus a vertex), in vertex order; over GF(2) the row
+    # is their sum.  A face of k - 1 vertices is a facet or lies in one of
+    # k, so size[k - 1] is whole before it is read.
     top = facets[0].bit_count() + 1
-    size = [{} for _ in range(top)]
+    size = [{0: 0}] + [{} for _ in range(1, top)]
     for f in facets:
         size[f.bit_count()].setdefault(f, len(size[f.bit_count()]))
     maps = [None] * top
     ranks = [0] * (top + 1)  # ranks[k]: the rank of the map out of size[k]
-    for k in range(top - 1, 0, -1):
+    ranks[1] = 1
+    for k in range(top - 1, 1, -1):
         lower, maps[k] = size[k - 1], []
         for f in size[k]:
             rest, row = f, []
@@ -163,13 +165,10 @@ def gcd_components(F):
     """The connected components of the gcd complex of the Fiber F: tuples
     of members in fiber order, one per union of F.mask_unions, ordered by
     their first member."""
-    distinct, unions = F.mask_unions
-    union_of = {s: u for _k, u in unions for s in filter(u.__and__, distinct)}
-    groups = {u: [] for _k, u in unions}
-    for m, s in zip(F.members, F.masks):
-        if s:
-            groups[union_of[s]].append(m)
-    return tuple(map(tuple, groups.values()))
+    return tuple(
+        tuple(m for m, s in zip(F.members, F.masks) if s & u)
+        for _k, u in F.mask_unions[1]
+    )
 
 
 def betti_at(L, i, b, field="q"):

@@ -20,12 +20,7 @@ signs are read off positions in that order.
 from functools import reduce
 from operator import and_, sub
 
-from .fibers import (
-    canonical_order,
-    enumerate_fiber,
-    fiber_of,
-    gcd_of,
-)
+from .fibers import canonical_order, enumerate_fiber, fiber_of
 from .homology import scan_degree_classes
 from .lattice_core import _same_lattice, contains
 
@@ -135,13 +130,29 @@ class BasicComponent:
     sets it as it cuts the component from that fiber, so it is False on a
     component built by hand.  It takes no part in equality or hashing."""
 
-    __slots__ = ("degree", "monomials", "witness", "whole")
+    __slots__ = ("degree", "monomials", "witness", "whole", "_boundary")
 
     def __init__(self, degree, monomials, witness):
         self.degree = degree
         self.monomials = canonical_order(monomials)
         self.witness = witness
         self.whole = False
+        self._boundary = None
+
+    @property
+    def boundary(self):
+        """theta(E_C) as (sign, gcd(C minus m), monomials of [C minus m])
+        for each m in position order, computed on first read; the signs
+        alternate from +, and a single monomial has none."""
+        if self._boundary is None:
+            ms, out = self.monomials, []
+            for pos in range(len(ms) if len(ms) > 1 else 0):
+                rest = ms[:pos] + ms[pos + 1 :]
+                g = tuple(map(min, *rest)) if len(rest) > 1 else rest[0]
+                reduced = tuple(tuple(map(sub, u, g)) for u in rest)
+                out.append((-1 if pos % 2 else 1, g, reduced))
+            self._boundary = tuple(out)
+        return self._boundary
 
     @property
     def cardinality(self):
@@ -300,15 +311,33 @@ class AlgebraicComplex:
     """A chain complex of free modules with monomial-times-sign entries.
 
     basis[i] is the tuple of basic components in homological degree i
-    (components of cardinality i+1); differentials[i] maps (row, col) to
-    a tuple of (sign, exponent) terms sending basis[i][col] into
-    basis[i-1][row].
+    (components of cardinality i+1).  The differentials are a function of
+    the basis: differentials[i] maps (row, col) to the tuple of (sign,
+    exponent) terms of basis[i][col].boundary whose target monomials are
+    those of basis[i-1][row].  A target missing from basis[i-1] raises
+    ValueError, whether the basis is a poset the scan bound does not
+    close or a restriction to cells not closed under the differential.
     """
 
-    def __init__(self, lattice, basis, differentials):
+    def __init__(self, lattice, basis):
         self.lattice = lattice
         self.basis = tuple(tuple(bs) for bs in basis)
-        self.differentials = tuple(dict(d) for d in differentials)
+        diffs = []
+        for lower, cells in zip(((),) + self.basis, self.basis):
+            # a component's monomials fix its degree, the class of any of them
+            index = {c.monomials: k for k, c in enumerate(lower)}
+            d = {}
+            for col, c in enumerate(cells):
+                for sign, g, target in c.boundary:
+                    row = index.get(target)
+                    if row is None:
+                        raise ValueError(
+                            "differential target %r of %r is not in the basis "
+                            "one degree down" % (target, c)
+                        )
+                    d.setdefault((row, col), []).append((sign, g))
+            diffs.append({k: tuple(v) for k, v in d.items()})
+        self.differentials = tuple(diffs)
 
     def ranks(self):
         return tuple(len(bs) for bs in self.basis)
@@ -337,32 +366,10 @@ def build_generalized_scarf_complex(poset):
             (-1)^(position of m in C) * gcd(C minus m) * E_[C minus m]
 
     with [G] the gcd-free reduction of G, positions 1-based in the
-    canonical descending order (so the first position gets +)."""
-    L = poset.lattice
-    top = poset.max_cardinality() - 1
-    basis = [poset.by_cardinality(i + 1) for i in range(top + 1)]
-    # a component's monomials fix its degree, the class of any of them
-    index = [{c.monomials: k for k, c in enumerate(bs)} for bs in basis]
-    diffs = [dict() for _ in range(top + 1)]  # diffs[0] stays empty
-    for i in range(1, top + 1):
-        d = {}
-        for col, c in enumerate(basis[i]):
-            ms = c.monomials
-            for pos, m in enumerate(ms):
-                rest = ms[:pos] + ms[pos + 1 :]
-                g = gcd_of(rest)
-                # rest is in canonical order, and so is rest less g
-                target = tuple(tuple(map(sub, u, g)) for u in rest)
-                row = index[i - 1].get(target)
-                if row is None:
-                    raise ValueError(
-                        "differential target %r missing below degree %r; "
-                        "the scan bound does not close the complex" % (target, c)
-                    )
-                sign = 1 if pos % 2 == 0 else -1
-                d.setdefault((row, col), []).append((sign, g))
-        diffs[i] = {k: tuple(v) for k, v in d.items()}
-    return AlgebraicComplex(L, basis, diffs)
+    canonical descending order (so the first position gets +); see
+    BasicComponent.boundary."""
+    cells = [poset.by_cardinality(k + 1) for k in range(poset.max_cardinality())]
+    return AlgebraicComplex(poset.lattice, cells)
 
 
 def verify_zero_composition(X):
@@ -385,31 +392,13 @@ def verify_zero_composition(X):
 
 
 def _restrict(X, kept):
-    """Subcomplex on the cells E_C of degree i with kept(i, C).
-
-    Every differential entry leaving a kept column must land in a kept
-    row -- the callers only restrict to families closed under theta."""
-    keep = [
-        [k for k, c in enumerate(bs) if kept(i, c)] for i, bs in enumerate(X.basis)
-    ]
-    while keep and not keep[-1]:
-        keep = keep[:-1]
-    basis = []
-    remap = []
-    for i in range(len(keep)):
-        basis.append(tuple(X.basis[i][k] for k in keep[i]))
-        remap.append({k: t for t, k in enumerate(keep[i])})
-    diffs = [dict() for _ in range(len(keep))]
-    for i in range(1, len(keep)):
-        d = {}
-        for (r, c), terms in X.differentials[i].items():
-            if c not in remap[i]:
-                continue
-            if r not in remap[i - 1]:
-                raise ValueError("restriction is not closed under the differential")
-            d[(remap[i - 1][r], remap[i][c])] = terms
-        diffs[i] = d
-    return AlgebraicComplex(X.lattice, basis, diffs)
+    """Subcomplex on the cells E_C of degree i with kept(i, C), less empty
+    top degrees.  The callers only restrict to families closed under
+    theta; AlgebraicComplex raises ValueError on any other."""
+    basis = [[c for c in bs if kept(i, c)] for i, bs in enumerate(X.basis)]
+    while basis and not basis[-1]:
+        basis.pop()
+    return AlgebraicComplex(X.lattice, basis)
 
 
 def algebraic_scarf_subcomplex(X):
@@ -461,13 +450,9 @@ def strongly_algebraic_subcomplex(X, T, mode="strict"):
 def indispensable_binomials(L, bound, functional=None):
     """Binomials whose degree is a minimal 1-Betti degree with a two-
     monomial gcd-free fiber: x^m1 - x^m2 written as the ordered pair
-    (m1, m2), m1 the lexicographically larger exponent.
-
-    Those fibers are {u, v} with disjoint supports, and their degree b
-    is always minimal: were a 1-Betti degree d != b below b, b - d would
-    hold a nonzero monomial m, and two members a != a' of fiber(d) (it
-    has beta_1 > 0) would give two members a + m, a' + m of fiber(b)
-    sharing supp(m), which u and v do not."""
+    (m1, m2), m1 the lexicographically larger exponent.  Those fibers are
+    {u, v} with disjoint supports, and binomials proves their degree
+    always minimal."""
     return binomials(scan_degree_classes(L, bound, functional))[1]
 
 

@@ -621,6 +621,25 @@ def strongly_oracle(X, T, mode):
     return bases
 
 
+def restriction_oracle(X, bases):
+    """The differentials of the subcomplex of X on bases, sub-bases of
+    X.basis in its order: X's own entries, each moved to the positions
+    its row and column cells hold in bases.  ValueError when an entry
+    leaves a kept column for a dropped row."""
+    remap = [{c: t for t, c in enumerate(bs)} for bs in bases]
+    diffs = [{} for _ in bases]
+    for i in range(1, len(bases)):
+        for (r, c), terms in X.differentials[i].items():
+            col = remap[i].get(X.basis[i][c])
+            if col is None:
+                continue
+            row = remap[i - 1].get(X.basis[i - 1][r])
+            if row is None:
+                raise ValueError("restriction is not closed under the differential")
+            diffs[i][(row, col)] = terms
+    return tuple(diffs)
+
+
 def export_dot_gcd_oracle(fiber, variables):
     """export_dot(fiber, variables, "gcd") for plain variable names, with
     an edge wherever the pairwise gcd is not 1."""

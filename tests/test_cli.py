@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -932,3 +934,33 @@ def test_cli_point_queries_match_the_benchmark_digests(capsys, fixture, degree):
         code, out, _ = run_cli(capsys, *argv, "--fixture", fixture, "--degree", degree)
         want = ops["queries/%s/%s/%s" % (fixture, degree, label)]["sha256"]
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, label
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py and the oracle it imports, loaded by path
+    (read only: no bytecode is written) and dropped again after the test."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("oracle", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, perfbench / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    return module, json.loads((perfbench / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("workload", ["fixtures", "semigroups"])
+def test_cli_reports_match_the_benchmark_digests(capsys, monkeypatch, workload):
+    """Every CLI operation of the fixtures and semigroups workloads prints,
+    byte for byte, the report whose sha256 digest perfbench/expected.json
+    records for it, and the workload runs every recorded operation."""
+    workloads, expected = _benchmark_workloads(monkeypatch)
+    ops = workloads.SETUP[workload](0, expected, collections.Counter())
+    recorded = [k for k in expected["ops"] if k.partition("/")[0] == workload]
+    assert sorted(op.id for op in ops) == sorted(recorded)
+    wrong = []
+    for op in ops:
+        code, out, _ = run_cli(capsys, *op.argv)
+        if code or hashlib.sha256(out.encode()).hexdigest() != expected["ops"][op.id]["sha256"]:
+            wrong.append(op.id)
+    assert wrong == []

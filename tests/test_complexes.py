@@ -2,10 +2,17 @@ import copy
 
 import pytest
 
-from helpers import check_homogeneity, complexes_equal
+from helpers import (
+    check_homogeneity,
+    complexes_equal,
+    restriction_oracle,
+    strongly_oracle,
+)
 from latticescarf.fibers import enumerate_fiber
 from latticescarf.scarf import (
+    AlgebraicComplex,
     ScarfPoset,
+    _restrict,
     algebraic_scarf_subcomplex,
     build_generalized_scarf_complex,
     enumerate_scarf_poset,
@@ -219,6 +226,47 @@ def test_unclosed_restriction_raises(ex63):
     broken = ScarfPoset(P.lattice, keep, leq, P.bound, P.functional)
     with pytest.raises(ValueError):
         build_generalized_scarf_complex(broken)
+
+
+def test_restrictions_match_the_position_remap(suite):
+    """Each subcomplex, built from its cells alone, has the differentials
+    of its complex with rows and columns moved to the kept positions."""
+    for data in suite.values():
+        X = data.complex
+        whole = [tuple(c for c in bs if c.whole) for bs in X.basis]
+        while not whole[-1]:
+            whole.pop()
+        cases = [(whole, algebraic_scarf_subcomplex(X))]
+        for mode in ("strict", "paper-example"):
+            Y = strongly_algebraic_subcomplex(X, data.table, mode=mode)
+            cases.append((strongly_oracle(X, data.table, mode), Y))
+        for bases, Y in cases:
+            assert Y.basis == tuple(bases), data.name
+            assert Y.differentials == restriction_oracle(X, bases), data.name
+
+
+def test_restriction_not_closed_under_theta_raises(ex63):
+    """Keeping ex63's degree-2 cells but none of degree 1 leaves every
+    boundary target out: the constructor raises, as the remap does."""
+    X = ex63.complex
+    with pytest.raises(ValueError, match="not in the basis"):
+        _restrict(X, lambda i, _c: i != 1)
+    kept = [X.basis[0], (), X.basis[2]]
+    with pytest.raises(ValueError, match="not closed"):
+        restriction_oracle(X, kept)
+
+
+def test_differentials_are_a_function_of_the_basis(suite):
+    """A complex rebuilt from its basis alone is the same complex, and its
+    cells keep the boundaries they computed once."""
+    for data in suite.values():
+        X = data.complex
+        Y = AlgebraicComplex(X.lattice, X.basis)
+        assert complexes_equal(X, Y)
+        for bs in X.basis[1:]:
+            for c in bs:
+                assert len(c.boundary) == c.cardinality
+                assert c.boundary is c.boundary
 
 
 def test_top_degree(suite):

@@ -313,6 +313,38 @@ def test_each_field_ranks_with_its_own_routine(monkeypatch):
     assert calls.count("rank_exact") == 1
 
 
+@pytest.mark.parametrize("field", ["q", 2, 3, 32003])
+def test_the_augmentation_map_is_never_ranked(suite, monkeypatch, field):
+    """The map out of the vertices has rank 1 on every complex with a
+    vertex, so it is never built: each row handed to rank_exact comes from
+    the map out of the faces of k >= 2 vertices and has k entries, and a
+    complex of bare vertices calls no rank routine at all."""
+    from latticescarf import homology
+
+    lengths, calls, real_gf2 = [], [], homology.rank_gf2
+
+    def exact(rows, p=0):
+        lengths.extend(map(len, rows))
+        return rank_exact(rows, p)
+
+    def gf2(rows):
+        calls.append(rows)
+        return real_gf2(rows)
+
+    monkeypatch.setattr(homology, "rank_exact", exact)
+    monkeypatch.setattr(homology, "rank_gf2", gf2)
+    for data in suite.values():
+        atlas = scan_degree_classes(data.lattice, data.bound, data.functional)
+        betti_table(atlas, field)
+    both_homologies(RP2_FACETS, field)  # over Q, one map ranked again
+    # GF(2) ranks every map as bitsets alone
+    assert bool(lengths) == (field != 2) and min(lengths, default=2) >= 2
+    calls.clear()
+    lengths.clear()
+    assert both_homologies([(0,), (1,), (2,)], field) == {-1: 0, 0: 2}
+    assert calls == [] and lengths == []
+
+
 def test_field_validation():
     K = SimplicialComplex(("x",), [(0,)])
     for bad in ("x", 1, 0, -7, 4, 32001, True):
