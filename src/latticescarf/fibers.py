@@ -44,7 +44,7 @@ class MemberPacking:
         self.units = tuple(1 << n + width * (n - 1 - j) for j in range(n))
 
     def step(self, packed, j):
-        """u + e_j for each packed u, in their order: one C-level map."""
+        """u + e_j for each packed u, in their order."""
         return list(map((1 << j).__or__, map(self.units[j].__add__, packed)))
 
     def step_first(self, packed, j):
@@ -65,8 +65,7 @@ class MemberPacking:
         return tuple(map(((1 << self.n) - 1).__and__, packed))
 
     def unpack(self, packed):
-        """The exponent tuples of the packed members, in their order: one
-        join of their field bytes and one struct.iter_unpack."""
+        """The exponent tuples of the packed members, in their order."""
         st = self._struct
         if not st.size:
             return ((),) * len(packed)
@@ -101,8 +100,7 @@ class Fiber:
 
     @property
     def masks(self):
-        """The members' support masks, computed on first read: a fiber
-        query that prints only the members computes none."""
+        """The members' support masks, computed on first read."""
         if self._masks is None:
             self._masks = tuple(map(support_mask, self.members))
         return self._masks
@@ -162,15 +160,10 @@ class Fiber:
 def enumerate_fiber(L, u0):
     """All monomials congruent to u0 mod L, as a Fiber.
 
-    u0 may have negative entries (any class representative).  Each call
-    runs a Fourier-Motzkin enumeration of the z in Z^r with
-    u = u0 + z * B >= 0, whose descent (linalg.integer_solutions) carries
-    each member u along with z; a degree scan builds its fibers without
-    one (see homology.scan_degree_classes).  B is linalg.size_reduce of
-    L.rows, so the last level of the descent runs along the shortest row
-    and yields more members per call; B spans the same lattice, so the
-    fiber, which Fiber orders canonically, is the same.  The fiber's
-    masks are computed on first read.
+    u0 may have negative entries (any class representative).  A
+    Fourier-Motzkin descent (linalg.integer_solutions) enumerates the z in
+    Z^r with u = u0 + z * B >= 0, for B = linalg.size_reduce(L.rows),
+    which spans L and puts the shortest row at the last level.
     """
     u0 = tuple(u0)
     n, r = L.n, L.r

@@ -3,20 +3,20 @@
 beta_{i,b} is the reduced homology of the complex on the variables whose
 faces are the subsets of the fiber's monomial supports (Miller-Sturmfels'
 squarefree divisor complex, Combinatorial Commutative Algebra, Thm 9.2).
-reduced_homology_dims reads that complex from the support masks
-(Fiber.masks) alone, with faces as vertex bitmasks.  The complex
-is the nerve of the cover of the gcd complex (vertices = fiber
-monomials, faces = subsets with a nontrivial common divisor) by the full
-simplices V_i = {m : x_i divides m}, so the two have the same reduced
-homology.  The connected components of a gcd complex need no complex
-at all: gcd_components merges the support masks that meet.
+reduced_homology_dims reads that complex from its facets, as vertex
+bitmasks.  The complex is the nerve of the cover of the gcd complex
+(vertices = fiber monomials, faces = subsets with a nontrivial common
+divisor) by the full simplices V_i = {m : x_i divides m}, so the two
+have the same reduced homology.  The connected components of a gcd
+complex need no complex at all: gcd_components merges the support
+masks that meet.
 
 The ranks are exact, over GF(2) first (see reduced_homology_dims).  When
 the maximal supports of a fiber share a vertex the complex is a cone, so
 beta_{i,b} = 0 for every i.  A degree scan (scan_degree_classes) returns
-an Atlas, which carries only the Fibers of the other classes, as tuples,
-with their maximal supports; betti_table reads a BettiTable from those,
-and scarf.scarf_poset and scarf.binomials read the other products.
+an Atlas of the other classes and their maximal supports; betti_table
+reads a BettiTable from those alone, and scarf.scarf_poset and
+scarf.binomials read the fibers, which the Atlas builds on first read.
 
 Multigraded Betti numbers follow the convention
 
@@ -100,9 +100,7 @@ def reduced_homology_dims(facets, field="q"):
     that the gaps below it left: its gap comes off both degrees, and every
     other GF(2) rank is its Q rank.  GF(2) takes the bitset ranks alone.
     An odd prime p ranks each map mod p by the same exact routine, since
-    GF(2) bounds its ranks in neither direction.  A cone is
-    ranked like any other complex; the degree scan drops cone fibers
-    before any rank (see Atlas).
+    GF(2) bounds its ranks in neither direction.
     """
     check_field(field)
     masks = set(facets)
@@ -184,10 +182,12 @@ class Atlas:
     """A degree scan.  scanned holds every class it reached, as packed
     keys (lattice_core.ScannedClasses): len() counts them, and v in
     scanned asks whether the class of the integer vector v was reached.
-    fibers is a tuple of the Fibers of the classes whose maximal support
-    masks share no variable, each with its DegreeClass as fib.degree, in
-    (functional value, canonical key) order; facets[k] lists the maximal
-    nonzero masks of fibers[k], largest first.
+    degrees holds the DegreeClasses of the classes whose maximal support
+    masks share no variable, in (functional value, canonical key) order;
+    facets[k] lists the maximal nonzero masks of degrees[k], largest
+    first.  fibers[k] is the Fiber of degrees[k]: the function fibers
+    builds them all on the first read, which then drops it and the scan
+    state it holds.
 
     Dropping the others loses nothing.  Say their maximal masks all hold
     variable v.  The support complex is a cone: every beta is 0.  Every
@@ -200,13 +200,20 @@ class Atlas:
     the common variable x of G minus m1, not in supp(m1), lies in supp(m0)
     inside supp(m1)."""
 
-    def __init__(self, lattice, bound, functional, scanned, fibers, facets):
+    def __init__(self, lattice, bound, functional, scanned, degrees, facets, fibers):
         self.lattice = lattice
         self.bound = bound
         self.functional = functional
         self.scanned = scanned
-        self.fibers = fibers
+        self.degrees = degrees
         self.facets = facets
+        self._fibers = fibers
+
+    @property
+    def fibers(self):
+        if callable(self._fibers):
+            self._fibers = self._fibers()
+        return self._fibers
 
     def __len__(self):
         return len(self.scanned)
@@ -222,27 +229,21 @@ def scan_degree_classes(L, bound, functional=None):
     lattice.  No bool counts as an int.
     A depth-first search steps b -> b + e_j from the zero class, adding a
     move to the packed key of b (lattice_core.CosetPacking).  Each class
-    keeps three ints: its key, its value and n * p + j, the step from
-    class p that found it, which carried classes walk back to class 0 for
-    their representatives.  One pass after it runs in value order and
-    finds the steps into b again, one lookup of the key of b plus the back
-    move of e_j each; a miss means that b - e_j was not scanned.
+    keeps its key, its value and n * p + j, the step from class p that
+    found it, which carried classes walk back for their representatives.
+    A pass in value order finds the steps into b again by key lookup.
     cone(0) = 0 and cone(b) = AND over the scanned b - e_j of (cone(b -
-    e_j) | 1 << j), and only a class of cone mask 0 looks its steps up
-    again, for its maximal support masks.  These need no members: each is
-    F | 1 << j for j its lowest variable and a maximal mask F of b - e_j
-    with no variable below j, and they are never more than the fiber's
-    distinct supports.  A class of cone mask 0 is carried when they share
-    no variable (see Atlas).  For bit j of cone(b) every monomial has
-    u_j >= 1, so fiber(b) = fiber(b - e_j) + e_j (MemberPacking.step),
-    and a chain of such steps ORs its bits into the masks of the class it
-    starts from.  Members are packed ints (fibers.MemberPacking), built
-    only for the carried classes and the classes they read.  A class of
-    cone mask 0 takes the union over its steps of u + e_j for the u with
-    u_0 ... u_{j-1} all 0, so each monomial comes once, from its first
-    positive index, in canonical order (MemberPacking.step_first).  Only
-    a carried class gets a representative, a DegreeClass and a Fiber,
-    decoded once.
+    e_j) | 1 << j); only a class of cone mask 0 looks its steps up again,
+    for its maximal support masks: F | 1 << j for j its lowest variable
+    and F a maximal mask of b - e_j with no variable below j.  It is
+    carried, with a representative and a DegreeClass, when they share no
+    variable (see Atlas).  The first read of atlas.fibers unions packed
+    members (fibers.MemberPacking) on the down-set of the carried classes
+    and decodes theirs.  For bit j of cone(b) every monomial has u_j >= 1,
+    so fiber(b) = fiber(b - e_j) + e_j (MemberPacking.step); a class of
+    cone mask 0 takes u + e_j over its steps for the u with u_0 ...
+    u_{j-1} all 0, each monomial once, in canonical order
+    (MemberPacking.step_first).
     """
     w = tuple(functional) if functional is not None else positive_functional(L)
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (bound, *w)):
@@ -338,22 +339,6 @@ def scan_degree_classes(L, bound, functional=None):
         steps[i], fac[i] = into, _maximal_masks(faces)
         if not reduce(and_, fac[i]):  # else a cone (see Atlas)
             carried.append(i)
-    # members[i] holds fiber i packed (fibers.MemberPacking), in
-    # descending int order: canonical order, for each class in need: the
-    # carried ones and every class they read
-    need, stack = set(), carried[:]
-    while stack:
-        i = stack.pop()
-        if i not in need:
-            need.add(i)
-            stack += map(n.__rfloordiv__, steps[i])
-    members = {0: [0]}  # the monomial 1
-    for i in sorted(need, key=values.__getitem__)[1:]:
-        step, ms = layout.step if cone[i] else layout.step_first, []
-        for v in steps[i]:
-            p, j = divmod(v, n)
-            ms += step(members[p], j)
-        members[i] = ms
     out = []
     for i in carried:
         rep, k = [0] * n, i
@@ -362,12 +347,31 @@ def scan_degree_classes(L, bound, functional=None):
             rep[v % n] += 1
             k = v // n
         b = DegreeClass(L, rep)
-        ms = members[i]
-        fib = Fiber._with_masks(b, layout.unpack(ms), layout.masks(ms))
-        out.append((values[i], b.key, fib, fac[i] if i else []))
+        out.append((values[i], b.key, i, b, fac[i] if i else []))
     out.sort(key=lambda c: c[:2])
-    _values, _keys, fibers, facets = zip(*out)  # the zero class is carried
-    return Atlas(L, bound, w, ScannedClasses(packing, ids), fibers, facets)
+    _values, _keys, carried, degrees, facets = zip(*out)  # the zero class is carried
+
+    def fibers():
+        # members[i]: fiber i packed, in descending int order (canonical)
+        need, stack = set(), list(carried)
+        while stack:
+            i = stack.pop()
+            if i not in need:
+                need.add(i)
+                stack += map(n.__rfloordiv__, steps[i])
+        members = {0: [0]}  # the monomial 1
+        for i in sorted(need, key=values.__getitem__)[1:]:
+            step, ms = layout.step if cone[i] else layout.step_first, []
+            for v in steps[i]:
+                p, j = divmod(v, n)
+                ms += step(members[p], j)
+            members[i] = ms
+        return tuple(
+            Fiber._with_masks(b, layout.unpack(ms), layout.masks(ms))
+            for b, ms in zip(degrees, map(members.__getitem__, carried))
+        )
+
+    return Atlas(L, bound, w, ScannedClasses(packing, ids), degrees, facets, fibers)
 
 
 class BettiTable:
@@ -426,22 +430,22 @@ class BettiTable:
 def betti_scan(L, bound, field="q", functional=None):
     """Betti numbers of every congruence class within the scan bound.
 
-    Records the nonzero beta_{i,b}, i >= 1, from the fibers the Atlas
+    Records the nonzero beta_{i,b}, i >= 1, from the facets the Atlas
     carries (no other class has homology); every class goes in T.scanned.
     """
     return betti_table(scan_degree_classes(L, bound, functional), field)
 
 
 def betti_table(atlas, field="q"):
-    """The BettiTable of an Atlas, read from the facets of the fibers it
+    """The BettiTable of an Atlas, read from the facets of the classes it
     carries (no other class has homology).  The field is checked once, up
     front, so a table that carries no fiber still rejects a bad one."""
     check_field(field)
     entries = {}
-    for fib, facets in zip(atlas.fibers, atlas.facets):
+    for b, facets in zip(atlas.degrees, atlas.facets):
         for j, dim in _facet_homology(facets, field).items():
             if j >= 0 and dim:
-                entries[(j + 1, fib.degree)] = dim
+                entries[(j + 1, b)] = dim
     return BettiTable(atlas, entries, field)
 
 

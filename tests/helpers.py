@@ -451,7 +451,9 @@ def reference_scan(L, bound, functional=None):
             continue
         fibers.append(Fiber(DegreeClass(L, seen[key][0]), ms))
         facets.append(tuple(sum(1 << i for i in s) for s in maximal_supports(ms)))
-    return Atlas(L, bound, w, frozenset(seen), tuple(fibers), tuple(facets))
+    degrees = tuple(fib.degree for fib in fibers)
+    fibers = tuple(fibers)
+    return Atlas(L, bound, w, frozenset(seen), degrees, tuple(facets), lambda: fibers)
 
 
 def same_classes(scanned, keys):

@@ -496,41 +496,36 @@ def test_cli_verify_merges_each_fiber_once(capsys, monkeypatch):
 
 
 def test_cli_reports_decode_only_the_carried_fibers(capsys, monkeypatch):
-    """The scan reads masks from and decodes its packed members once per
-    carried fiber and for no other class: betti and components on ex64
-    each do both for exactly the 60 fibers whose support complexes are not
-    cones, 1 317 members.  It unions members only on the down-set of those
-    fibers: 1 143 steps of 3 643 members, into 197 classes of cone mask 0,
-    where a union on every class of cone mask 0 took 2 013 steps of
-    11 764 members, into 343."""
-    unpack, masks = MemberPacking.unpack, MemberPacking.masks
-    step_first = MemberPacking.step_first
-    decoded, built, unioned = [], [], []
+    """betti reads the facets alone: on ex64 it unions, reads masks from
+    and decodes no member.  components reads the fibers, so the atlas
+    builds them: it reads masks from and decodes its packed members once
+    per carried fiber and for no other class, exactly the 60 fibers whose
+    support complexes are not cones, 1 317 members.  It unions members
+    only on the down-set of those fibers: 1 143 steps of 3 643 members,
+    into 197 classes of cone mask 0, where a union on every class of cone
+    mask 0 took 2 013 steps of 11 764 members, into 343."""
+    calls = {name: [] for name in ("unpack", "masks", "step", "step_first")}
 
-    def counted_unpack(self, packed):
-        decoded.append(len(packed))
-        return unpack(self, packed)
+    def counted(name):
+        method = getattr(MemberPacking, name)
 
-    def counted_masks(self, packed):
-        built.append(len(packed))
-        return masks(self, packed)
+        def wrapper(self, packed, *j):
+            calls[name].append(method(self, packed, *j))
+            return calls[name][-1]
 
-    def counted_step_first(self, packed, j):
-        unioned.append(step_first(self, packed, j))
-        return unioned[-1]
+        return wrapper
 
-    monkeypatch.setattr(MemberPacking, "unpack", counted_unpack)
-    monkeypatch.setattr(MemberPacking, "masks", counted_masks)
-    monkeypatch.setattr(MemberPacking, "step_first", counted_step_first)
-    for command in ("betti", "components"):
-        decoded.clear()
-        built.clear()
-        unioned.clear()
-        code, out, _ = run_cli(capsys, command, "--fixture", "ex64", "--bound", "600")
-        assert code == 0 and json.loads(out)["result"], command
-        assert (len(decoded), sum(decoded)) == (60, 1317), command
-        assert (len(built), sum(built)) == (60, 1317), command
-        assert (len(unioned), sum(map(len, unioned))) == (1143, 3643), command
+    for name in calls:
+        monkeypatch.setattr(MemberPacking, name, counted(name))
+    code, out, _ = run_cli(capsys, "betti", "--fixture", "ex64", "--bound", "600")
+    assert code == 0 and json.loads(out)["result"]
+    assert not any(calls.values()), {k: len(v) for k, v in calls.items()}
+    code, out, _ = run_cli(capsys, "components", "--fixture", "ex64", "--bound", "600")
+    assert code == 0 and json.loads(out)["result"]
+    for name in ("unpack", "masks"):
+        assert (len(calls[name]), sum(map(len, calls[name]))) == (60, 1317), name
+    unioned = calls["step_first"]
+    assert (len(unioned), sum(map(len, unioned))) == (1143, 3643)
 
 
 def test_cli_verify_unknown_fixture(capsys):

@@ -78,6 +78,26 @@ def test_member_packing_stays_in_the_scan():
     assert found == ["fibers.py", "homology.py"]
 
 
+def test_betti_reads_no_fiber():
+    """A Betti table is the homology of the facets alone: betti_scan and
+    betti_table read no atlas.fibers, whose first read unions and
+    decodes every carried fiber."""
+    (tree,) = [tree for path, tree in package_modules() if path.name == "homology.py"]
+    functions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("betti_scan", "betti_table")
+    }
+    assert len(functions) == 2
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, f in functions.items()
+        for node in ast.walk(f)
+        if isinstance(node, ast.Attribute) and node.attr in ("fibers", "_fibers")
+    ]
+    assert found == []
+
+
 def test_modules_import_no_private_names():
     """Package modules reach one another through public names: an
     underscore name stays in its module, except _same_lattice, the one
