@@ -369,16 +369,15 @@ def run_command(spec, command, options):
     elif command == "components" and bound is None:
         if degree is None:
             raise ParseError("components needs --degree or --bound")
-        u = _parse_degree(spec, degree)
-        comps = basic_components(L, u)
+        fib = enumerate_fiber(L, _parse_degree(spec, degree))
         result = {
-            "degree": spec.degree_view(class_of(L, u)),
+            "degree": spec.degree_view(fib.degree),
             "components": [
                 {
                     "monomials": spec.monomials_view(c.monomials),
                     "witness": [list(v) for v in c.witness],
                 }
-                for c in comps
+                for c in basic_components(fib)
             ],
         }
     elif command == "components":

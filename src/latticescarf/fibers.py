@@ -189,18 +189,6 @@ def class_leq(d, b):
     return len(enumerate_fiber(b.lattice, diff)) > 0
 
 
-def fiber_of(L, b):
-    """b itself when it is a Fiber, else the fiber of the class that b (a
-    representative or a DegreeClass) names.  A Fiber or DegreeClass over
-    another lattice raises ValueError."""
-    if isinstance(b, (tuple, list)):
-        return enumerate_fiber(L, b)
-    degree = b.degree if isinstance(b, Fiber) else b
-    if not _same_lattice(L, degree.lattice):
-        raise ValueError("classes live over different lattices")
-    return b if isinstance(b, Fiber) else enumerate_fiber(L, b.representative)
-
-
 def support_mask(u):
     """The support of u as an int: bit i is set iff u_i > 0.  Monomials
     share a nontrivial common divisor iff the AND of their masks is

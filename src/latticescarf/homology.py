@@ -28,7 +28,7 @@ from bisect import bisect_left
 from functools import cache, reduce
 from operator import and_, mul, or_, sub
 
-from .fibers import Fiber, MemberPacking, fiber_of
+from .fibers import Fiber, MemberPacking
 from .lattice_core import (
     CosetPacking,
     DegreeClass,
@@ -169,13 +169,12 @@ def gcd_components(F):
     )
 
 
-def betti_at(L, i, b, field="q"):
+def betti_at(F, i, field="q"):
     """beta_{i,b} = dim H~_{i-1} of the complex of the supports of the
-    fiber of b."""
+    Fiber F of b."""
     if i < 1:
         raise ValueError("betti_at is defined for homological degree i >= 1")
-    fib = fiber_of(L, b)
-    return reduced_homology_dims(fib.masks, field).get(i - 1, 0)
+    return reduced_homology_dims(F.masks, field).get(i - 1, 0)
 
 
 class Atlas:
@@ -378,11 +377,10 @@ class BettiTable:
     """Nonzero multigraded Betti numbers read from an Atlas, with its
     lattice, bound, functional and every class its scan visited."""
 
-    def __init__(self, atlas, entries, field):
+    def __init__(self, atlas, entries):
         self.lattice = atlas.lattice
         self.entries = dict(entries)  # (i, DegreeClass) -> positive int
         self.bound = atlas.bound
-        self.field = field
         self.functional = atlas.functional
         self.scanned = atlas.scanned
 
@@ -446,7 +444,7 @@ def betti_table(atlas, field="q"):
         for j, dim in _facet_homology(facets, field).items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim
-    return BettiTable(atlas, entries, field)
+    return BettiTable(atlas, entries)
 
 
 def minimal_betti_degrees(T, i):

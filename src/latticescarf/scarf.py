@@ -20,7 +20,7 @@ signs are read off positions in that order.
 from functools import reduce
 from operator import and_, sub
 
-from .fibers import canonical_order, enumerate_fiber, fiber_of
+from .fibers import canonical_order, enumerate_fiber
 from .homology import scan_degree_classes
 from .lattice_core import _same_lattice, contains
 
@@ -180,9 +180,8 @@ def _recover_witness(L, degree, monomials):
     return BasicComponent(degree, monomials, J)
 
 
-def basic_components(L, b):
-    """All basic components of the fiber of b, or of b itself when it is
-    a Fiber (then nothing is enumerated).
+def basic_components(F):
+    """All basic components of the Fiber F, over the lattice of its degree.
 
     A subset G of the fiber qualifies when gcd(G) = 1, every proper
     puncture G minus a monomial has a nontrivial gcd, and G is the whole
@@ -206,10 +205,9 @@ def basic_components(L, b):
     of its recovered witness, and is marked whole when it is the entire
     fiber.
     """
-    fib = fiber_of(L, b)
-    masks = fib.masks
-    if len(fib) > 2:
-        distinct, unions = fib.mask_unions
+    L, masks = F.degree.lattice, F.masks
+    if len(F) > 2:
+        distinct, unions = F.mask_unions
         parts = []
         for _k, u in unions:
             mine = list(filter(u.__and__, distinct))
@@ -217,7 +215,7 @@ def basic_components(L, b):
             if len(mine) <= L.n and sum(map(masks.count, mine)) == len(mine):
                 parts.append(sorted(map(masks.index, mine)))
     else:
-        parts = [range(len(fib))]
+        parts = [range(len(F))]
     out = []
     for part in parts:
         ands = [masks[k] for k in part]
@@ -225,19 +223,18 @@ def basic_components(L, b):
             reduce(and_, ands[:k] + ands[k + 1 :], -1) for k in range(len(ands))
         ):
             continue  # a common divisor, or a puncture without one
-        c = _recover_witness(L, fib.degree, [fib.members[k] for k in part])
-        # bmax(witness) = the first member of the part, a member of fib
-        if not _in_generalized_scarf(c.witness, fib):
+        c = _recover_witness(L, F.degree, [F.members[k] for k in part])
+        # bmax(witness) = the first member of the part, a member of F
+        if not _in_generalized_scarf(c.witness, F):
             raise RuntimeError("recovered witness failed membership")
-        c.whole = len(part) == len(fib)
+        c.whole = len(part) == len(F)
         out.append(c)
     return out
 
 
-def is_basic_fiber(L, b):
-    """Is the whole fiber of b (or the Fiber b) a single basic component?"""
-    fib = fiber_of(L, b)
-    comps = basic_components(L, fib)
+def is_basic_fiber(F):
+    """Is the whole Fiber F a single basic component?"""
+    comps = basic_components(F)
     return len(comps) == 1 and comps[0].whole
 
 
@@ -245,12 +242,11 @@ class ScarfPoset:
     """Basic components found within a scan bound, with the divisibility
     order: C' <= C iff some monomial translate x^r * C' lands inside C."""
 
-    def __init__(self, lattice, elements, leq, bound, functional):
+    def __init__(self, lattice, elements, leq, bound):
         self.lattice = lattice
         self.elements = tuple(elements)
         self.leq = frozenset(leq)  # strict pairs (i, j): element i < element j
         self.bound = bound
-        self.functional = functional
 
     def by_cardinality(self, k):
         return tuple(c for c in self.elements if c.cardinality == k)
@@ -291,9 +287,7 @@ def scarf_poset(atlas):
     the components of one fiber need sorting."""
     comps = []
     for fib in atlas.fibers:
-        comps += sorted(
-            basic_components(atlas.lattice, fib), key=lambda c: c.monomials
-        )
+        comps += sorted(basic_components(fib), key=lambda c: c.monomials)
     leq = set()
     for i, ci in enumerate(comps):
         for j, cj in enumerate(comps):
@@ -304,7 +298,7 @@ def scarf_poset(atlas):
     for i, j in leq:
         if (j, i) in leq:
             raise RuntimeError("translation order is not antisymmetric")
-    return ScarfPoset(atlas.lattice, comps, leq, atlas.bound, atlas.functional)
+    return ScarfPoset(atlas.lattice, comps, leq, atlas.bound)
 
 
 class AlgebraicComplex:

@@ -591,6 +591,29 @@ def binomials_oracle(atlas):
     return generators, indispensables
 
 
+def move_components(fib, moves):
+    """The number of connected components of the Fiber fib under the
+    moves, pairs (m1, m2) of monomials: u and u - m1 + m2 are joined
+    whenever m1 divides u, and likewise with m1 and m2 swapped.  Shares no
+    code with the degree scan or the support masks."""
+    members = fib.members
+    parent = list(range(len(members)))
+    index = {u: k for k, u in enumerate(members)}
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for k, u in enumerate(members):
+        for move in moves:
+            for a, b in (move, move[::-1]):
+                if all(x >= y for x, y in zip(u, a)):
+                    v = tuple(x - y + z for x, y, z in zip(u, a, b))
+                    parent[find(k)] = find(index[v])
+    return sum(parent[k] == k for k in range(len(members)))
+
+
 def strongly_oracle(X, T, mode):
     """The bases of strongly_algebraic_subcomplex(X, T, mode), read from
     the definition with divisibility decided by fibers.class_leq and the
@@ -849,7 +872,7 @@ def check_component_lemmas(suite):
                     assert fib.members == red, (
                         "[C \\ I] is not a whole fiber on %s: %r" % (data.name, red)
                     )
-                    assert is_basic_fiber(L, fib), (
+                    assert is_basic_fiber(fib), (
                         "[C \\ I] is not basic on %s: %r" % (data.name, red)
                     )
             # a component of cardinality s carries one dimension of reduced
@@ -920,7 +943,7 @@ def check_characterization(suite, rng, cap=12):
             ms = fib.members
             if not ms:
                 continue
-            accepted = {c.monomials for c in basic_components(L, fib)}
+            accepted = {c.monomials for c in basic_components(fib)}
             if len(ms) == 1:
                 # a singleton is gcd-free only when it is the unit monomial
                 assert (accepted == {ms}) == (ms[0] == zero), (

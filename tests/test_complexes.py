@@ -223,7 +223,7 @@ def test_unclosed_restriction_raises(ex63):
         for i, j in P.leq
         if id(P.elements[i]) in dense and id(P.elements[j]) in dense
     )
-    broken = ScarfPoset(P.lattice, keep, leq, P.bound, P.functional)
+    broken = ScarfPoset(P.lattice, keep, leq, P.bound)
     with pytest.raises(ValueError):
         build_generalized_scarf_complex(broken)
 
@@ -333,7 +333,7 @@ def test_generators_zero_lattice():
 
 
 def test_empty_poset_complex(ex63):
-    P = ScarfPoset(ex63.lattice, (), (), 40, ex63.functional)
+    P = ScarfPoset(ex63.lattice, (), (), 40)
     X = build_generalized_scarf_complex(P)
     assert X.ranks() == ()
     assert X.top_degree() == -1
@@ -378,7 +378,7 @@ def test_scans_never_enumerate_fibers(monkeypatch, capsys):
     # the atlas carries every fiber whose maximal supports share no variable
     atlas = scan_degree_classes(L, 40, w)
     fibs = [f for f in atlas.fibers if len(f) == 3]
-    assert [is_basic_fiber(L, f) for f in fibs].count(True) == 1
+    assert [is_basic_fiber(f) for f in fibs].count(True) == 1
     assert vars(L) == before
     assert cli.main(["verify", "--fixture", "ex63"]) == 0
     args = ["complex", "--fixture", "ex63", "--bound", "40", "--kind", "scarf"]

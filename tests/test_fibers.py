@@ -13,16 +13,13 @@ from latticescarf.fibers import (
     Fiber,
     canonical_order,
     enumerate_fiber,
-    fiber_of,
     gcd_of,
     monomial_str,
     reduce_by_gcd,
     support_mask,
 )
-from latticescarf.homology import betti_at
 from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
 from latticescarf.linalg import size_reduce
-from latticescarf.scarf import basic_components
 
 ABD = (1, 1, 0, 1, 0)
 AC2 = (1, 0, 2, 0, 0)
@@ -33,31 +30,6 @@ E2 = (0, 0, 0, 0, 2)
 def test_fiber_bc(ex63):
     fib = enumerate_fiber(ex63.lattice, (0, 1, 1, 0, 0))
     assert set(fib.members) == {(0, 1, 1, 0, 0), (1, 0, 0, 1, 0)}
-
-
-def test_fiber_of_rejects_classes_over_other_lattices():
-    """A class or fiber over one lattice names no fiber over another, so
-    fiber_of and the readers built on it raise instead of enumerating its
-    representative over the wrong lattice."""
-    L1, L2 = LatticeBasis([(1, -1, 0)]), LatticeBasis([(1, 0, -1)])
-    b = class_of(L1, (2, 0, 0))
-    fib = enumerate_fiber(L1, (2, 0, 0))
-    assert fib.members == ((2, 0, 0), (1, 1, 0), (0, 2, 0))
-    calls = (
-        lambda x: fiber_of(L2, x),
-        lambda x: betti_at(L2, 1, x),
-        lambda x: basic_components(L2, x),
-    )
-    for x in (b, fib):
-        for call in calls:
-            with pytest.raises(ValueError, match="^classes live over different lattices$"):
-                call(x)
-    # a representative names a class over any lattice of its dimension, and
-    # the same basis built apart is the same lattice
-    assert fiber_of(L2, (2, 0, 0)).members == ((2, 0, 0), (1, 0, 1), (0, 0, 2))
-    same = LatticeBasis([(1, -1, 0)])
-    assert fiber_of(same, b) == fib and fiber_of(same, fib) is fib
-    assert betti_at(same, 1, b) == 0 and len(basic_components(same, fib)) == 0
 
 
 def test_fiber_of_zero(suite):

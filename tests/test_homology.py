@@ -391,16 +391,17 @@ def test_betti_scan_composite_field(ex63):
 
 
 def test_betti_at(ex63, ex64):
-    assert betti_at(ex63.lattice, 1, ABD) == 1
-    assert betti_at(ex63.lattice, 1, (1, 0, 0, 0, 0)) == 0
-    assert betti_at(ex64.lattice, 2, (2, 2, 0, 0, 0, 0)) == 2
+    L = ex63.lattice
+    assert betti_at(enumerate_fiber(L, ABD), 1) == 1
+    assert betti_at(enumerate_fiber(L, (1, 0, 0, 0, 0)), 1) == 0
+    assert betti_at(enumerate_fiber(ex64.lattice, (2, 2, 0, 0, 0, 0)), 2) == 2
     with pytest.raises(ValueError):
-        betti_at(ex63.lattice, 0, ABD)
+        betti_at(enumerate_fiber(L, ABD), 0)
     # an invalid field fails on fibers of at most one monomial too
     with pytest.raises(ValueError):
-        betti_at(ex63.lattice, 1, (1, 0, 0, 0, 0), field=4)
+        betti_at(enumerate_fiber(L, (1, 0, 0, 0, 0)), 1, field=4)
     with pytest.raises(ValueError):
-        betti_at(ex63.lattice, 1, (0, 0, 0, 0, 0), field="bogus")
+        betti_at(enumerate_fiber(L, (0, 0, 0, 0, 0)), 1, field="bogus")
 
 
 def test_betti_scan_ex63(ex63):
@@ -981,7 +982,7 @@ def test_betti_table_answers_only_within_its_bound(ex61):
         T.leq(zero, far)
     assert not T.leq(far, zero)
     b = class_of(L, (0, 1, 0, 2))
-    assert betti_at(L, 1, b) == 1
+    assert betti_at(enumerate_fiber(L, b.representative), 1) == 1
     with pytest.raises(ValueError, match="exceeds the scan bound"):
         T.get(1, b)
     assert T.get(1, class_of(L, (0, 1, 0, 1))) == 0

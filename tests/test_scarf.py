@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,11 +23,14 @@ from helpers import (
     connected_components,
     full_fibers,
     gcd_complex,
+    move_components,
+    random_pointed_lattice,
     scan_problems,
     strongly_oracle,
     suite_b_lattices,
 )
 from latticescarf.homology import (
+    betti_at,
     betti_table,
     gcd_components,
     minimal_betti_degrees,
@@ -137,7 +141,7 @@ def test_in_generalized_scarf_translation_invariant(ex63):
 
 
 def test_basic_components_10_8(ex63):
-    comps = basic_components(ex63.lattice, ABD)
+    comps = basic_components(enumerate_fiber(ex63.lattice, ABD))
     assert len(comps) == 1
     assert comps[0].monomials == (ABD, AC2, B2C)
     assert comps[0].cardinality == 3
@@ -145,13 +149,13 @@ def test_basic_components_10_8(ex63):
 
 
 def test_basic_components_6_6(ex63):
-    comps = basic_components(ex63.lattice, (0, 1, 1, 0, 0))
+    comps = basic_components(enumerate_fiber(ex63.lattice, (0, 1, 1, 0, 0)))
     assert len(comps) == 1
     assert set(comps[0].monomials) == {(1, 0, 0, 1, 0), (0, 1, 1, 0, 0)}
 
 
 def test_basic_components_182(ex64):
-    comps = basic_components(ex64.lattice, (2, 2, 0, 0, 0, 0))
+    comps = basic_components(enumerate_fiber(ex64.lattice, (2, 2, 0, 0, 0, 0)))
     assert len(comps) == 2
     assert sorted(c.cardinality for c in comps) == [3, 3]
     tri1 = {(2, 2, 0, 0, 0, 0), (3, 0, 1, 0, 0, 0), (0, 1, 2, 0, 0, 0)}
@@ -164,23 +168,23 @@ def test_basic_components_182(ex64):
 
 def test_basic_components_degenerate(ex63):
     L = ex63.lattice
-    zero = basic_components(L, ZERO5)
+    zero = basic_components(enumerate_fiber(L, ZERO5))
     assert len(zero) == 1
     assert zero[0].monomials == (ZERO5,)
     assert zero[0].witness.members == (ZERO5,)
     assert zero[0].whole
-    assert basic_components(L, (1, 0, 0, 0, 0)) == []
+    assert basic_components(enumerate_fiber(L, (1, 0, 0, 0, 0))) == []
     empty = enumerate_fiber(L, (-1, 1, 0, 0, 0))
     assert len(empty) == 0
-    assert basic_components(L, empty) == []
-    assert not is_basic_fiber(L, empty)
+    assert basic_components(empty) == []
+    assert not is_basic_fiber(empty)
 
 
 def test_whole_marks_entire_fibers(ex63):
     L = ex63.lattice
     marked = 0
     for _b, _s, fib in full_fibers(L, 40, ex63.functional):
-        for c in basic_components(L, fib):
+        for c in basic_components(fib):
             assert c.whole == (c.monomials == fib.members)
             marked += c.whole
             # whole takes no part in equality or hashing
@@ -209,20 +213,21 @@ def test_basic_components_rejects_a_gcd_free_puncture(ex61, members, free_punctu
         k for k in range(len(comp)) if not any(gcd_of(comp[:k] + comp[k + 1 :]))
     ]
     assert free == [free_puncture]
-    assert basic_components(L, fib) == []
+    assert basic_components(fib) == []
 
 
 def test_is_basic_fiber(ex63):
-    assert is_basic_fiber(ex63.lattice, (1, 0, 1, 1, 0))  # (8,10)
-    assert not is_basic_fiber(ex63.lattice, ABD)  # (10,8) has an extra vertex
-    assert is_basic_fiber(ex63.lattice, class_of(ex63.lattice, (0, 1, 1, 0, 0)))
+    L = ex63.lattice
+    assert is_basic_fiber(enumerate_fiber(L, (1, 0, 1, 1, 0)))  # (8,10)
+    assert not is_basic_fiber(enumerate_fiber(L, ABD))  # (10,8) has an extra vertex
+    assert is_basic_fiber(enumerate_fiber(L, (0, 1, 1, 0, 0)))
 
 
 def test_three_element_basic_fibers_ex64(ex64):
     L = ex64.lattice
     found = set()
     for b, _s, fib in full_fibers(L, ex64.bound, ex64.functional):
-        if len(fib) == 3 and is_basic_fiber(L, fib):
+        if len(fib) == 3 and is_basic_fiber(fib):
             found.add(ex64.semigroup_degree(b))
     assert found == {(169,), (196,)}
 
@@ -283,7 +288,7 @@ def test_scarf_poset_inherits_the_scan_order(suite):
         got = [order(c) for c in P.elements]
         assert got == sorted(got), where
         fibers = full_fibers(L, bound, w)
-        full = [order(c) for _b, _s, fib in fibers for c in basic_components(L, fib)]
+        full = [order(c) for _b, _s, fib in fibers for c in basic_components(fib)]
         assert got == sorted(full), where
         Q = enumerate_scarf_poset(L, bound, w)
         assert (Q.elements, Q.leq) == (P.elements, P.leq), where
@@ -325,7 +330,7 @@ def test_distinct_mask_readers_match_the_gcd_complex_oracle(suite):
         for fib in scan_degree_classes(L, bound, w).fibers:
             got = [
                 (c.monomials, c.witness.members, c.whole)
-                for c in basic_components(L, fib)
+                for c in basic_components(fib)
             ]
             assert got == basic_components_oracle(L, fib), (where, fib.degree)
         for fib in scan_degree_classes(L, bound, w).fibers:
@@ -336,6 +341,29 @@ def test_distinct_mask_readers_match_the_gcd_complex_oracle(suite):
                 repeated += distinct < len(comp) and distinct <= L.n
                 wide += distinct == len(comp) > L.n
     assert repeated and wide, (repeated, wide)
+
+
+def test_generators_leave_one_move_component_per_generator(suite):
+    """A generator oracle that shares no scan code (Diaconis-Sturmfels,
+    Ann. Statist. 26, 1998): binomials generate I_L iff their moves
+    connect every fiber, and minimally iff at each degree b the moves of
+    the other degrees leave fiber(b) in (generators at b) + 1 components.
+    Every fiber within the bound comes from helpers.full_fibers, and the
+    moves of a degree other than b that apply to fiber(b) are all of
+    degrees below b, so within the bound.  On the fixtures at their bounds
+    and 60 seeded 2 x 4 lattices at small_scan_bound."""
+    rng = random.Random(5)
+    lattices = [(k, random_pointed_lattice(rng, 2, 4)) for k in range(60)]
+    checked = 0
+    for where, L, bound, w in scan_problems(suite, lattices):
+        generators = binomials(scan_degree_classes(L, bound, w))[0]
+        count = Counter(b.key for b, _pair in generators)
+        for b, _s, fib in full_fibers(L, bound, w):
+            moves = [pair for d, pair in generators if d.key != b.key]
+            got = move_components(fib, moves)
+            assert got == count[b.key] + 1, (where, b.representative, got)
+            checked += 1
+    assert checked
 
 
 def test_scarf_poset_deterministic(ex64):
@@ -370,7 +398,7 @@ def test_witness_check_survives_optimize():
             "if len(fib) <= 2:",
             "    raise SystemExit('fiber too small: %d' % len(fib))",
             "try:",
-            "    scarf.basic_components(L, fib)",
+            "    scarf.basic_components(fib)",
             "except RuntimeError as e:",
             "    print('raised: %s' % e)",
         ]
@@ -392,6 +420,19 @@ BENCHMARK_SEMIGROUPS = (
     (tuple(range(7, 14)), (34, 36, 37, 38)),
 )
 
+FIELDS = ("q", 2, 32003)
+
+
+def benchmark_problems(suite):
+    """(where, L, bound, functional): the fixtures at their bounds, then
+    the benchmark's 12 semigroup scans."""
+    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
+    for gens, bounds in BENCHMARK_SEMIGROUPS:
+        A = SemigroupMatrix([gens])
+        L, w = lattice_from_semigroup(A), A.column_sums()
+        problems += [((gens, bound), L, bound, w) for bound in bounds]
+    return problems
+
 
 def test_the_order_of_reads_changes_no_answer(suite):
     """An atlas builds its fibers on their first read, and that changes no
@@ -400,23 +441,33 @@ def test_the_order_of_reads_changes_no_answer(suite):
     order, and the poset and the binomials equal those of a fresh atlas
     that no Betti table read first.  On the fixtures at their bounds and
     the benchmark's 12 semigroup scans."""
-    problems = [(name, d.lattice, d.bound, d.functional) for name, d in suite.items()]
-    for gens, bounds in BENCHMARK_SEMIGROUPS:
-        A = SemigroupMatrix([gens])
-        L, w = lattice_from_semigroup(A), A.column_sums()
-        problems += [((gens, bound), L, bound, w) for bound in bounds]
-    fields = ("q", 2, 32003)
-    for where, L, bound, w in problems:
+    for where, L, bound, w in benchmark_problems(suite):
         atlas = scan_degree_classes(L, bound, w)
-        before = [betti_table(atlas, f).entries for f in fields]
+        before = [betti_table(atlas, f).entries for f in FIELDS]
         assert before[0], where
         assert [fib.degree for fib in atlas.fibers] == list(atlas.degrees), where
-        assert [betti_table(atlas, f).entries for f in fields] == before, where
+        assert [betti_table(atlas, f).entries for f in FIELDS] == before, where
         poset, pair = scarf_poset(atlas), binomials(atlas)
         fresh = scan_degree_classes(L, bound, w)
         want = scarf_poset(fresh)
         assert (poset.elements, poset.leq) == (want.elements, want.leq), where
         assert pair == binomials(fresh), where
+
+
+def test_the_point_query_agrees_with_the_scan(suite):
+    """betti_at of one Fiber equals the scan's Betti table at its degree,
+    for i = 1 ... n over Q, GF(2) and GF(32003), on every nonempty fiber
+    within the bound (helpers.full_fibers), so also on the classes the
+    scan does not carry, which must read 0.  On the fixtures at their
+    bounds and the benchmark's 12 semigroup scans."""
+    for where, L, bound, w in benchmark_problems(suite):
+        atlas = scan_degree_classes(L, bound, w)
+        tables = {f: betti_table(atlas, f) for f in FIELDS}
+        for b, _s, fib in full_fibers(L, bound, w):
+            for f, T in tables.items():
+                got = [betti_at(fib, i, f) for i in range(1, L.n + 1)]
+                want = [T.get(i, fib.degree) for i in range(1, L.n + 1)]
+                assert got == want, (where, b.representative, f)
 
 
 def test_atlas_readers_decode_nothing(ex64, monkeypatch):

@@ -205,6 +205,27 @@ def test_library_layers_define_no_dead_code():
     assert found == []
 
 
+def test_only_point_queries_enumerate_fibers():
+    """In the library layers only fibers.class_leq and
+    scarf.in_generalized_scarf read enumerate_fiber: each is a point
+    query, defined by one fiber that no caller holds.  Every other reader
+    takes the Fiber or the Atlas it reads, so none enumerates on its
+    caller's behalf.  Imports and the definition itself do not count."""
+    found = set()
+    for path, tree in package_modules():
+        if path.stem not in LAYERS:
+            continue
+        for top in tree.body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "enumerate_fiber") or (
+                    isinstance(node, ast.Attribute) and node.attr == "enumerate_fiber"
+                ):
+                    found.add("%s.%s" % (path.stem, getattr(top, "name", top.lineno)))
+    assert found == {"fibers.class_leq", "scarf.in_generalized_scarf"}
+
+
 def decorator_name(node):
     """The name a decorator calls: cache for @cache, @functools.cache and
     @lru_cache(maxsize=8) alike (lru_cache there)."""
