@@ -21,6 +21,7 @@ import sys
 
 from . import __version__
 from .fibers import enumerate_fiber, monomial_str
+from .fixtures import EXPECTED, fixture_bound, fixture_problem
 from .homology import (
     betti_scan,
     betti_table,
@@ -29,10 +30,10 @@ from .homology import (
     scan_degree_classes,
 )
 from .lattice_core import (
+    DegreeClass,
     LatticeBasis,
     NotPointedError,
     SemigroupMatrix,
-    class_of,
     lattice_from_semigroup,
     positive_functional,
 )
@@ -195,18 +196,16 @@ class Report:
         self.provenance = provenance
         self.result = result
 
-    def to_dict(self):
+    def to_json(self):
         prov = {"version": __version__, "format": self.FORMAT}
         prov.update(self.provenance)
-        return {
+        report = {
             "problem": self.spec.name,
             "command": self.command,
             "provenance": prov,
             "result": self.result,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(report, indent=2, sort_keys=True)
 
 
 def _betti_payload(spec, T):
@@ -284,8 +283,18 @@ def _dot_label(text):
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _render_dot(fiber, variables, kind):
-    """export_dot's DOT source, with its node and edge counts."""
+def export_dot(fiber, variables, kind="gcd"):
+    """DOT source for the 1-skeleton of a fiber's complex, as (dot, nodes,
+    edges) with its node and edge counts.
+
+    kind="gcd": vertices are the fiber monomials, edges join pairs with a
+    common divisor, that is pairs whose support masks (Fiber.masks) meet.
+    Each member's row of edges to later members is read from a selector
+    built once per distinct mask and written with one join.
+    kind="support": vertices are the variables that occur, edges join
+    variables appearing in a common monomial support.  Labels escape '"'
+    and '\\'.
+    """
     if not fiber.members:
         raise ValueError("empty fiber")
     lines = ["graph fiber {"]
@@ -330,20 +339,6 @@ def _render_dot(fiber, variables, kind):
     return "\n".join(lines) + "\n", nodes, edges
 
 
-def export_dot(fiber, variables, kind="gcd"):
-    """DOT source for the 1-skeleton of a fiber's complex.
-
-    kind="gcd": vertices are the fiber monomials, edges join pairs with a
-    common divisor, that is pairs whose support masks (Fiber.masks) meet.
-    Each member's row of edges to later members is read from a selector
-    built once per distinct mask and written with one join.
-    kind="support": vertices are the variables that occur, edges join
-    variables appearing in a common monomial support.  Labels escape '"'
-    and '\\'.
-    """
-    return _render_dot(fiber, variables, kind)[0]
-
-
 def run_command(spec, command, options):
     """Execute one command against a parsed problem; returns a Report."""
     L = spec.lattice
@@ -355,7 +350,7 @@ def run_command(spec, command, options):
     if command == "fiber":
         u = _parse_degree(spec, degree)
         fib = enumerate_fiber(L, u)
-        view = class_of(L, fib.members[0]) if fib.members else fib.degree
+        view = DegreeClass(L, fib.members[0]) if fib.members else fib.degree
         result = {
             "degree": spec.degree_view(view),
             "count": len(fib),
@@ -429,7 +424,7 @@ def run_command(spec, command, options):
         fib = enumerate_fiber(L, u)
         if not fib.members:
             raise ParseError("empty fiber: no monomials in this degree class")
-        dot, nodes, edgecount = _render_dot(fib, spec.variables, kind)
+        dot, nodes, edgecount = export_dot(fib, spec.variables, kind)
         out = options.get("out")
         if out and out != "-":
             try:
@@ -438,7 +433,7 @@ def run_command(spec, command, options):
             except OSError as e:
                 raise ParseError("cannot write %s: %s" % (out, e)) from e
         result = {
-            "degree": spec.degree_view(class_of(L, fib.members[0])),
+            "degree": spec.degree_view(DegreeClass(L, fib.members[0])),
             "kind": kind,
             "nodes": nodes,
             "edges": edgecount,
@@ -456,9 +451,7 @@ def run_command(spec, command, options):
 
 
 def _verify_fixture(name, bound=None):
-    from .fixtures import EXPECTED, fixture_bound
-
-    spec = _fixture_problem(name)
+    spec = fixture_problem(name)
     exp = EXPECTED[name]
     if bound is None:
         bound = fixture_bound(name)
@@ -623,22 +616,6 @@ def _parse_field(text):
     raise ParseError("--field must be 'q' or 'fp:P'")
 
 
-def _fixture_problem(name):
-    """The bundled problem name; an unknown name is bad input."""
-    from .fixtures import fixture_problem
-
-    try:
-        return fixture_problem(name)
-    except KeyError as e:
-        raise ParseError(e.args[0]) from e
-
-
-def _load_problem(args):
-    if getattr(args, "fixture", None):
-        return _fixture_problem(args.fixture)
-    return parse_spec(args.spec)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -648,7 +625,7 @@ def main(argv=None):
             report, ok = _verify_fixture(args.fixture, args.bound)
             print(report.to_json())
             return 0 if ok else 1
-        spec = _load_problem(args)
+        spec = fixture_problem(args.fixture) if args.fixture else parse_spec(args.spec)
         options = {}
         for key in ("degree", "bound", "kind", "mode", "out"):
             if hasattr(args, key) and getattr(args, key) is not None:

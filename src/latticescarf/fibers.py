@@ -12,7 +12,7 @@ from bisect import bisect_right
 from itertools import repeat
 from operator import rshift
 
-from .lattice_core import _same_lattice, class_of
+from .lattice_core import DegreeClass, _same_lattice
 from .linalg import integer_solutions, size_reduce
 
 
@@ -173,7 +173,7 @@ def enumerate_fiber(L, u0):
     # row j is (column j of B, u0[j]): its value at z is u_j
     rows = [(tuple(row[j] for row in B), x) for j, x in enumerate(u0)]
     members = [u for z, u in integer_solutions(rows, r)]
-    fib = Fiber(class_of(L, u0), members)
+    fib = Fiber(DegreeClass(L, u0), members)
     if n and min(map(min, fib.members), default=0) < 0:
         m = next(m for m in fib.members if min(m) < 0)
         raise RuntimeError("fiber member %r has a negative entry" % (m,))

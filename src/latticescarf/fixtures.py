@@ -82,11 +82,12 @@ def fixture_names():
 
 
 def fixture_problem(name):
-    """The bundled problem as a parsed ProblemSpec."""
-    from .cli import problem_from_dict
+    """The bundled problem as a parsed ProblemSpec; an unknown name is bad
+    input (cli.ParseError)."""
+    from .cli import ParseError, problem_from_dict
 
     if name not in BUNDLED:
-        raise KeyError("unknown fixture %r (have %s)" % (name, ", ".join(fixture_names())))
+        raise ParseError("unknown fixture %r (have %s)" % (name, ", ".join(fixture_names())))
     d = dict(BUNDLED[name])
     d.pop("bound")
     return problem_from_dict(d)

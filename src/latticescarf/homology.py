@@ -64,8 +64,9 @@ def _signed_rows(boundary):
 
 
 def check_field(field):
-    """Raise ValueError unless field is "q" (or "Q") or a prime int."""
-    if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
+    """Raise ValueError unless field is "q" (the rationals) or a prime int
+    p (GF(p)).  "Q" is refused: only the command line takes that spelling."""
+    if field != "q" and not (type(field) is int and is_prime(field)):
         raise ValueError("field must be 'q' or a prime integer")
 
 
@@ -78,7 +79,7 @@ def reduced_homology_dims(facets, field="q"):
     Uses the augmented chain complex, so the empty complex {emptyset}
     (no nonzero mask) reports {-1: 1} and any nonempty complex reports
     {-1: 0, ...}.  field is "q" for the rationals or an int prime p for
-    GF(p).
+    GF(p); any other field, "Q" included, raises ValueError (check_field).
 
     When there are fewer maximal facets than vertices the faces are those
     of the nerve of the facets instead: vertex k for facet F_k, and for
@@ -145,12 +146,12 @@ def _facet_homology(facets, field):
                 row.append(1 << lower.setdefault(f ^ low, len(lower)))
                 rest ^= low
             maps[k].append(row)
-        if field in ("q", "Q", 2):
+        if field in ("q", 2):
             ranks[k] = rank_gf2(map(sum, maps[k]))
         else:
             ranks[k] = rank_exact(_signed_rows(maps[k]), field)
     dims = {k - 1: len(size[k]) - ranks[k] - ranks[k + 1] for k in range(top)}
-    if field in ("q", "Q"):
+    if field == "q":
         for k in range(2, top):
             if dims[k - 2] and dims[k - 1]:
                 extra = rank_exact(_signed_rows(maps[k])) - ranks[k]

@@ -287,10 +287,6 @@ class DegreeClass:
         return "DegreeClass(%r)" % (self.representative,)
 
 
-def class_of(L, u):
-    return DegreeClass(L, u)
-
-
 def positive_functional(L):
     """A strictly positive integer w with w orthogonal to L.
 

@@ -339,15 +339,6 @@ class AlgebraicComplex:
     def top_degree(self):
         return len(self.basis) - 1
 
-    def column_terms(self, i, col):
-        """The differential of basis[i][col], as (row, sign, exponent)."""
-        out = []
-        for (r, c), terms in self.differentials[i].items():
-            if c == col:
-                for s, e in terms:
-                    out.append((r, s, e))
-        return sorted(out)
-
     def __repr__(self):
         return "AlgebraicComplex(ranks=%r)" % (self.ranks(),)
 

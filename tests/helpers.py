@@ -28,7 +28,6 @@ from latticescarf.homology import (
 from latticescarf.lattice_core import (
     DegreeClass,
     LatticeBasis,
-    class_of,
     positive_functional,
 )
 from latticescarf.linalg import integer_solutions, is_prime
@@ -243,7 +242,7 @@ def _boundary_rank(lower, upper, field):
             g = f[:t] + f[t + 1 :]
             row[index[g]] = 1 if t % 2 == 0 else -1
         rows.append(row)
-    if field in ("q", "Q"):
+    if field == "q":
         return rank_rational(rows)
     return rank_mod_p(rows, field)
 
@@ -262,7 +261,7 @@ def complex_homology_dims(K, field="q"):
     are simplices, so the nerve has the same reduced homology (nerve
     lemma).
     """
-    if field not in ("q", "Q") and not (type(field) is int and is_prime(field)):
+    if field != "q" and not (type(field) is int and is_prime(field)):
         raise ValueError("field must be 'q' or a prime integer")
     verts = K.vertices()
     if len(K.facets) < len(verts):
@@ -344,7 +343,7 @@ def enumerate_fiber_box_oracle(L, u0, box_bound):
         for u in itertools.product(range(box_bound + 1), repeat=L.n)
         if L.canonical_key(u) == key
     ]
-    return Fiber(class_of(L, u0), members)
+    return Fiber(DegreeClass(L, u0), members)
 
 
 def full_fibers(L, bound, w):
@@ -365,7 +364,7 @@ def full_fibers(L, bound, w):
     extend((), bound)
     out = []
     for ms in groups.values():
-        b = class_of(L, ms[0])
+        b = DegreeClass(L, ms[0])
         out.append((b, sum(x * y for x, y in zip(w, ms[0])), Fiber(b, ms)))
     return sorted(out, key=lambda t: (t[1], t[0].key))
 

@@ -24,7 +24,7 @@ from latticescarf.cli import (
 )
 from latticescarf.fibers import Fiber, MemberPacking, enumerate_fiber, support_mask
 from latticescarf.fixtures import fixture_names, fixture_problem
-from latticescarf.lattice_core import LatticeBasis, NotPointedError, class_of
+from latticescarf.lattice_core import DegreeClass, LatticeBasis, NotPointedError
 
 EX63 = {
     "name": "ex63",
@@ -200,7 +200,12 @@ def test_cli_betti(capsys):
         (6, 6),
         (8, 4),
     ]
-    assert rep["provenance"]["bound"] == 40
+    assert rep["provenance"]["bound"] == 40 and rep["provenance"]["field"] == "q"
+    # the command line's spelling of the rationals reaches the library as "q"
+    code, upper, _ = run_cli(
+        capsys, "betti", "--fixture", "ex63", "--bound", "40", "--field", "Q"
+    )
+    assert code == 0 and upper == out
 
 
 def test_cli_betti_finite_field(capsys):
@@ -672,9 +677,8 @@ def test_export_dot_gcd_matches_pairwise_gcd(name, degree, size):
     spec = fixture_problem(name)
     fib = enumerate_fiber(spec.lattice, _parse_degree(spec, degree))
     assert len(fib) == size
-    assert export_dot(fib, spec.variables, "gcd") == export_dot_gcd_oracle(
-        fib, spec.variables
-    )
+    dot, nodes, _edges = export_dot(fib, spec.variables, "gcd")
+    assert dot == export_dot_gcd_oracle(fib, spec.variables) and nodes == size
 
 
 # a DOT node line whose label is a quoted string with only \" and \\ escapes
@@ -687,7 +691,7 @@ def hand_fiber(members):
     """A Fiber of the given monomials: export_dot reads only the members
     and their masks, so the class is taken over the zero lattice."""
     n = len(members[0])
-    return Fiber(class_of(LatticeBasis([], n=n), members[0]), members)
+    return Fiber(DegreeClass(LatticeBasis([], n=n), members[0]), members)
 
 
 def sparse_fiber(seed, n=14, size=300):
@@ -715,11 +719,11 @@ def test_export_dot_gcd_matches_pairwise_gcd_on_hand_built_fibers():
     assert max(a - first.setdefault(m, a) for a, m in enumerate(masks)) > 30
     assert not any(all(m & x for x in later[a]) for a, m in enumerate(masks[:-1]))
     variables = ["x%d" % i for i in range(14)]
-    assert export_dot(fib, variables, "gcd") == export_dot_gcd_oracle(fib, variables)
+    assert export_dot(fib, variables, "gcd")[0] == export_dot_gcd_oracle(fib, variables)
 
     # the zero monomial: mask 0 meets nothing, and its label is 1
     zero = hand_fiber([(2, 0, 1), (1, 1, 1), (0, 2, 0), (0, 1, 0), (0, 0, 0)])
-    dot = export_dot(zero, "abc", "gcd")
+    dot = export_dot(zero, "abc", "gcd")[0]
     assert dot == export_dot_gcd_oracle(zero, "abc")
     assert '  n4 [label="1"];' in dot and "n4;" not in dot
 
@@ -753,13 +757,13 @@ def test_cli_export_dot_escapes_labels(capsys, tmp_path):
         assert all(DOT_NODE.match(line) for line in node_lines), node_lines
     spec = problem_from_dict(names)
     fib = enumerate_fiber(spec.lattice, (1, 1))
-    assert export_dot(fib, spec.variables).splitlines()[1:4] == [
+    assert export_dot(fib, spec.variables)[0].splitlines()[1:4] == [
         '  n0 [label="a -- b^2"];',
         '  n1 [label="a -- b*c\\"d"];',
         '  n2 [label="c\\"d^2"];',
     ]
     slash = problem_from_dict({"lattice": [[1, -1]], "variables": ["p\\", "q"]})
-    assert '  v0 [label="p\\\\"];' in export_dot(fib, slash.variables, "support")
+    assert '  v0 [label="p\\\\"];' in export_dot(fib, slash.variables, "support")[0]
 
 
 def test_export_dot_api_rejects_empty_fiber(ex63):
@@ -944,18 +948,45 @@ def _benchmark_workloads(monkeypatch):
     return module, json.loads((perfbench / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["fixtures", "semigroups"])
+def _recorded_ops(workloads, expected, workload):
+    """Every operation of the workload that any seed can pick: the
+    fixtures and semigroups workloads run all of theirs in every pass;
+    the queries workload runs 4 commands at each degree of QUERY_DEGREES,
+    the random workload one lattice operation per recorded pool lattice."""
+    if workload == "queries":
+        return [
+            op
+            for name, degrees in workloads.QUERY_DEGREES.items()
+            for degree in degrees
+            for op in workloads.query_ops(name, degree)
+        ]
+    if workload == "random":
+        pool = expected["random_pool"]
+        indices = [p["index"] for p in pool if p["classes"] <= workloads.RANDOM_RECORD_CLASSES]
+        stats = collections.Counter()
+        return [workloads.random_op(i, workloads.sample_pool_lattice(i, stats)) for i in indices]
+    return workloads.SETUP[workload](0, expected, collections.Counter())
+
+
+@pytest.mark.parametrize("workload", ["fixtures", "semigroups", "queries", "random"])
 def test_cli_reports_match_the_benchmark_digests(capsys, monkeypatch, workload):
-    """Every CLI operation of the fixtures and semigroups workloads prints,
-    byte for byte, the report whose sha256 digest perfbench/expected.json
-    records for it, and the workload runs every recorded operation."""
+    """Every operation of each workload prints, byte for byte, the report
+    whose sha256 digest perfbench/expected.json records for it (a random
+    lattice operation: its summary, with theta^2 = 0 on all four
+    complexes), and every recorded operation is run."""
     workloads, expected = _benchmark_workloads(monkeypatch)
-    ops = workloads.SETUP[workload](0, expected, collections.Counter())
+    ops = _recorded_ops(workloads, expected, workload)
     recorded = [k for k in expected["ops"] if k.partition("/")[0] == workload]
     assert sorted(op.id for op in ops) == sorted(recorded)
     wrong = []
     for op in ops:
-        code, out, _ = run_cli(capsys, *op.argv)
-        if code or hashlib.sha256(out.encode()).hexdigest() != expected["ops"][op.id]["sha256"]:
+        want = expected["ops"][op.id]["sha256"]
+        if op.command:
+            code, out, _ = run_cli(capsys, *op.argv)
+            ok = code == 0 and hashlib.sha256(out.encode()).hexdigest() == want
+        else:
+            summary, zero = workloads.lattice_operation(op.rows, collections.Counter())
+            ok = all(zero) and workloads.digest(workloads.summary_text(summary)) == want
+        if not ok:
             wrong.append(op.id)
     assert wrong == []

@@ -55,25 +55,31 @@ def test_zero_composition(suite):
 
 
 def test_assembly_reduces_no_class(monkeypatch, suite):
-    """Complex assembly finds each boundary target by its monomials alone."""
-    from latticescarf import scarf
+    """Complex assembly finds each boundary target by its monomials alone:
+    assembly on a fresh poset, both restrictions and the theta^2 check
+    compute no coset key."""
 
     def refuse(*args):
         raise AssertionError("complex assembly reduced a class")
 
     ranks = {"ex61": (1, 4, 4, 1), "ex63": (1, 3, 2), "ex64": (1, 6, 4)}
     for name, data in suite.items():
+        P = enumerate_scarf_poset(data.lattice, data.bound, data.functional)
+        T = data.table
         with monkeypatch.context() as m:
-            m.setattr(scarf, "class_of", refuse, raising=False)
-            X = build_generalized_scarf_complex(data.poset)
-        assert X.ranks() == ranks[name]
-        assert complexes_equal(X, data.complex) and verify_zero_composition(X)
+            m.setattr(LatticeBasis, "canonical_key", refuse)
+            X = build_generalized_scarf_complex(P)
+            S = algebraic_scarf_subcomplex(X)
+            strong = strongly_algebraic_subcomplex(X, T)
+            zero = [verify_zero_composition(Y) for Y in (X, S, strong)]
+        assert X.ranks() == ranks[name] and zero == [True] * 3
+        assert complexes_equal(X, data.complex)
 
 
 def test_differential_terms_at_10_8(ex63):
     X = ex63.complex
     col = degree2_index(ex63, (10, 8))
-    terms = X.column_terms(2, col)
+    terms = [(r, s, e) for (r, c), ts in X.differentials[2].items() if c == col for s, e in ts]
     by_row = {row: (sign, e) for row, sign, e in terms}
     assert len(terms) == 3 and len(by_row) == 3
     # dropping abd hits the (8,4) fiber with coefficient c
@@ -87,7 +93,7 @@ def test_differential_terms_at_10_8(ex63):
 def test_differential_terms_cardinality_two(ex63):
     X = ex63.complex
     col = row_index(ex63, 1, (6, 6))
-    terms = X.column_terms(1, col)
+    terms = [(r, s, e) for (r, c), ts in X.differentials[1].items() if c == col for s, e in ts]
     # theta(E_{ad,bc}) = bc * E_1 - ad * E_1
     assert set(terms) == {
         (0, 1, (0, 1, 1, 0, 0)),

@@ -18,7 +18,7 @@ from latticescarf.fibers import (
     reduce_by_gcd,
     support_mask,
 )
-from latticescarf.lattice_core import LatticeBasis, class_of, positive_functional
+from latticescarf.lattice_core import DegreeClass, LatticeBasis, positive_functional
 from latticescarf.linalg import size_reduce
 
 ABD = (1, 1, 0, 1, 0)
@@ -85,7 +85,7 @@ def test_fiber_masks_are_the_members_support_masks(suite, ex63):
     fibs = [enumerate_fiber(ex63.lattice, (-1, 1, 0, 0, 0))]
     for data in suite.values():
         fibs += catalog_fibers(data)
-    hand = Fiber(class_of(ex63.lattice, E2), [E2, ABD, B2C, AC2])
+    hand = Fiber(DegreeClass(ex63.lattice, E2), [E2, ABD, B2C, AC2])
     assert hand.members == (ABD, AC2, B2C, E2)
     for fib in fibs + [hand]:
         assert fib.masks == tuple(map(support_mask, fib.members))
@@ -102,7 +102,7 @@ def test_zero_lattice_fibers():
     L = LatticeBasis([], n=3)
     fib = enumerate_fiber(L, (2, 0, 1))
     assert fib.members == ((2, 0, 1),)
-    assert fib.degree == class_of(L, (2, 0, 1))
+    assert fib.degree == DegreeClass(L, (2, 0, 1))
     assert enumerate_fiber(L, (2, -1, 1)).members == ()
 
 
@@ -186,7 +186,7 @@ def test_full_fibers_oracle_random_lattices():
                 u = tuple(rng.randint(-4, 6) for _ in range(n))
                 if sum(map(int.__mul__, w, u)) > bound:
                     continue
-                want = fibers.get(class_of(L, u).key)
+                want = fibers.get(DegreeClass(L, u).key)
                 assert enumerate_fiber(L, u).members == (want.members if want else ())
                 seen["negative"] += min(u) < 0
                 seen["empty"] += want is None
@@ -222,7 +222,7 @@ def test_reduce_lands_at_lower_class(ex63):
     L = ex63.lattice
     red = reduce_by_gcd([ABD, B2C])
     assert set(red) == {(1, 0, 0, 1, 0), (0, 1, 1, 0, 0)}  # {ad, bc}
-    assert class_of(L, red[0]) == class_of(L, (0, 1, 1, 0, 0))
+    assert DegreeClass(L, red[0]) == DegreeClass(L, (0, 1, 1, 0, 0))
 
 
 def test_canonical_order():

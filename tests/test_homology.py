@@ -45,9 +45,9 @@ from latticescarf.homology import (
 )
 from latticescarf.lattice_core import (
     CosetPacking,
+    DegreeClass,
     LatticeBasis,
     SemigroupMatrix,
-    class_of,
     lattice_from_semigroup,
 )
 from latticescarf.linalg import is_prime, rank_exact
@@ -347,14 +347,14 @@ def test_the_augmentation_map_is_never_ranked(suite, monkeypatch, field):
 
 def test_field_validation():
     K = SimplicialComplex(("x",), [(0,)])
-    for bad in ("x", 1, 0, -7, 4, 32001, True):
+    for bad in ("x", "Q", 1, 0, -7, 4, 32001, True):
         with pytest.raises(ValueError):
             complex_homology_dims(K, bad)
         # validated before any face is built, even with no face to build
         for masks in ([1], [0], []):
             with pytest.raises(ValueError):
                 reduced_homology_dims(masks, bad)
-    for good in ("q", "Q", 2, 32003):
+    for good in ("q", 2, 32003):
         assert both_homologies([(0,)], good) == {-1: 0, 0: 0}
 
 
@@ -475,35 +475,24 @@ def test_scan_degree_classes_oracle(ex61):
 def test_scan_reduces_no_class_per_step(monkeypatch, ex64):
     """The scan steps packed keys by addition: canonical_key runs at most
     once per carried fiber (60 of ex64's 469 classes, where a reduction
-    per step would make thousands), and at most one class goes through
-    class_of."""
-    from latticescarf import homology, lattice_core
+    per step would make thousands); every DegreeClass computes one."""
+    calls = []
+    key = LatticeBasis.canonical_key
 
-    calls = {"canonical_key": 0, "class_of": 0}
+    def counted(L, u):
+        calls.append(u)
+        return key(L, u)
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    key = counted("canonical_key", LatticeBasis.canonical_key)
-    monkeypatch.setattr(LatticeBasis, "canonical_key", key)
-    for module in (homology, lattice_core):
-        counter = counted("class_of", class_of)
-        monkeypatch.setattr(module, "class_of", counter, raising=False)
+    monkeypatch.setattr(LatticeBasis, "canonical_key", counted)
     atlas = scan_degree_classes(ex64.lattice, ex64.bound, ex64.functional)
     assert (len(atlas), len(atlas.fibers)) == (469, 60)
-    assert calls["canonical_key"] <= 60 and calls["class_of"] <= 1, calls
+    assert len(calls) <= 60, len(calls)
 
 
 def test_scan_builds_classes_only_for_carried_fibers(monkeypatch, ex64):
     """A DegreeClass is made for each carried fiber and for no other class:
     not for the 283 classes of cone mask 0 whose maximal supports share a
     variable."""
-    from latticescarf.lattice_core import DegreeClass
-
     made = []
     init = DegreeClass.__init__
 
@@ -961,7 +950,7 @@ def test_rational_vs_finite_field_ex64_catalog(ex64):
 
 def test_betti_table_get_and_degrees(ex63):
     T = ex63.table
-    b = class_of(ex63.lattice, ABD)
+    b = DegreeClass(ex63.lattice, ABD)
     assert T.get(1, b) == 1
     assert T.get(5, b) == 0
     assert b in T.degrees(1)
@@ -976,17 +965,17 @@ def test_betti_table_answers_only_within_its_bound(ex61):
     over another lattice too."""
     L = ex61.lattice
     T = betti_scan(L, 10, functional=(4, 4, 4, 4))
-    zero, far = class_of(L, (0, 0, 0, 0)), class_of(L, (5, 0, 0, 0))
+    zero, far = DegreeClass(L, (0, 0, 0, 0)), DegreeClass(L, (5, 0, 0, 0))
     assert class_leq(zero, far)
     with pytest.raises(ValueError, match="exceeds the scan bound"):
         T.leq(zero, far)
     assert not T.leq(far, zero)
-    b = class_of(L, (0, 1, 0, 2))
+    b = DegreeClass(L, (0, 1, 0, 2))
     assert betti_at(enumerate_fiber(L, b.representative), 1) == 1
     with pytest.raises(ValueError, match="exceeds the scan bound"):
         T.get(1, b)
-    assert T.get(1, class_of(L, (0, 1, 0, 1))) == 0
-    other = class_of(LatticeBasis([(1, -1, 0, 0)]), (0, 0, 0, 0))
+    assert T.get(1, DegreeClass(L, (0, 1, 0, 1))) == 0
+    other = DegreeClass(LatticeBasis([(1, -1, 0, 0)]), (0, 0, 0, 0))
     with pytest.raises(ValueError, match="different lattices"):
         T.get(1, other)
 

@@ -16,7 +16,6 @@ from latticescarf.lattice_core import (
     LatticeBasis,
     NotPointedError,
     SemigroupMatrix,
-    class_of,
     contains,
     lattice_from_semigroup,
     positive_functional,
@@ -131,30 +130,30 @@ def test_degree_class_equality(ex63):
     L = ex63.lattice
     abd = (1, 1, 0, 1, 0)
     ee = (0, 0, 0, 0, 2)
-    assert class_of(L, abd) == class_of(L, ee)
-    assert class_of(L, abd) == class_of(L, abd)
+    assert DegreeClass(L, abd) == DegreeClass(L, ee)
+    assert DegreeClass(L, abd) == DegreeClass(L, abd)
     bc = (0, 1, 1, 0, 0)
     ac = (1, 0, 1, 0, 0)
-    assert class_of(L, bc) != class_of(L, ac)
+    assert DegreeClass(L, bc) != DegreeClass(L, ac)
 
 
 def test_degree_class_as_dict_key(ex63):
     L = ex63.lattice
-    d = {class_of(L, (1, 1, 0, 1, 0)): "ten-eight"}
-    assert d[class_of(L, (0, 0, 0, 0, 2))] == "ten-eight"
-    assert class_of(L, (0, 1, 1, 0, 0)) not in d
+    d = {DegreeClass(L, (1, 1, 0, 1, 0)): "ten-eight"}
+    assert d[DegreeClass(L, (0, 0, 0, 0, 2))] == "ten-eight"
+    assert DegreeClass(L, (0, 1, 1, 0, 0)) not in d
 
 
 def test_class_leq(ex63):
     L = ex63.lattice
-    b66 = class_of(L, (0, 1, 1, 0, 0))
-    b108 = class_of(L, (1, 1, 0, 1, 0))
-    b84 = class_of(L, (1, 0, 1, 0, 0))
+    b66 = DegreeClass(L, (0, 1, 1, 0, 0))
+    b108 = DegreeClass(L, (1, 1, 0, 1, 0))
+    b84 = DegreeClass(L, (1, 0, 1, 0, 0))
     assert class_leq(b66, b108)
     assert class_leq(b66, b66)
     assert not class_leq(b84, b66)
     # the witness for b66 <= b108: their difference class holds the monomial b
-    diff = class_of(L, (1, 0, -1, 1, 0))
+    diff = DegreeClass(L, (1, 0, -1, 1, 0))
     assert (0, 1, 0, 0, 0) in enumerate_fiber(L, diff.representative)
 
 
@@ -162,12 +161,12 @@ def test_class_leq_different_lattices():
     L1 = LatticeBasis([(1, -1)])
     L2 = LatticeBasis([(2, -2)])
     with pytest.raises(ValueError):
-        class_leq(class_of(L1, (0, 0)), class_of(L2, (0, 0)))
+        class_leq(DegreeClass(L1, (0, 0)), DegreeClass(L2, (0, 0)))
 
 
 def test_class_leq_different_dimensions():
-    d = class_of(LatticeBasis((), n=2), (0, 0))
-    b = class_of(LatticeBasis((), n=3), (1, 0, 0))
+    d = DegreeClass(LatticeBasis((), n=2), (0, 0))
+    b = DegreeClass(LatticeBasis((), n=3), (1, 0, 0))
     for x, y in ((d, b), (b, d)):
         with pytest.raises(ValueError, match="different lattices"):
             class_leq(x, y)
@@ -177,21 +176,21 @@ def test_betti_table_leq_rejects_other_lattices():
     """T.leq(d, b) answers only for classes over the table's lattice."""
     T = betti_scan(LatticeBasis([(1, -1, 0)]), 4, functional=(1, 1, 1))
     M = LatticeBasis([(0, 1, -1)])
-    d, b = class_of(M, (0, 1, 0)), class_of(M, (1, 0, 0))
+    d, b = DegreeClass(M, (0, 1, 0)), DegreeClass(M, (1, 0, 0))
     assert not class_leq(d, b)
     N = LatticeBasis([(1, -1, 0, 0)])
     others = [
         (d, b),
-        (class_of(T.lattice, (0, 1, 0)), b),
-        (d, class_of(T.lattice, (1, 0, 0))),
-        (class_of(N, (0, 1, 0, 0)), class_of(N, (1, 0, 0, 0))),
+        (DegreeClass(T.lattice, (0, 1, 0)), b),
+        (d, DegreeClass(T.lattice, (1, 0, 0))),
+        (DegreeClass(N, (0, 1, 0, 0)), DegreeClass(N, (1, 0, 0, 0))),
     ]
     for x, y in others:
         with pytest.raises(ValueError, match="different lattices"):
             T.leq(x, y)
     # the same basis built apart is the same lattice
     same = LatticeBasis([(1, -1, 0)])
-    assert T.leq(class_of(same, (0, 1, 0)), class_of(same, (1, 0, 0)))
+    assert T.leq(DegreeClass(same, (0, 1, 0)), DegreeClass(same, (1, 0, 0)))
 
 
 # Z/2 beside the free part, then (Z/2)^2 and Z/2 + Z/3
@@ -464,6 +463,6 @@ def test_one_functional_solve_per_lattice(monkeypatch, tmp_path, capsys):
 
 def test_degree_class_repr_is_stable(ex63):
     L = ex63.lattice
-    b = class_of(L, (1, 1, 0, 1, 0))
+    b = DegreeClass(L, (1, 1, 0, 1, 0))
     assert isinstance(b, DegreeClass)
-    assert class_of(L, b.representative) == b
+    assert DegreeClass(L, b.representative) == b

@@ -37,9 +37,9 @@ from latticescarf.homology import (
     scan_degree_classes,
 )
 from latticescarf.lattice_core import (
+    DegreeClass,
     LatticeBasis,
     SemigroupMatrix,
-    class_of,
     lattice_from_semigroup,
 )
 from latticescarf.scarf import (
@@ -205,7 +205,7 @@ def test_whole_marks_entire_fibers(ex63):
 )
 def test_basic_components_rejects_a_gcd_free_puncture(ex61, members, free_puncture):
     L = ex61.lattice
-    fib = Fiber(class_of(L, members[0]), members)
+    fib = Fiber(DegreeClass(L, members[0]), members)
     assert fib == enumerate_fiber(L, members[0])
     (comp,) = connected_components(gcd_complex(fib))
     assert comp == fib.members and not any(gcd_of(comp))

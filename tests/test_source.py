@@ -180,18 +180,20 @@ def test_modules_import_only_lower_layers():
     assert found == []
 
 
+def read_names(node):
+    """Every name and attribute that node reads, at any depth."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_library_layers_define_no_dead_code():
     """Every top-level function and class of the library layers is public
     (in __all__) or read somewhere in the package outside its own
-    definition, so a helper goes with its last caller.  cli and fixtures
-    are the front end and are exempt."""
+    definition, and every method of such a class other than a dunder is
+    read outside its own definition, so a helper goes with its last
+    caller.  cli and fixtures are the front end and are exempt."""
     modules = package_modules()
-    statements = []
-    for _path, tree in modules:
-        for node in tree.body:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            statements.append((node, names))
+    statements = [(node, read_names(node)) for _path, tree in modules for node in tree.body]
     public = set(latticescarf.__all__)
     found = [
         "%s:%d %s" % (path.name, node.lineno, node.name)
@@ -201,6 +203,18 @@ def test_library_layers_define_no_dead_code():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in public
         and not any(node.name in names for other, names in statements if other is not node)
+    ]
+    found += [
+        "%s:%d %s.%s" % (path.name, f.lineno, cls.name, f.name)
+        for path, tree in modules
+        if path.stem in LAYERS
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        and not (f.name.startswith("__") and f.name.endswith("__"))
+        and not any(f.name in names for other, names in statements if other is not cls)
+        and not any(f.name in read_names(g) for g in cls.body if g is not f)
     ]
     assert found == []
 
@@ -326,3 +340,20 @@ def test_oracle_imports_no_package_ranks():
     assert imported == []
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert {"rank_rational", "rank_mod_p"} <= defined
+
+
+def test_readme_quickstart_prints_what_its_comments_say(capsys):
+    """The "Library quickstart" block of README.md runs as written and
+    prints the values its comments state."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().partition("## Library quickstart")[2]
+    block = section.partition("```python\n")[2].partition("```")[0]
+    exec(compile(block, str(readme), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9, lines
+    assert len(ast.literal_eval(lines[0])) == 4
+    assert lines[1:4] == ["{1: 4, 2: 5, 3: 2}", "(1, 3, 2)", "(1, 3, 1)"]
+    assert lines[8] == "4 3"
+    for value in ("4 monomials", "# {1: 4, 2: 5, 3: 2}", "# (1, 3, 2)", "# (1, 3, 1)",
+                  "# 4 binomial generators", "# 4 3"):
+        assert value in block
