@@ -475,6 +475,7 @@ def _verify_fixture(name, bound=None):
     def basis_degrees(Y, i):
         return sdegs(c.degree for c in Y.basis[i]) if len(Y.basis) > i else []
 
+    @functools.cache  # one build per mode, for its ranks and its match with S
     def strongly(mode):
         return strongly_algebraic_subcomplex(X, T, mode=mode)
 

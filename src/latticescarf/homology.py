@@ -25,7 +25,9 @@ Multigraded Betti numbers follow the convention
 """
 
 from bisect import bisect_left
+from collections import defaultdict
 from functools import cache, reduce
+from itertools import chain
 from operator import and_, mul, or_, sub
 
 from .fibers import Fiber, MemberPacking
@@ -43,9 +45,12 @@ def _maximal_masks(masks):
     """The distinct nonzero masks not contained in another, largest first."""
     out = []
     for s in sorted(set(masks), key=int.bit_count, reverse=True):
-        # s & t == s for a kept t: s lies in t
-        if s and s not in map(s.__and__, out):
-            out.append(s)
+        for t in out:
+            if s & t == s:  # s lies in a kept t
+                break
+        else:
+            if s:
+                out.append(s)
     return out
 
 
@@ -231,7 +236,9 @@ def scan_degree_classes(L, bound, functional=None):
     move to the packed key of b (lattice_core.CosetPacking).  Each class
     keeps its key, its value and n * p + j, the step from class p that
     found it, which carried classes walk back for their representatives.
-    A pass in value order finds the steps into b again by key lookup.
+    The search files each class it finds under its value, and a pass over
+    the values in increasing order, each value's classes in the order
+    they were found, finds the steps into b again by key lookup.
     cone(0) = 0 and cone(b) = AND over the scanned b - e_j of (cone(b -
     e_j) | 1 << j); only a class of cone mask 0 looks its steps up again,
     for its maximal support masks: F | 1 << j for j its lowest variable
@@ -273,6 +280,8 @@ def scan_degree_classes(L, bound, functional=None):
     start = packing.pack((0,) * n)
     ids = {start: 0}
     keys, values, found = [start], [0], [0]
+    # levels[v]: the classes of value v > 0, in the order they were found
+    levels = defaultdict(list)
     stack = [0]
     while stack:
         i = stack.pop()
@@ -286,8 +295,8 @@ def scan_degree_classes(L, bound, functional=None):
                     stack.append(c)
                     keys.append(key2)
                     values.append(s + wj)
+                    levels[s + wj].append(c)
                     found.append(base + j)
-    order = sorted(range(len(keys)), key=values.__getitem__)
     get = ids.get
     cone = [0] * len(keys)
     # the maximal masks of class i lie among the F | ext[i] for F in
@@ -314,7 +323,7 @@ def scan_degree_classes(L, bound, functional=None):
         return fs
 
     carried = [0]
-    for i in order[1:]:
+    for i in chain.from_iterable(map(levels.__getitem__, sorted(levels))):
         key, mask = keys[i], -1
         back_moves = downs(key & low) if low else down
         for back, bit in back_moves:

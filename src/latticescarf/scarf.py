@@ -240,13 +240,32 @@ def is_basic_fiber(F):
 
 class ScarfPoset:
     """Basic components found within a scan bound, with the divisibility
-    order: C' <= C iff some monomial translate x^r * C' lands inside C."""
+    order: C' <= C iff some monomial translate x^r * C' lands inside C.
+    leq, the strict pairs (i, j) with element i < element j, is built on
+    its first read and checked antisymmetric there; the complexes never
+    read it."""
 
-    def __init__(self, lattice, elements, leq, bound):
+    def __init__(self, lattice, elements, bound):
         self.lattice = lattice
         self.elements = tuple(elements)
-        self.leq = frozenset(leq)  # strict pairs (i, j): element i < element j
         self.bound = bound
+        self._leq = None
+
+    @property
+    def leq(self):
+        if self._leq is None:
+            comps, leq = self.elements, set()
+            for i, ci in enumerate(comps):
+                for j, cj in enumerate(comps):
+                    if i == j or ci.cardinality > cj.cardinality:
+                        continue
+                    if _translate_into(ci.monomials, cj.monomials):
+                        leq.add((i, j))
+            for i, j in leq:
+                if (j, i) in leq:
+                    raise RuntimeError("translation order is not antisymmetric")
+            self._leq = frozenset(leq)
+        return self._leq
 
     def by_cardinality(self, k):
         return tuple(c for c in self.elements if c.cardinality == k)
@@ -276,7 +295,8 @@ def _translate_into(small, big):
 
 def enumerate_scarf_poset(L, bound, functional=None):
     """All basic components whose degree lies within the scan bound,
-    ordered deterministically, together with the translation order."""
+    ordered deterministically, with their translation order (built on
+    its first read)."""
     return scarf_poset(scan_degree_classes(L, bound, functional))
 
 
@@ -284,21 +304,12 @@ def scarf_poset(atlas):
     """The ScarfPoset of an Atlas: the basic components of the fibers it
     carries (a cone has none), in (functional value, degree key,
     monomials) order.  The fibers come in (value, key) order, so only
-    the components of one fiber need sorting."""
+    the components of one fiber need sorting.  The translation order
+    waits for its first read (ScarfPoset.leq)."""
     comps = []
     for fib in atlas.fibers:
         comps += sorted(basic_components(fib), key=lambda c: c.monomials)
-    leq = set()
-    for i, ci in enumerate(comps):
-        for j, cj in enumerate(comps):
-            if i == j or ci.cardinality > cj.cardinality:
-                continue
-            if _translate_into(ci.monomials, cj.monomials):
-                leq.add((i, j))
-    for i, j in leq:
-        if (j, i) in leq:
-            raise RuntimeError("translation order is not antisymmetric")
-    return ScarfPoset(atlas.lattice, comps, leq, atlas.bound)
+    return ScarfPoset(atlas.lattice, comps, atlas.bound)
 
 
 class AlgebraicComplex:

@@ -63,6 +63,16 @@ def _maximal_sets(sets):
     return out
 
 
+def maximal_masks_oracle(masks):
+    """The set of nonzero int masks in masks that no other mask in masks
+    strictly contains, by comparing every pair of them."""
+    return {
+        s
+        for s in masks
+        if s and not any(s | t == t != s for t in masks)
+    }
+
+
 class SimplicialComplex:
     """An abstract simplicial complex given by vertex labels and facets.
 
@@ -543,6 +553,27 @@ def maximal_supports_meet(ms):
     False when no monomial has a nonempty support."""
     tops = maximal_supports(ms)
     return bool(tops) and bool(frozenset.intersection(*tops))
+
+
+def translation_order_oracle(elements):
+    """The strict translation order of basic components, built eagerly:
+    the pairs (i, j), i != j, with |C_i| <= |C_j| and some r >= 0 that
+    moves every monomial of C_i into C_j.  Such an r takes the first
+    monomial of C_i to some monomial of C_j, so those are the r tried."""
+    pairs = set()
+    for i, ci in enumerate(elements):
+        for j, cj in enumerate(elements):
+            if i == j or ci.cardinality > cj.cardinality:
+                continue
+            small, big = ci.monomials, set(cj.monomials)
+            for m in big:
+                r = [a - b for a, b in zip(m, small[0])]
+                if min(r) >= 0 and all(
+                    tuple(x + y for x, y in zip(r, u)) in big for u in small
+                ):
+                    pairs.add((i, j))
+                    break
+    return pairs
 
 
 def _has_common_divisor(ms):

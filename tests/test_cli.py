@@ -533,6 +533,54 @@ def test_cli_reports_decode_only_the_carried_fibers(capsys, monkeypatch):
     assert (len(unioned), sum(map(len, unioned))) == (1143, 3643)
 
 
+def test_cli_reports_build_no_translation_order(capsys, monkeypatch):
+    """No report reads the poset's translation order: with the translate
+    test raising, components --bound, complex of every kind and verify
+    print the same bytes on ex61, ex63 and ex64."""
+    from latticescarf import scarf
+    from latticescarf.fixtures import fixture_bound
+
+    def raising(small, big):
+        raise AssertionError("the translation order was built")
+
+    for name in ("ex61", "ex63", "ex64"):
+        scan = ["--fixture", name, "--bound", str(fixture_bound(name))]
+        runs = [["components", *scan], ["verify", "--fixture", name]]
+        runs += [["complex", *scan, "--kind", k] for k in ("generalized", "scarf")]
+        runs += [
+            ["complex", *scan, "--kind", "strong", "--mode", m]
+            for m in ("strict", "paper-example")
+        ]
+        for argv in runs:
+            want = run_cli(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(scarf, "_translate_into", raising)
+                assert run_cli(capsys, *argv) == want, argv
+            assert want[0] == 0, argv
+
+
+def test_cli_verify_builds_each_strong_subcomplex_once(capsys, monkeypatch):
+    """verify builds each mode's strong subcomplex once, also when it
+    checks both the ranks and the comparison with the Scarf subcomplex:
+    ex63's expected values get the two comparisons for the test."""
+    import latticescarf.fixtures as fixtures
+    from latticescarf import cli
+
+    build, built = cli.strongly_algebraic_subcomplex, []
+
+    def counted(X, T, mode="strict"):
+        built.append(mode)
+        return build(X, T, mode=mode)
+
+    monkeypatch.setattr(cli, "strongly_algebraic_subcomplex", counted)
+    modes = ("strict", "paper-example")
+    both = {"strongly_equals_scarf[%s]" % m: m == "strict" for m in modes}
+    monkeypatch.setitem(fixtures.EXPECTED, "ex63", dict(fixtures.EXPECTED["ex63"], **both))
+    code, out, _ = run_cli(capsys, "verify", "--fixture", "ex63")
+    assert code == 0 and json.loads(out)["result"]["ok"]
+    assert sorted(built) == ["paper-example", "strict"]
+
+
 def test_cli_verify_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "verify", "--fixture", "nope")
     assert code == 2 and err == "error: unknown fixture 'nope' (have ex61, ex63, ex64)\n"

@@ -223,13 +223,7 @@ def test_unclosed_restriction_raises(ex63):
         for c in P.elements
         if ex63.semigroup_degree(c.degree) != (8, 4)
     ]
-    dense = {id(c): i for i, c in enumerate(keep)}
-    leq = frozenset(
-        (dense[id(P.elements[i])], dense[id(P.elements[j])])
-        for i, j in P.leq
-        if id(P.elements[i]) in dense and id(P.elements[j]) in dense
-    )
-    broken = ScarfPoset(P.lattice, keep, leq, P.bound)
+    broken = ScarfPoset(P.lattice, keep, P.bound)
     with pytest.raises(ValueError):
         build_generalized_scarf_complex(broken)
 
@@ -339,7 +333,7 @@ def test_generators_zero_lattice():
 
 
 def test_empty_poset_complex(ex63):
-    P = ScarfPoset(ex63.lattice, (), (), 40)
+    P = ScarfPoset(ex63.lattice, (), 40)
     X = build_generalized_scarf_complex(P)
     assert X.ranks() == ()
     assert X.top_degree() == -1

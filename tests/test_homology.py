@@ -23,6 +23,7 @@ from helpers import (
     euler_characteristic_checks,
     full_fibers,
     gcd_complex,
+    maximal_masks_oracle,
     maximal_supports_meet,
     reference_scan,
     same_classes,
@@ -209,6 +210,30 @@ def test_reduced_homology_small_cases():
         assert both_homologies(hollow, field) == {-1: 0, 0: 0, 1: 1}
         rp2 = RP2_FACETS + [(0, 1), (0,), (0, 1, 2), (2, 4, 5)]
         assert both_homologies(rp2, field) == both_homologies(RP2_FACETS, field)
+
+
+def test_maximal_masks_match_the_pairwise_oracle():
+    """_maximal_masks keeps the distinct nonzero masks that no other mask
+    contains (helpers.maximal_masks_oracle), once each, in the order of
+    the masks sorted by size, largest first: on seeded lists of up to 12
+    masks over up to 8 vertices, with zeros, repeats and nested masks."""
+    from latticescarf.homology import _maximal_masks
+
+    rng = random.Random(36)
+    nested = repeated = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 6)):
+            pick = rng.choice(masks) if masks else 0
+            masks.append(rng.choice((0, pick, pick & rng.getrandbits(n))))
+        got = _maximal_masks(masks)
+        assert set(got) == maximal_masks_oracle(masks), masks
+        by_size = sorted(set(masks), key=int.bit_count, reverse=True)
+        assert got == [s for s in by_size if s in got], masks
+        nested += len(set(masks) - {0}) > len(got)
+        repeated += len(masks) > len(set(masks))
+    assert nested > 1000 and repeated > 1000, (nested, repeated)
 
 
 def test_negative_mask_raises():

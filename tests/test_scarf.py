@@ -28,6 +28,7 @@ from helpers import (
     scan_problems,
     strongly_oracle,
     suite_b_lattices,
+    translation_order_oracle,
 )
 from latticescarf.homology import (
     betti_at,
@@ -292,6 +293,35 @@ def test_scarf_poset_inherits_the_scan_order(suite):
         assert got == sorted(full), where
         Q = enumerate_scarf_poset(L, bound, w)
         assert (Q.elements, Q.leq) == (P.elements, P.leq), where
+
+
+def test_translation_order_matches_the_eager_oracle(suite):
+    """P.leq, built on its first read, holds the pairs of the eager
+    translation loop (helpers.translation_order_oracle), and a second
+    read returns the same set.  On the fixtures at their bounds and
+    suite (b)'s first 10 lattices."""
+    lattices = itertools.islice(suite_b_lattices(random.Random(101)), 10)
+    pairs = 0
+    for where, L, bound, w in scan_problems(suite, lattices):
+        P = scarf_poset(scan_degree_classes(L, bound, w))
+        assert P.leq == translation_order_oracle(P.elements), where
+        assert P.leq is P.leq, where
+        pairs += len(P.leq)
+    assert pairs
+
+
+def test_translation_order_checks_antisymmetry(ex61, monkeypatch):
+    """With every translate test answering True the order has both (i, j)
+    and (j, i) for two components of one cardinality: building the poset
+    still succeeds, and reading its order raises."""
+    from latticescarf import scarf
+
+    monkeypatch.setattr(scarf, "_translate_into", lambda small, big: True)
+    P = enumerate_scarf_poset(ex61.lattice, ex61.bound, ex61.functional)
+    assert len(P.by_cardinality(2)) > 1
+    for _read in range(2):
+        with pytest.raises(RuntimeError, match="not antisymmetric"):
+            P.leq
 
 
 def test_distinct_mask_readers_match_the_gcd_complex_oracle(suite):
