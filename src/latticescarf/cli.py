@@ -398,17 +398,24 @@ def run_command(spec, command, options):
         kind = {"strongly": "strong"}.get(kind, kind)
         if kind not in ("generalized", "scarf", "strong"):
             raise ParseError("--kind must be generalized, scarf, or strong")
+        if kind != "strong" and ("field" in options or "mode" in options):
+            raise ParseError("--field and --mode apply to --kind strong only")
         mode = options.get("mode", "strict")
         mode = {"paper": "paper-example"}.get(mode, mode)
         if mode not in ("strict", "paper-example"):
             raise ParseError("--mode must be strict or paper (paper-example)")
         atlas = scan_degree_classes(L, bound, w)
-        X = build_generalized_scarf_complex(scarf_poset(atlas))
+        P = scarf_poset(atlas)
+        X = build_generalized_scarf_complex(P)
         prov["kind"] = kind
         if kind == "scarf":
             X = algebraic_scarf_subcomplex(X)
         elif kind == "strong":
-            T = betti_table(atlas, field)
+            # no Betti degree above the top cell's value can divide a
+            # cell's degree, so the table stops there; the elements are in
+            # value order
+            top = sum(map(operator.mul, w, P.elements[-1].degree.representative))
+            T = betti_table(atlas, field, bound=top)
             X = strongly_algebraic_subcomplex(X, T, mode=mode)
             prov["mode"] = mode
             prov["field"] = str(field)

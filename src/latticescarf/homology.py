@@ -15,7 +15,8 @@ The ranks are exact, over GF(2) first (see reduced_homology_dims).  When
 the maximal supports of a fiber share a vertex the complex is a cone, so
 beta_{i,b} = 0 for every i.  A degree scan (scan_degree_classes) returns
 an Atlas of the other classes and their maximal supports; betti_table
-reads a BettiTable from those alone, and scarf.scarf_poset and
+reads a BettiTable from those alone, ranking only the classes up to its
+table bound (by default the scan's), and scarf.scarf_poset and
 scarf.binomials read the fibers, which the Atlas builds on first read.
 
 Multigraded Betti numbers follow the convention
@@ -27,7 +28,7 @@ Multigraded Betti numbers follow the convention
 from bisect import bisect_left
 from collections import defaultdict
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, takewhile
 from operator import and_, mul, or_, sub
 
 from .fibers import Fiber, MemberPacking
@@ -384,13 +385,16 @@ def scan_degree_classes(L, bound, functional=None):
 
 
 class BettiTable:
-    """Nonzero multigraded Betti numbers read from an Atlas, with its
-    lattice, bound, functional and every class its scan visited."""
+    """Nonzero multigraded Betti numbers read from an Atlas up to a table
+    bound, with its lattice, functional and every class its scan visited.
+    The table bound is at most the scan's; get and leq refuse what lies
+    past it, as a table scanned to that bound would, and scanned answers
+    exactly for every class of value up to it."""
 
-    def __init__(self, atlas, entries):
+    def __init__(self, atlas, entries, bound):
         self.lattice = atlas.lattice
         self.entries = dict(entries)  # (i, DegreeClass) -> positive int
-        self.bound = atlas.bound
+        self.bound = bound
         self.functional = atlas.functional
         self.scanned = atlas.scanned
 
@@ -444,17 +448,33 @@ def betti_scan(L, bound, field="q", functional=None):
     return betti_table(scan_degree_classes(L, bound, functional), field)
 
 
-def betti_table(atlas, field="q"):
-    """The BettiTable of an Atlas, read from the facets of the classes it
-    carries (no other class has homology).  The field is checked once, up
+def betti_table(atlas, field="q", bound=None):
+    """The BettiTable of an Atlas up to bound (by default the scan's),
+    read from the facets of the classes it carries (no other class has
+    homology).  The bound must be an int (no bool) from 0 to atlas.bound,
+    else ValueError; only the carried classes of value <= bound are
+    ranked, a prefix of atlas.degrees.  The field is checked once, up
     front, so a table that carries no fiber still rejects a bad one."""
     check_field(field)
+    degrees = atlas.degrees
+    if bound is None:
+        bound = atlas.bound
+    elif type(bound) is not int or not 0 <= bound <= atlas.bound:
+        raise ValueError(
+            "table bound must be an int from 0 to the scan bound %r, not %r"
+            % (atlas.bound, bound)
+        )
+    elif bound < atlas.bound:
+        w = atlas.functional
+        degrees = takewhile(
+            lambda b: sum(map(mul, w, b.representative)) <= bound, degrees
+        )
     entries = {}
-    for b, facets in zip(atlas.degrees, atlas.facets):
+    for b, facets in zip(degrees, atlas.facets):
         for j, dim in _facet_homology(facets, field).items():
             if j >= 0 and dim:
                 entries[(j + 1, b)] = dim
-    return BettiTable(atlas, entries)
+    return BettiTable(atlas, entries, bound)
 
 
 def minimal_betti_degrees(T, i):

@@ -7,6 +7,7 @@ block by the acceptance gate.
 """
 
 import itertools
+import random
 
 from latticescarf.fibers import (
     Fiber,
@@ -335,6 +336,46 @@ def suite_b_lattices(rng, count=50):
     shapes = [(2, 4)] * (count // 2) + [(2, 5)] * (count - count // 2)
     for k, (r, n) in enumerate(shapes):
         yield k, random_pointed_lattice(rng, r, n)
+
+
+def table_bound_problems(suite, count=10):
+    """scan_problems on the fixtures and suite (b)'s first count random
+    lattices (random.Random(101), as the property suites draw them)."""
+    lattices = itertools.islice(suite_b_lattices(random.Random(101)), count)
+    return scan_problems(suite, lattices)
+
+
+def has_full_support_generators(atlas):
+    """Does every minimal generator x^u - x^v of the atlas have full
+    support, u + v > 0 in every coordinate?"""
+    generators = binomials(atlas)[0]
+    return all(all(x or y for x, y in zip(u, v)) for _b, (u, v) in generators)
+
+
+def generic_lattices(rng, count, n):
+    """The atlases of count 2 x n lattices, entries in +-{1, 2, 3}, whose
+    minimal generators within 2 * small_scan_bound(L), the atlas's bound,
+    all have full support, so that the lattice ideal is generic
+    (Peeva-Sturmfels).  Rejection-sampled; the generators are checked at
+    a quarter, a half and once the bound first, where most samples fail
+    cheaply, and a sample of more than 400 classes at half the bound is
+    dropped to keep the scans small."""
+    out = []
+    while len(out) < count:
+        entries = (-3, -2, -1, 1, 2, 3)
+        rows = [tuple(rng.choice(entries) for _ in range(n)) for _ in range(2)]
+        try:
+            L = LatticeBasis(rows)
+        except ValueError:
+            continue
+        b = small_scan_bound(L)
+        for k, bound in enumerate((b // 4, b // 2, b, 2 * b)):
+            atlas = scan_degree_classes(L, bound)
+            if (k == 1 and len(atlas) > 400) or not has_full_support_generators(atlas):
+                break
+        else:
+            out.append(atlas)
+    return out
 
 
 def integer_points(rows, nvars):
@@ -789,13 +830,20 @@ def check_gcd_support_homology(suite, rng, random_count=10):
 # its rank in homological degree i at degree b is at most beta_{i,b}.
 
 
-def scarf_ranks_within_betti(X, T, where):
-    """Assert the bound on every (i, b) cell of X with i >= 1; returns
-    the number of cells."""
+def scarf_cells(X):
+    """{(i, b): the number of cells of X in homological degree i >= 1 at
+    degree b}."""
     cells = {}
     for i in range(1, len(X.basis)):
         for c in X.basis[i]:
             cells[i, c.degree] = cells.get((i, c.degree), 0) + 1
+    return cells
+
+
+def scarf_ranks_within_betti(X, T, where):
+    """Assert the bound on every (i, b) cell of X with i >= 1; returns
+    the number of cells."""
+    cells = scarf_cells(X)
     for (i, b), count in cells.items():
         assert count <= T.get(i, b), (
             "%d basis elements in homological degree %d at %r on %s, beta = %d"

@@ -326,6 +326,13 @@ def test_cli_bad_kind_or_mode_before_any_scan(capsys, monkeypatch):
         ["--kind", "strong", "--mode", "bogus"],
         ["--kind", "strongly", "--mode", "loose"],
         ["--kind", "scarf", "--mode", "bogus"],
+        # --field and --mode read only the strong subcomplex
+        ["--kind", "generalized", "--field", "fp:3"],
+        ["--kind", "scarf", "--field", "q"],
+        ["--field", "fp:32003"],
+        ["--kind", "generalized", "--mode", "strict"],
+        ["--kind", "scarf", "--mode", "paper"],
+        ["--mode", "paper-example"],
     ):
         code, out, err = run_cli(
             capsys, "complex", "--fixture", "ex63", "--bound", "40", *extra
@@ -479,6 +486,36 @@ def test_one_scan_per_command(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, out
         assert len(calls) == 1, (argv, len(calls))
+
+
+def test_strong_complex_ranks_only_up_to_its_top_cell(capsys, monkeypatch, tmp_path):
+    """complex --kind strong ranks the carried classes up to its top
+    cell's value alone: 10 of ex64's 60 at bound 600, 4 of <5,...,11>'s
+    29 at bound 38.  betti and verify still rank all 60 of ex64's."""
+    from latticescarf import homology
+
+    rank, ranked = homology._facet_homology, []
+
+    def counted(facets, field):
+        ranked.append(facets)
+        return rank(facets, field)
+
+    monkeypatch.setattr(homology, "_facet_homology", counted)
+    spec = tmp_path / "sg.json"
+    spec.write_text(json.dumps({"semigroup": [[5, 6, 7, 8, 9, 11]]}))
+    strong = ["complex", "--kind", "strong"]
+    for argv, want in (
+        (strong + ["--fixture", "ex64", "--bound", "600"], 10),
+        (strong + ["--fixture", "ex64", "--bound", "600", "--mode", "paper"], 10),
+        (strong + ["--spec", str(spec), "--bound", "38"], 4),
+        (["betti", "--spec", str(spec), "--bound", "38"], 29),
+        (["betti", "--fixture", "ex64", "--bound", "600"], 60),
+        (["verify", "--fixture", "ex64"], 60),
+    ):
+        ranked.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, out
+        assert len(ranked) == want, (argv, len(ranked))
 
 
 def test_cli_verify_merges_each_fiber_once(capsys, monkeypatch):

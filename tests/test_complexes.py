@@ -1,12 +1,20 @@
 import copy
+import itertools
+import random
 
 import pytest
 
 from helpers import (
     check_homogeneity,
     complexes_equal,
+    generic_lattices,
+    has_full_support_generators,
     restriction_oracle,
+    scarf_cells,
+    small_scan_bound,
     strongly_oracle,
+    suite_b_lattices,
+    table_bound_problems,
 )
 from latticescarf.fibers import enumerate_fiber
 from latticescarf.scarf import (
@@ -18,10 +26,11 @@ from latticescarf.scarf import (
     enumerate_scarf_poset,
     indispensable_binomials,
     minimal_generators,
+    scarf_poset,
     strongly_algebraic_subcomplex,
     verify_zero_composition,
 )
-from latticescarf.homology import betti_scan
+from latticescarf.homology import betti_scan, betti_table, scan_degree_classes
 from latticescarf.lattice_core import DegreeClass, LatticeBasis
 
 ABD = (1, 1, 0, 1, 0)
@@ -202,6 +211,51 @@ def test_strongly_algebraic_rejects_a_table_of_a_smaller_bound(ex63):
     for mode in ("strict", "paper-example"):
         with pytest.raises(ValueError, match="exceeds the scan bound"):
             strongly_algebraic_subcomplex(ex63.complex, T, mode=mode)
+
+
+def test_strong_subcomplex_needs_the_table_up_to_its_top_cell(suite):
+    """The strong subcomplex, both modes, over Q, GF(2) and GF(32003), is
+    the same from the table up to the top cell's value, as the command
+    line builds it, as from the whole table: a Betti degree d of value
+    >= sigma(b), d != b, never divides b.  One less raises."""
+    for where, L, bound, w in table_bound_problems(suite):
+        atlas = scan_degree_classes(L, bound, w)
+        P = scarf_poset(atlas)
+        X = build_generalized_scarf_complex(P)
+        top = sum(x * y for x, y in zip(w, P.elements[-1].degree.representative))
+        for field in ("q", 2, 32003):
+            full, T = betti_table(atlas, field), betti_table(atlas, field, bound=top)
+            for mode in ("strict", "paper-example"):
+                want = strongly_algebraic_subcomplex(X, full, mode=mode)
+                got = strongly_algebraic_subcomplex(X, T, mode=mode)
+                assert complexes_equal(got, want), (where, field, mode)
+        if top and P.elements[-1].cardinality > 1:
+            short = betti_table(atlas, bound=top - 1)
+            with pytest.raises(ValueError, match="exceeds the scan bound"):
+                strongly_algebraic_subcomplex(X, short)
+
+
+def test_generic_lattices_are_resolved_by_their_scarf_complex():
+    """On a generic lattice, every minimal generator of full support, the
+    generalized Scarf complex is a minimal free resolution (Peeva-
+    Sturmfels, "Generic lattice ideals", 1998): X has beta_{i,b} cells
+    in each (i, b).  30 sampled lattices, 20 of them 2 x 4 and 10 2 x 5,
+    and suite (b)'s b8, b11 and b18 at 3 * small_scan_bound."""
+    rng = random.Random(7)
+    problems = [
+        ("generic 2 x %d #%d" % (n, k), atlas)
+        for n, count in ((4, 20), (5, 10))
+        for k, atlas in enumerate(generic_lattices(rng, count, n))
+    ]
+    named = dict(itertools.islice(suite_b_lattices(random.Random(201)), 19))
+    for k in (8, 11, 18):
+        atlas = scan_degree_classes(named[k], 3 * small_scan_bound(named[k]))
+        assert has_full_support_generators(atlas), k
+        problems.append(("suite (b) b%d" % k, atlas))
+    for where, atlas in problems:
+        X = build_generalized_scarf_complex(scarf_poset(atlas))
+        T = betti_table(atlas)
+        assert T.entries and scarf_cells(X) == T.entries, where
 
 
 def test_scarf_always_inside_strongly(suite):

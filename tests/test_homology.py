@@ -33,6 +33,7 @@ from helpers import (
     squarefree_faces,
     suite_b_lattices,
     support_complex,
+    table_bound_problems,
 )
 from latticescarf.fibers import MemberPacking, class_leq, enumerate_fiber, support_mask
 from latticescarf.homology import (
@@ -413,6 +414,59 @@ def test_betti_table_checks_the_field_once(ex63, monkeypatch):
 def test_betti_scan_composite_field(ex63):
     with pytest.raises(ValueError):
         betti_scan(ex63.lattice, 40, field=4, functional=ex63.functional)
+
+
+def value(w, b):
+    return sum(x * y for x, y in zip(w, b.representative))
+
+
+def test_a_table_bound_ranks_the_classes_up_to_it(suite):
+    """betti_table(atlas, field, bound=v), at each carried value v, holds
+    the full table's entries of value <= v, in its order, over Q, GF(2)
+    and GF(32003); the default bound is the scan's."""
+    for where, L, bound, w in table_bound_problems(suite):
+        atlas = scan_degree_classes(L, bound, w)
+        for field in ("q", 2, 32003):
+            full = betti_table(atlas, field)
+            assert full.bound == bound
+            for v in sorted({value(w, b) for b in atlas.degrees}):
+                T = betti_table(atlas, field, bound=v)
+                want = [e for e in full.entries.items() if value(w, e[0][1]) <= v]
+                assert T.bound == v, (where, field, v)
+                assert list(T.entries.items()) == want, (where, field, v)
+
+
+def test_a_table_bound_is_an_int_within_the_scan(suite):
+    for data in suite.values():
+        atlas = scan_degree_classes(data.lattice, data.bound, data.functional)
+        assert betti_table(atlas, bound=0).entries == {}
+        assert betti_table(atlas, bound=data.bound).entries == data.table.entries
+        for bad in (data.bound + 1, -1, True, False, 1.0, "1"):
+            with pytest.raises(ValueError, match="table bound"):
+                betti_table(atlas, bound=bad)
+
+
+def test_a_truncated_table_refuses_past_its_bound(suite):
+    """get and leq raise past the table bound, as for a table scanned to
+    it, and below it answer as the full table does."""
+    for data in suite.values():
+        w, full = data.functional, data.table
+        atlas = scan_degree_classes(data.lattice, data.bound, w)
+        values = sorted({value(w, b) for b in atlas.degrees})
+        v = values[len(values) // 2]
+        T = betti_table(atlas, bound=v)
+        zero = atlas.degrees[0]
+        for b in atlas.degrees:
+            if value(w, b) > v:
+                for read in (lambda: T.get(1, b), lambda: T.leq(zero, b)):
+                    with pytest.raises(ValueError, match="exceeds the scan bound"):
+                        read()
+                continue
+            for i in (1, 2, 3):
+                assert T.get(i, b) == full.get(i, b), (data.name, i, b)
+            for d in atlas.degrees:
+                if value(w, b) - value(w, d) <= v:
+                    assert T.leq(d, b) == full.leq(d, b), (data.name, d, b)
 
 
 def test_betti_at(ex63, ex64):
