@@ -35,7 +35,6 @@ from .lattice_core import (
     NotPointedError,
     SemigroupMatrix,
     lattice_from_semigroup,
-    positive_functional,
 )
 from .linalg import solve_combination
 from .scarf import (
@@ -72,7 +71,7 @@ class ProblemSpec:
             w = self.semigroup.column_sums()
             if all(x >= 1 for x in w):
                 return w
-        return positive_functional(self.lattice)
+        return self.lattice.functional
 
     def degree_view(self, b):
         """Render a degree class for a report."""

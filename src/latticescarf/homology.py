@@ -14,9 +14,9 @@ masks that meet.
 The ranks are exact, over GF(2) first (see reduced_homology_dims).  When
 the maximal supports of a fiber share a vertex the complex is a cone, so
 beta_{i,b} = 0 for every i.  A degree scan (scan_degree_classes) returns
-an Atlas of the other classes and their maximal supports; betti_table
-reads a BettiTable from those alone, ranking only the classes up to its
-table bound (by default the scan's), and scarf.scarf_poset and
+an Atlas of the other classes, their values and maximal supports, in
+(value, key) order; betti_table ranks the prefix up to its table bound
+(by default the scan's) and keeps that order, and scarf.scarf_poset and
 scarf.binomials read the fibers, which the Atlas builds on first read.
 
 Multigraded Betti numbers follow the convention
@@ -25,10 +25,10 @@ Multigraded Betti numbers follow the convention
     i >= 1.
 """
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import defaultdict
 from functools import cache, reduce
-from itertools import chain, takewhile
+from itertools import chain
 from operator import and_, mul, or_, sub
 
 from .fibers import Fiber, MemberPacking
@@ -37,7 +37,6 @@ from .lattice_core import (
     DegreeClass,
     ScannedClasses,
     _same_lattice,
-    positive_functional,
 )
 from .linalg import is_prime, rank_exact, rank_gf2
 
@@ -189,7 +188,8 @@ class Atlas:
     keys (lattice_core.ScannedClasses): len() counts them, and v in
     scanned asks whether the class of the integer vector v was reached.
     degrees holds the DegreeClasses of the classes whose maximal support
-    masks share no variable, in (functional value, canonical key) order;
+    masks share no variable, in (functional value, canonical key) order,
+    and values[k] is the value of degrees[k], so values is nondecreasing;
     facets[k] lists the maximal nonzero masks of degrees[k], largest
     first.  fibers[k] is the Fiber of degrees[k]: the function fibers
     builds them all on the first read, which then drops it and the scan
@@ -206,11 +206,14 @@ class Atlas:
     the common variable x of G minus m1, not in supp(m1), lies in supp(m0)
     inside supp(m1)."""
 
-    def __init__(self, lattice, bound, functional, scanned, degrees, facets, fibers):
+    def __init__(
+        self, lattice, bound, functional, scanned, values, degrees, facets, fibers
+    ):
         self.lattice = lattice
         self.bound = bound
         self.functional = functional
         self.scanned = scanned
+        self.values = values
         self.degrees = degrees
         self.facets = facets
         self._fibers = fibers
@@ -253,7 +256,7 @@ def scan_degree_classes(L, bound, functional=None):
     u_{j-1} all 0, each monomial once, in canonical order
     (MemberPacking.step_first).
     """
-    w = tuple(functional) if functional is not None else positive_functional(L)
+    w = tuple(functional) if functional is not None else L.functional
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (bound, *w)):
         raise ValueError("scan bound and functional must be integers")
     if bound < 0:
@@ -359,7 +362,8 @@ def scan_degree_classes(L, bound, functional=None):
         b = DegreeClass(L, rep)
         out.append((values[i], b.key, i, b, fac[i] if i else []))
     out.sort(key=lambda c: c[:2])
-    _values, _keys, carried, degrees, facets = zip(*out)  # the zero class is carried
+    # the zero class is carried
+    sigma, _keys, carried, degrees, facets = zip(*out)
 
     def fibers():
         # members[i]: fiber i packed, in descending int order (canonical)
@@ -381,7 +385,8 @@ def scan_degree_classes(L, bound, functional=None):
             for b, ms in zip(degrees, map(members.__getitem__, carried))
         )
 
-    return Atlas(L, bound, w, ScannedClasses(packing, ids), degrees, facets, fibers)
+    scanned = ScannedClasses(packing, ids)
+    return Atlas(L, bound, w, scanned, sigma, degrees, facets, fibers)
 
 
 class BettiTable:
@@ -424,12 +429,9 @@ class BettiTable:
         return sorted({i for i, _ in self.entries})
 
     def degrees(self, i):
-        """Degree classes with beta_{i,.} > 0, sorted by functional value."""
-        w = self.functional
-        ds = [b for (j, b) in self.entries if j == i]
-        return sorted(
-            ds, key=lambda b: (sum(x * y for x, y in zip(w, b.representative)), b.key)
-        )
+        """Degree classes with beta_{i,.} > 0, in the atlas's (functional
+        value, canonical key) order, in which betti_table entered them."""
+        return [b for (j, b) in self.entries if j == i]
 
     def total(self, i):
         return sum(v for (j, _), v in self.entries.items() if j == i)
@@ -453,10 +455,10 @@ def betti_table(atlas, field="q", bound=None):
     read from the facets of the classes it carries (no other class has
     homology).  The bound must be an int (no bool) from 0 to atlas.bound,
     else ValueError; only the carried classes of value <= bound are
-    ranked, a prefix of atlas.degrees.  The field is checked once, up
-    front, so a table that carries no fiber still rejects a bad one."""
+    ranked, a prefix of atlas.degrees, and entered in its order.  The
+    field is checked once, up front, so a table that carries no fiber
+    still rejects a bad one."""
     check_field(field)
-    degrees = atlas.degrees
     if bound is None:
         bound = atlas.bound
     elif type(bound) is not int or not 0 <= bound <= atlas.bound:
@@ -464,11 +466,7 @@ def betti_table(atlas, field="q", bound=None):
             "table bound must be an int from 0 to the scan bound %r, not %r"
             % (atlas.bound, bound)
         )
-    elif bound < atlas.bound:
-        w = atlas.functional
-        degrees = takewhile(
-            lambda b: sum(map(mul, w, b.representative)) <= bound, degrees
-        )
+    degrees = atlas.degrees[: bisect_right(atlas.values, bound)]
     entries = {}
     for b, facets in zip(degrees, atlas.facets):
         for j, dim in _facet_homology(facets, field).items():
@@ -480,12 +478,8 @@ def betti_table(atlas, field="q", bound=None):
 def minimal_betti_degrees(T, i):
     """Degrees minimal in the divisibility order among {b : beta_{i,b} > 0}.
     d <= b with d != b makes b - d a nonzero monomial, of positive value,
-    so b is tested only against the degrees of smaller value: those before
-    it in T.degrees(i)."""
+    so b is tested only against the degrees before it in T.degrees(i), in
+    (value, key) order.  One of b's own value has a difference of value 0
+    that is not the zero class, so T.leq says False."""
     degs = T.degrees(i)
-    values = [sum(map(mul, T.functional, b.representative)) for b in degs]
-    return [
-        b
-        for b, s in zip(degs, values)
-        if not any(T.leq(d, b) for d in degs[: bisect_left(values, s)])
-    ]
+    return [b for k, b in enumerate(degs) if not any(T.leq(d, b) for d in degs[:k])]

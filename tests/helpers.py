@@ -444,8 +444,9 @@ def reference_scan(L, bound, functional=None):
     cone(b) = AND over the steps of (cone(b - e_j) | 1 << j).  A class of
     cone mask 0 is carried when its maximal supports (_maximal_sets of
     the members' supports, as sets of variables) share no variable; its
-    facets are those sets as bitmasks, largest first.  Only the carried
-    classes become DegreeClass objects.
+    facets are those sets as bitmasks, largest first, and its value is
+    the one the search reached it at.  Only the carried classes become
+    DegreeClass objects.
     """
     if bound < 0:
         raise ValueError("scan bound must be nonnegative, not %r" % (bound,))
@@ -487,7 +488,7 @@ def reference_scan(L, bound, functional=None):
         if key in needed or not cone[key]:
             needed.update(steps[key][::2])
     members = {}
-    fibers, facets = [], []
+    values, fibers, facets = [], [], []
     for key in keys:
         if key not in needed and cone[key]:
             continue
@@ -499,11 +500,13 @@ def reference_scan(L, bound, functional=None):
                 ms.add(m[:j] + (m[j] + 1,) + m[j + 1 :])
         if cone[key] or maximal_supports_meet(ms):
             continue
+        values.append(seen[key][1])
         fibers.append(Fiber(DegreeClass(L, seen[key][0]), ms))
         facets.append(tuple(sum(1 << i for i in s) for s in maximal_supports(ms)))
     degrees = tuple(fib.degree for fib in fibers)
     fibers = tuple(fibers)
-    return Atlas(L, bound, w, frozenset(seen), degrees, tuple(facets), lambda: fibers)
+    values, facets = tuple(values), tuple(facets)
+    return Atlas(L, bound, w, frozenset(seen), values, degrees, facets, lambda: fibers)
 
 
 def same_classes(scanned, keys):

@@ -420,6 +420,33 @@ def value(w, b):
     return sum(x * y for x, y in zip(w, b.representative))
 
 
+def truncated_tables(suite):
+    """(where, atlas, v, T) for each of table_bound_problems, at every
+    value v of a carried class and at the scan bound, T the table to v."""
+    for where, L, bound, w in table_bound_problems(suite):
+        atlas = scan_degree_classes(L, bound, w)
+        for v in sorted({*atlas.values, bound}):
+            yield where, atlas, v, betti_table(atlas, bound=v)
+
+
+def test_the_table_keeps_the_scans_value_key_order(suite):
+    """The scan decides the order and every reader keeps it, on the
+    fixtures and suite (b)'s first 10 lattices: values[k] is
+    sigma(degrees[k]), (value, key) strictly increases along the atlas,
+    and each truncated table's degrees(i) is sorted by (sigma, key)."""
+    tables = 0
+    for where, atlas, v, T in truncated_tables(suite):
+        w = atlas.functional
+        assert list(atlas.values) == [value(w, b) for b in atlas.degrees], where
+        order = [(s, b.key) for s, b in zip(atlas.values, atlas.degrees, strict=True)]
+        assert all(a < b for a, b in zip(order, order[1:])), where
+        for i in T.homological_degrees():
+            want = sorted(T.degrees(i), key=lambda b: (value(w, b), b.key))
+            assert T.degrees(i) == want, (where, v, i)
+        tables += 1
+    assert tables > 100, tables
+
+
 def test_a_table_bound_ranks_the_classes_up_to_it(suite):
     """betti_table(atlas, field, bound=v), at each carried value v, holds
     the full table's entries of value <= v, in its order, over Q, GF(2)
@@ -509,15 +536,28 @@ def test_minimal_betti_degrees(ex63):
     assert got == {(6, 6), (8, 4), (4, 8)}
 
 
-def test_minimal_betti_degrees_match_all_pairs(suite):
-    """Testing each degree only against the degrees of smaller value loses
-    no divisor: the all-pairs definition gives the same degrees, in order."""
-    for data in suite.values():
-        T = data.table
+def test_minimal_betti_degrees_match_all_pairs(suite, ex63):
+    """Testing each degree only against the degrees before it in
+    T.degrees(i) loses no divisor and adds none: the all-pairs definition
+    gives the same degrees, in order, on every truncated table of the
+    fixtures and suite (b)'s first 10 lattices.  Degrees of equal value
+    do occur side by side, where a degree is tested against one of its
+    own value: ex63's 1-Betti degrees (4, 8), (6, 6) and (8, 4) all have
+    value 12, and each is minimal."""
+    ties = 0
+    for where, atlas, v, T in truncated_tables(suite):
         for i in T.homological_degrees():
             degs = T.degrees(i)
             want = [b for b in degs if not any(d != b and T.leq(d, b) for d in degs)]
-            assert minimal_betti_degrees(T, i) == want, (data.name, i)
+            assert minimal_betti_degrees(T, i) == want, (where, v, i)
+            values = [value(T.functional, b) for b in degs]
+            ties += sum(a == b for a, b in zip(values, values[1:]))
+    assert ties > 30, ties
+    T = ex63.table
+    first = T.degrees(1)[:3]
+    assert [ex63.semigroup_degree(b) for b in first] == [(4, 8), (6, 6), (8, 4)]
+    assert [value(T.functional, b) for b in first] == [12, 12, 12]
+    assert minimal_betti_degrees(T, 1)[:3] == first
 
 
 def test_betti_scan_stability(ex61):
@@ -651,12 +691,11 @@ def test_scan_keeps_no_object_per_cone_class(ex64):
 
 def scan_summary(atlas):
     """The class count and the carried (key, representative, value,
-    members, masks, facets) in order, the facets as a set after checking
-    that they come largest first."""
+    members, masks, facets) in order, the value as atlas.values holds it
+    and the facets as a set after checking that they come largest first."""
     carried = []
-    for fib, facets in zip(atlas.fibers, atlas.facets, strict=True):
+    for fib, s, facets in zip(atlas.fibers, atlas.values, atlas.facets, strict=True):
         b = fib.degree
-        s = sum(x * y for x, y in zip(atlas.functional, b.representative))
         sizes = [f.bit_count() for f in facets]
         assert sizes == sorted(sizes, reverse=True), b.representative
         facets = frozenset(facets)
