@@ -6,9 +6,9 @@ ex63 (five variables, where the generalized complex strictly contains the
 algebraic Scarf subcomplex), and ex64 (two intertwined numerical
 semigroups on six variables).  The expectation tables below are what
 `latticescarf verify --fixture NAME` checks, stored as its report prints
-them, so verify compares them unchanged.  The test suite pins verify's
-checks through its report; only test_cli_verify_detects_mismatch patches
-these tables.
+them, so verify compares them unchanged, and an expectation it has no
+check for is a RuntimeError.  The test suite pins verify's checks
+through its report, and patches these tables only with monkeypatch.
 """
 
 BUNDLED = {

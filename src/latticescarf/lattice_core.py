@@ -8,7 +8,7 @@ scans, Scarf posets -- makes sense.  By Stiemke's lemma L is pointed iff
 some strictly positive functional vanishes on L, so one linear system,
 solved once when a LatticeBasis is built, both decides pointedness (a
 non-pointed basis raises NotPointedError) and yields the grading
-functional (positive_functional).
+functional (LatticeBasis.functional).
 The same transform gives coordinates phi on Z^n/L: free ones from a
 kernel basis and, when Z^n/L has torsion, digits t_k in [0, H[k][k])
 from the Hermite form H of its torsion block, keyed by canonical_rep

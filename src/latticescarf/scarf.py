@@ -69,14 +69,12 @@ def bmax(J):
 
 def vsupp(K, J):
     """Variables where some member of J sits strictly below bmax(K):
-    {i : bmax(K)_i - a_i > 0 for some a in J}."""
+    {i : bmax(K)_i - a_i > 0 for some a in J}.  Nothing sits strictly
+    below the formal bottom bmax([]), so an empty K gives no variable."""
     top = bmax(K)
-    out = set()
-    for a in J:
-        for i, x in enumerate(a):
-            if top[i] - x > 0:
-                out.add(i)
-    return frozenset(out)
+    if top is None:
+        return frozenset()
+    return frozenset(i for a in J for i, x in enumerate(a) if top[i] - x > 0)
 
 
 def monomials_of(J):

@@ -6,8 +6,12 @@ They are exercised twice: individually by test_properties.py, and as a
 block by the acceptance gate.
 """
 
+import importlib.util
 import itertools
+import json
+import pathlib
 import random
+import sys
 
 from latticescarf.fibers import (
     Fiber,
@@ -1217,3 +1221,17 @@ def check_indispensable_generation(rng, count=25):
         hits += 1
     assert hits, "no indispensably generated lattice sampled"
     return "%d/%d lattices indispensably generated" % (hits, count)
+
+
+def benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py and the oracle it imports, loaded by path
+    (read only: no bytecode is written) and dropped again after the test,
+    with the digests and pool of perfbench/expected.json."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("oracle", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, perfbench / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    return module, json.loads((perfbench / "expected.json").read_text())

@@ -1,6 +1,5 @@
 import collections
 import hashlib
-import importlib.util
 import json
 import os
 import pathlib
@@ -12,7 +11,7 @@ import sys
 import pytest
 
 import latticescarf
-from helpers import export_dot_gcd_oracle
+from helpers import benchmark_workloads, export_dot_gcd_oracle
 from latticescarf.cli import (
     ParseError,
     _parse_degree,
@@ -650,6 +649,39 @@ def test_cli_verify_detects_mismatch(capsys, monkeypatch):
     assert bad and bad[0]["name"] == "generator_count"
 
 
+def test_cli_verify_graded_check_compares_every_layer(capsys, monkeypatch):
+    """graded_ranks_match_scan compares X's cells with beta_{i,b} at every
+    (i, b), also in the layers where X has no cell: this lattice's complex
+    is the unit cell alone, while its Betti totals are {1: 2, 2: 1}."""
+    import latticescarf.fixtures as fixtures
+
+    problem = {"name": "unit", "lattice": [[-3, 3, -2, 3], [0, -1, 1, -1]], "bound": 30}
+    expected = {
+        "betti_totals": {"1": 2, "2": 1},
+        "complex_ranks": [1],
+        "graded_ranks_match_scan": True,
+    }
+    monkeypatch.setitem(fixtures.BUNDLED, "unit", problem)
+    monkeypatch.setitem(fixtures.EXPECTED, "unit", expected)
+    code, out, _ = run_cli(capsys, "verify", "--fixture", "unit")
+    assert code == 1
+    checks = json.loads(out)["result"]["checks"]
+    assert [c["name"] for c in checks] == list(expected)
+    assert [c["name"] for c in checks if not c["ok"]] == ["graded_ranks_match_scan"]
+
+
+def test_cli_verify_refuses_an_expectation_it_has_no_check_for(capsys, monkeypatch):
+    """A misspelled expectation is a fault of the program, not bad input:
+    verify raises RuntimeError naming it instead of skipping it."""
+    import latticescarf.fixtures as fixtures
+
+    misspelt = dict(fixtures.EXPECTED["ex63"], betti_total={"1": 4})
+    monkeypatch.setitem(fixtures.EXPECTED, "ex63", misspelt)
+    with pytest.raises(RuntimeError, match="betti_total,"):
+        main(["verify", "--fixture", "ex63"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_cli_export_dot_out_is_utf8_under_the_c_locale(tmp_path):
     """--out writes UTF-8 whatever the locale, as specs are read: under
     the C locale, with no UTF-8 mode, a non-ASCII variable name still
@@ -1020,19 +1052,6 @@ def test_cli_point_queries_match_the_benchmark_digests(capsys, fixture, degree):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, label
 
 
-def _benchmark_workloads(monkeypatch):
-    """perfbench/workloads.py and the oracle it imports, loaded by path
-    (read only: no bytecode is written) and dropped again after the test."""
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    for name in ("oracle", "workloads"):
-        spec = importlib.util.spec_from_file_location(name, perfbench / (name + ".py"))
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, module)
-        spec.loader.exec_module(module)
-    return module, json.loads((perfbench / "expected.json").read_text())
-
-
 def _recorded_ops(workloads, expected, workload):
     """Every operation of the workload that any seed can pick: the
     fixtures and semigroups workloads run all of theirs in every pass;
@@ -1059,7 +1078,7 @@ def test_cli_reports_match_the_benchmark_digests(capsys, monkeypatch, workload):
     whose sha256 digest perfbench/expected.json records for it (a random
     lattice operation: its summary, with theta^2 = 0 on all four
     complexes), and every recorded operation is run."""
-    workloads, expected = _benchmark_workloads(monkeypatch)
+    workloads, expected = benchmark_workloads(monkeypatch)
     ops = _recorded_ops(workloads, expected, workload)
     recorded = [k for k in expected["ops"] if k.partition("/")[0] == workload]
     assert sorted(op.id for op in ops) == sorted(recorded)

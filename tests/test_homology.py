@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -16,6 +17,7 @@ import latticescarf
 from helpers import (
     SimplicialComplex,
     basic_components_oracle,
+    benchmark_workloads,
     catalog_fibers,
     check_gcd_components,
     complex_homology_dims,
@@ -1118,6 +1120,69 @@ def test_interval_semigroup_betti_totals_closed_form(m, bound, field):
     T = betti_scan(lattice_from_semigroup(A), bound, field=field, functional=A.column_sums())
     totals = {i: T.total(i) for i in T.homological_degrees()}
     assert totals == {i: i * math.comb(m, i + 1) for i in range(1, m)}
+
+
+def codimension_two_invariants(L, bound, w):
+    """(r, totals over Q, over GF(2), over GF(32003)) of one scan: r
+    minimal generators, each table's totals as a tuple over i = 1, 2, ...
+    GF(2) ranks unsigned boundaries; GF(32003) ranks the signed ones."""
+    from latticescarf.scarf import binomials
+
+    atlas = scan_degree_classes(L, bound, w)
+    out = [len(binomials(atlas)[0])]
+    for field in ("q", 2, 32003):
+        T = betti_table(atlas, field)
+        top = max(T.homological_degrees(), default=0)
+        out.append(tuple(T.total(i) for i in range(1, top + 1)))
+    return tuple(out)
+
+
+def codimension_two_form(r, totals):
+    """Which of the two codimension-2 closed forms totals has, or None:
+    (r, r - 1) when I_L is Cohen-Macaulay (Hilbert-Burch), else
+    (r, 2r - 4, r - 3) with r >= 4 (Peeva and Sturmfels, "Syzygies of
+    codimension 2 lattice ideals", Math. Z. 229, 1998)."""
+    if totals == (r, r - 1):
+        return "CM"
+    if r >= 4 and totals == (r, 2 * r - 4, r - 3):
+        return "not CM"
+    return None
+
+
+def test_codimension_two_betti_totals_closed_form(monkeypatch):
+    """A rank-2 lattice in Z^4 has a codimension-2 lattice ideal, whose r
+    minimal generators fix its Betti totals up to Cohen-Macaulayness.  The
+    oracle is the closed form, sharing no code with the ranks, over Q,
+    GF(2) and GF(32003), on: every 2 x 4 lattice of the benchmark's random
+    pool at twice its scan bound, each checked complete against three
+    times that bound; the curves (t^d, t^(d-1) s, t s^(d-1), s^d) in P^3,
+    d = 4..15, which read (d, 2d - 4, d - 3) at every bound from d + 1 to
+    d + 4 of the standard grading; and the rational quartic (ex61's
+    semigroup) at bound 20, which reads (4, 4, 1)."""
+    workloads, _ = benchmark_workloads(monkeypatch)
+    forms = collections.Counter()
+    for index in range(0, workloads.RANDOM_POOL, 2):
+        L = workloads.sample_pool_lattice(index, collections.Counter())
+        assert L.n == 4
+        w = L.functional
+        bound = workloads.scan_bound(L, w)
+        r, over_q, *others = got = codimension_two_invariants(L, 2 * bound, w)
+        if codimension_two_invariants(L, 3 * bound, w) != got:
+            pytest.fail("bound not complete: pool lattice %d at %d" % (index, 2 * bound))
+        assert others == [over_q, over_q], index
+        forms[codimension_two_form(r, over_q)] += 1
+    assert forms == {"CM": 41, "not CM": 7}, forms
+    for d in range(4, 16):
+        A = SemigroupMatrix([[d, d - 1, 1, 0], [0, 1, d - 1, d]])
+        L = lattice_from_semigroup(A)
+        assert L.functional == (1, 1, 1, 1)
+        want = (d, 2 * d - 4, d - 3)
+        for bound in range(d + 1, d + 5):
+            got = codimension_two_invariants(L, bound, L.functional)
+            assert got == (d, want, want, want), (d, bound)
+    A = SemigroupMatrix([[4, 3, 1, 0], [0, 1, 3, 4]])
+    quartic = codimension_two_invariants(lattice_from_semigroup(A), 20, A.column_sums())
+    assert quartic == (4, (4, 4, 1), (4, 4, 1), (4, 4, 1))
 
 
 @pytest.mark.parametrize("field", ["q", 2, 3, 32003])

@@ -100,6 +100,9 @@ def test_vsupp(ex63):
     assert vsupp(J, J) == frozenset({0, 1, 2, 3})
     assert vsupp(J, []) == frozenset()
     assert vsupp([ZERO5], [ZERO5]) == frozenset()
+    # nothing sits strictly below the formal bottom bmax([]) = None
+    assert vsupp([], [(1, 0, 0, 0, 0)]) == frozenset()
+    assert vsupp([], []) == frozenset()
 
 
 def test_monomials_of(ex63):

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pathlib
+import re
+import shlex
 
 import latticescarf
 
@@ -357,3 +359,34 @@ def test_readme_quickstart_prints_what_its_comments_say(capsys):
     for value in ("4 monomials", "# {1: 4, 2: 5, 3: 2}", "# (1, 3, 2)", "# (1, 3, 1)",
                   "# 4 binomial generators", "# 4 3"):
         assert value in block
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    """Every line of the fenced command block under "## Command line" in
+    README.md runs through cli.main and exits 0, with an optional
+    "[--opt a|b]" expanded into one run per spelling.  The runs happen in
+    a scratch directory, since export-dot writes its --out file there."""
+    from latticescarf.cli import main
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().partition("## Command line\n")[2].partition("\n## ")[0]
+    # text between fences alternates outside/inside; the command block has
+    # no info string, so its text starts with the newline after the fence
+    block = next(part for part in section.split("```")[1::2] if part.startswith("\n"))
+    runs = []
+    for line in block.strip().splitlines():
+        optional = re.search(r"\[(--\S+) ([^\]]+)\]", line)
+        spellings = [line] if optional is None else [
+            line[: optional.start()] + optional.group(1) + " " + value + line[optional.end() :]
+            for value in optional.group(2).split("|")
+        ]
+        for text in spellings:
+            words = shlex.split(text)
+            assert words[0] == "latticescarf", text
+            runs.append(words[1:])
+    assert len(runs) == 12
+    monkeypatch.chdir(tmp_path)
+    for argv in runs:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "fiber.dot").read_text().startswith("graph fiber {")
